@@ -11,12 +11,13 @@
 //	fleet -model VGG16 -spec "2*128x128;2*L1:72x64 L2-L16:576x512" -policy p2c
 //	fleet -model VGG16 -spec "3*128x128" -fault-replica g0-1 -fault-at 0.3
 //
-// The -engine flag selects the runtime: "goroutine" (default) runs the
-// wall-clock-paced concurrent fleet above; "des" runs the same service
-// model on the discrete-event virtual-time engine (internal/des), which
-// simulates cluster-scale fleets — tile the parsed spec up to -replicas,
-// split into -clusters for two-level routing, and drive it with a -trace
-// arrival process:
+// Both engines run one fleet core (internal/des). The -engine flag picks
+// its driver: "goroutine" (default) paces the core's events on the wall
+// clock (-timescale) and serves the /metrics endpoint's live fleet
+// families; "des" pops them as fast as the host allows, which simulates
+// cluster-scale fleets — tile the parsed spec up to -replicas, split into
+// -clusters for two-level routing, and drive it with a -trace arrival
+// process:
 //
 //	fleet -engine des -spec "4*128x128" -replicas 10000 -clusters 100 \
 //	      -trace bursty -requests 1000000 -policy jsq
@@ -29,8 +30,9 @@
 //	      -trace bursty -requests 10000000 -policy jsq -cluster-policy rr -workers 8
 //
 // -chaos injects a seeded fault storm (correlated crashes plus fail-slow
-// replicas, timed as fractions of the run) into either engine, and
-// -resilience turns on the client-side stack that rides it out:
+// replicas, timed as fractions of the run), -fault-replica a stuck-cell
+// fault healed by -repair-capacity spares, into either engine; -resilience
+// turns on the client-side stack that rides storms out:
 //
 //	fleet -engine des -spec "4*128x128" -replicas 64 -requests 100000 \
 //	      -budget 400000 -chaos -resilience
@@ -53,7 +55,6 @@ import (
 	"autohet/internal/des"
 	"autohet/internal/des/trace"
 	"autohet/internal/dnn"
-	"autohet/internal/fault"
 	"autohet/internal/fleet"
 	"autohet/internal/hw"
 	"autohet/internal/noc"
@@ -83,7 +84,7 @@ type desOpts struct {
 
 // chaosOpts carries the fault-storm and resilience flags through run. The
 // storm is timed in fractions of the run's virtual span so one set of
-// flags scales from a 5k-request goroutine run to a 1M-request DES run.
+// flags scales from a 5k-request paced run to a 1M-request DES run.
 type chaosOpts struct {
 	on         bool
 	at         float64 // storm start, fraction of the run
@@ -101,6 +102,44 @@ func (c chaosOpts) storm(names []string, spanNS float64, seed int64) *chaos.Sche
 		chaos.CrashStorm(c.at*spanNS, c.mttr*spanNS, names, c.crashFrac, seed),
 		chaos.SlowStorm(c.at*spanNS, 2*c.mttr*spanNS, names, c.slowFrac, c.slowFactor, seed),
 	)
+}
+
+// faultInjection is the -fault-* flags: a stuck-at-0 fault of rate cells
+// landing on replica at a fraction of the run.
+type faultInjection struct {
+	replica  string
+	rate, at float64
+}
+
+// schedule is the run's chaos schedule: the -chaos storm and the -fault-*
+// injection (nil when neither is asked for). An injection naming a replica
+// the fleet lacks warns and is dropped.
+func (c chaosOpts) schedule(inj faultInjection, names []string, spanNS float64, seed int64) *chaos.Schedule {
+	var parts []*chaos.Schedule
+	if c.on {
+		storm := c.storm(names, spanNS, seed)
+		fmt.Printf("chaos: %d scheduled events — crash %.0f%% at %.0f%% of the run (mttr %.0f%%), %.0f%% fail-slow %gx\n",
+			len(storm.Events), 100*c.crashFrac, 100*c.at, 100*c.mttr, 100*c.slowFrac, c.slowFactor)
+		parts = append(parts, storm)
+	}
+	if inj.replica != "" {
+		known := false
+		for _, n := range names {
+			known = known || n == inj.replica
+		}
+		if known {
+			parts = append(parts, chaos.Scripted(chaos.Event{
+				AtNS: inj.at * spanNS, Kind: chaos.Faults, Target: inj.replica, Value: inj.rate}))
+			fmt.Printf("fault: %.1f%% stuck-at cells into %s at %.0f%% of the run\n",
+				100*inj.rate, inj.replica, 100*inj.at)
+		} else {
+			fmt.Fprintf(os.Stderr, "fleet: no replica %q; fault injection skipped\n", inj.replica)
+		}
+	}
+	if len(parts) == 0 {
+		return nil
+	}
+	return chaos.Merge(parts...)
 }
 
 func main() {
@@ -128,7 +167,7 @@ func main() {
 		"keep the metrics endpoint up this long after the run (for scraping; needs -metrics-addr)")
 	shards := flag.Int("shards", 1,
 		"pipeline-parallel stages: cut the model into this many latency-balanced stages and chain requests through one replica per stage (needs a single-design -spec)")
-	engine := flag.String("engine", "goroutine", "runtime: goroutine (wall-clock paced) or des (virtual time)")
+	engine := flag.String("engine", "goroutine", "driver: goroutine (wall-clock paced) or des (unpaced virtual time)")
 	traceName := flag.String("trace", "poisson",
 		"arrival process for -engine des: poisson, diurnal, bursty, pareto")
 	replicas := flag.Int("replicas", 0,
@@ -151,7 +190,7 @@ func main() {
 	chaosSlowFrac := flag.Float64("chaos-slow-frac", 0.125, "fraction of replicas the storm makes fail-slow")
 	chaosSlowFactor := flag.Float64("chaos-slow-factor", 10, "fail-slow service-time multiplier")
 	resilience := flag.Bool("resilience", false,
-		"enable client-side resilience (des: retry + hedging + breakers + brownout; goroutine: circuit breakers)")
+		"enable client-side resilience (retry + hedging + circuit breakers + brownout)")
 	flag.Parse()
 
 	dopts := desOpts{engine: *engine, traceName: *traceName, replicas: *replicas,
@@ -278,13 +317,6 @@ func run(modelName, specText, policyText string, load float64, requests, batch i
 			return err
 		}
 	}
-	if dopts.engine == "des" {
-		if faultReplica != "" || repairCap > 0 {
-			return fmt.Errorf("mid-run fault injection and self-repair need -engine goroutine")
-		}
-		return desRun(specs, policy, load, requests, batch, batchTimeoutUS, queue,
-			budgetUS, seed, dopts, copts, hold, metricsAddr, sr)
-	}
 	if repairCap > 0 {
 		rs := fleet.RepairSpec{Capacity: repairCap, MissRate: repairMiss}
 		for i := range specs {
@@ -292,6 +324,11 @@ func run(modelName, specText, policyText string, load float64, requests, batch i
 		}
 		fmt.Printf("self-repair: spares absorb %.2f%% stuck cells, %.0f%% detection miss per sweep\n",
 			100*repairCap, 100*repairMiss)
+	}
+	inject := faultInjection{replica: faultReplica, rate: faultRate, at: faultAt}
+	if dopts.engine == "des" {
+		return desRun(specs, policy, load, requests, batch, batchTimeoutUS, queue,
+			budgetUS, seed, dopts, copts, inject, hold, metricsAddr, sr)
 	}
 
 	var aggregate float64
@@ -308,25 +345,20 @@ func run(modelName, specText, policyText string, load float64, requests, batch i
 			len(specs), aggregate, 100*load, load*aggregate)
 	}
 
-	fcfg := fleet.Config{
-		Policy:         policy,
-		MaxBatch:       batch,
-		BatchTimeoutNS: batchTimeoutUS * 1000,
-		QueueDepth:     queue,
-		TimeScale:      timescale,
-		Seed:           seed,
-	}
+	fcfg := fleet.DefaultConfig()
+	fcfg.Policy = policy
+	fcfg.MaxBatch = batch
+	fcfg.BatchTimeoutNS = batchTimeoutUS * 1000
+	fcfg.QueueDepth = queue
+	fcfg.TimeScale = timescale
+	fcfg.Seed = seed
 	if sr != nil {
 		fcfg.Shards = len(sr.Stages)
 		fcfg.StageTransferNS = stageTransfers(sr)
 	}
 	if copts.resilience {
-		fcfg.Breaker = &chaos.BreakerConfig{}
-		fmt.Println("resilience: per-replica circuit breakers enabled")
-	}
-	f, err := fleet.New(fcfg, specs...)
-	if err != nil {
-		return err
+		fcfg.Resilience = chaos.DefaultResilience()
+		fmt.Println("resilience: retry + hedging + circuit breakers + brownout enabled")
 	}
 	w := fleet.Workload{
 		ArrivalRate: load * aggregate,
@@ -334,33 +366,13 @@ func run(modelName, specText, policyText string, load float64, requests, batch i
 		Seed:        seed,
 		BudgetNS:    budgetUS * 1000,
 	}
-	if copts.on {
-		spanNS := float64(requests) / w.ArrivalRate * 1e9
-		sched := copts.storm(replicaNames(specs), spanNS, seed)
-		stop := f.StartChaos(sched)
-		defer stop()
-		fmt.Printf("chaos: %d scheduled events — crash %.0f%% at %.0f%% of the run (mttr %.0f%%), %.0f%% fail-slow %gx\n",
-			len(sched.Events), 100*copts.crashFrac, 100*copts.at, 100*copts.mttr,
-			100*copts.slowFrac, copts.slowFactor)
-	}
-	var timer *time.Timer
-	if faultReplica != "" {
-		spanNS := float64(requests) / w.ArrivalRate * 1e9
-		at := time.Duration(faultAt * spanNS * timescale)
-		stuck := &fault.Model{StuckAtZero: faultRate, Seed: 1}
-		timer = time.AfterFunc(at, func() {
-			if err := f.InjectFault(faultReplica, stuck); err != nil {
-				fmt.Fprintln(os.Stderr, "fleet:", err)
-			} else {
-				fmt.Printf("[%.0f%% of run] injected %.1f%% stuck-at cells into %s\n",
-					100*faultAt, 100*faultRate, faultReplica)
-			}
-		})
+	spanNS := float64(requests) / w.ArrivalRate * 1e9
+	fcfg.Chaos = copts.schedule(inject, replicaNames(specs), spanNS, seed)
+	f, err := fleet.New(fcfg, specs...)
+	if err != nil {
+		return err
 	}
 	res, err := fleet.Run(f, w)
-	if timer != nil {
-		timer.Stop()
-	}
 	snap := f.Snapshot()
 	f.Close()
 	if err != nil {
@@ -481,7 +493,7 @@ func replicaNames(specs []fleet.ReplicaSpec) []string {
 // pacing, cluster-scale fleet sizes.
 func desRun(specs []fleet.ReplicaSpec, policy fleet.Policy, load float64,
 	requests, batch int, batchTimeoutUS float64, queue int, budgetUS float64,
-	seed int64, dopts desOpts, copts chaosOpts, hold time.Duration, metricsAddr string,
+	seed int64, dopts desOpts, copts chaosOpts, inject faultInjection, hold time.Duration, metricsAddr string,
 	sr *sim.ShardResult) error {
 	specs = tileSpecs(specs, dopts.replicas)
 	clusters := dopts.clusters
@@ -540,13 +552,7 @@ func desRun(specs []fleet.ReplicaSpec, policy fleet.Policy, load float64,
 		cfg.Resilience = chaos.DefaultResilience()
 		fmt.Println("resilience: retry + hedging + circuit breakers + brownout enabled")
 	}
-	if copts.on {
-		spanNS := float64(requests) / rate * 1e9
-		cfg.Chaos = copts.storm(replicaNames(specs), spanNS, cfg.Seed)
-		fmt.Printf("chaos: %d scheduled events — crash %.0f%% at %.0f%% of the run (mttr %.0f%%), %.0f%% fail-slow %gx\n",
-			len(cfg.Chaos.Events), 100*copts.crashFrac, 100*copts.at, 100*copts.mttr,
-			100*copts.slowFrac, copts.slowFactor)
-	}
+	cfg.Chaos = copts.schedule(inject, replicaNames(specs), float64(requests)/rate*1e9, seed)
 	f, err := des.NewFleet(cfg, specs...)
 	if err != nil {
 		return err

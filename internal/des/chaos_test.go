@@ -8,8 +8,6 @@ import (
 
 	"autohet/internal/chaos"
 	"autohet/internal/des/trace"
-	"autohet/internal/fleet"
-	"autohet/internal/sim"
 )
 
 func names(n int) []string {
@@ -27,8 +25,8 @@ func TestChaosDeterministicEventLog(t *testing.T) {
 	run := func(chaosSeed int64) *bytes.Buffer {
 		var buf bytes.Buffer
 		cfg := DefaultConfig()
-		cfg.Policy = fleet.PowerOfTwo
-		cfg.ClusterPolicy = fleet.JoinShortestQueue
+		cfg.Policy = PowerOfTwo
+		cfg.ClusterPolicy = JoinShortestQueue
 		cfg.Clusters = 4
 		cfg.MaxBatch = 4
 		cfg.QueueDepth = 16
@@ -259,7 +257,7 @@ func TestBreakerIsolatesFailSlowReplica(t *testing.T) {
 // Windowed stats partition the run and surface the crash-storm goodput dip.
 func TestWindowedStatsPartitionRun(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Policy = fleet.JoinShortestQueue
+	cfg.Policy = JoinShortestQueue
 	cfg.Clusters = 2
 	cfg.QueueDepth = 1 << 14
 	cfg.StatsWindowNS = 1e7
@@ -303,8 +301,8 @@ func TestWindowedStatsPartitionRun(t *testing.T) {
 func TestAdmissionShedPerClusterSums(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Clusters = 4
-	cfg.Policy = fleet.JoinShortestQueue
-	cfg.ClusterPolicy = fleet.JoinShortestQueue
+	cfg.Policy = JoinShortestQueue
+	cfg.ClusterPolicy = JoinShortestQueue
 	cfg.QueueDepth = 1 << 14
 	cfg.Admit = QueueCap{MaxQueuedPerActive: 4}
 	f, err := NewFleet(cfg, homogeneous(8, 1000, 100)...)
@@ -325,64 +323,5 @@ func TestAdmissionShedPerClusterSums(t *testing.T) {
 	}
 	if sum != res.AdmissionShed {
 		t.Fatalf("per-cluster admission sheds sum %d != fleet total %d", sum, res.AdmissionShed)
-	}
-}
-
-// Rejection parity between the engines: at the same overload with the same
-// bounded queues, the goroutine fleet's wall-clock sheds and the DES
-// fleet's virtual-time sheds must agree to a few percent of offered load.
-func TestShedParityGoroutineVsDES(t *testing.T) {
-	pr := sim.PipelineResult{FillNS: 5e5, IntervalNS: 1e5}
-	const (
-		replicas = 4
-		requests = 1500
-		rate     = 8e4 // 2x the 4e4 rps aggregate capacity
-	)
-	specs := make([]fleet.ReplicaSpec, replicas)
-	for i := range specs {
-		p := pr
-		specs[i] = fleet.ReplicaSpec{Pipeline: &p}
-	}
-	w := fleet.Workload{ArrivalRate: rate, Requests: requests, Seed: 31}
-
-	gcfg := fleet.DefaultConfig()
-	gcfg.Policy = fleet.JoinShortestQueue
-	gcfg.QueueDepth = 8
-	gcfg.TimeScale = 40 // paced: virtual backlog is what queue-aware dispatch must see
-	gf, err := fleet.New(gcfg, specs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fleet.Run(gf, w)
-	gf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dcfg := DefaultConfig()
-	dcfg.Policy = fleet.JoinShortestQueue
-	dcfg.QueueDepth = 8
-	df, err := NewFleet(dcfg, specs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := df.Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conserve(t, got)
-
-	rejG := want.Shed + want.Unroutable
-	rejD := got.Shed + got.Unroutable
-	if rejG == 0 || rejD == 0 {
-		t.Fatalf("expected rejections at 2x overload: goroutine %d, des %d", rejG, rejD)
-	}
-	diff := rejG - rejD
-	if diff < 0 {
-		diff = -diff
-	}
-	if float64(diff) > 0.03*float64(requests) {
-		t.Fatalf("rejections disagree: goroutine %d vs des %d (>3%% of %d offered)",
-			rejG, rejD, requests)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"autohet/internal/chaos"
 	"autohet/internal/des/trace"
-	"autohet/internal/fleet"
 	"autohet/internal/sim"
 )
 
@@ -33,22 +32,22 @@ type goldenScenario struct {
 	requests int
 	budgetNS float64
 	cfg      func() Config
-	specs    func() []fleet.ReplicaSpec
+	specs    func() []ReplicaSpec
 	gen      func() trace.Generator
 }
 
 // hetSpecs builds a heterogeneous fleet from four pipeline shapes.
-func hetSpecs(n int) []fleet.ReplicaSpec {
+func hetSpecs(n int) []ReplicaSpec {
 	shapes := []sim.PipelineResult{
 		{FillNS: 1000, IntervalNS: 100},
 		{FillNS: 2500, IntervalNS: 160},
 		{FillNS: 600, IntervalNS: 80},
 		{FillNS: 4000, IntervalNS: 250},
 	}
-	specs := make([]fleet.ReplicaSpec, n)
+	specs := make([]ReplicaSpec, n)
 	for i := range specs {
 		pr := shapes[i%len(shapes)]
-		specs[i] = fleet.ReplicaSpec{Pipeline: &pr}
+		specs[i] = ReplicaSpec{Pipeline: &pr}
 	}
 	return specs
 }
@@ -63,8 +62,8 @@ func goldenScenarios() []goldenScenario {
 			budgetNS: 50000,
 			cfg: func() Config {
 				cfg := DefaultConfig()
-				cfg.Policy = fleet.PowerOfTwo
-				cfg.ClusterPolicy = fleet.JoinShortestQueue
+				cfg.Policy = PowerOfTwo
+				cfg.ClusterPolicy = JoinShortestQueue
 				cfg.Clusters = 4
 				cfg.MaxBatch = 4
 				cfg.QueueDepth = 8
@@ -73,7 +72,7 @@ func goldenScenarios() []goldenScenario {
 				cfg.Admit = QueueCap{MaxQueuedPerActive: 6}
 				return cfg
 			},
-			specs: func() []fleet.ReplicaSpec { return homogeneous(16, 2000, 100) },
+			specs: func() []ReplicaSpec { return homogeneous(16, 2000, 100) },
 			gen:   func() trace.Generator { return trace.Bursty(1.2e8, 1.9, 5e5, 11) },
 		},
 		{
@@ -84,8 +83,8 @@ func goldenScenarios() []goldenScenario {
 			budgetNS: 50000,
 			cfg: func() Config {
 				cfg := DefaultConfig()
-				cfg.Policy = fleet.PowerOfTwo
-				cfg.ClusterPolicy = fleet.JoinShortestQueue
+				cfg.Policy = PowerOfTwo
+				cfg.ClusterPolicy = JoinShortestQueue
 				cfg.Clusters = 4
 				cfg.MaxBatch = 4
 				cfg.QueueDepth = 16
@@ -97,7 +96,7 @@ func goldenScenarios() []goldenScenario {
 				)
 				return cfg
 			},
-			specs: func() []fleet.ReplicaSpec { return homogeneous(16, 2000, 100) },
+			specs: func() []ReplicaSpec { return homogeneous(16, 2000, 100) },
 			gen:   func() trace.Generator { return trace.Bursty(1e8, 1.9, 5e5, 17) },
 		},
 		{
@@ -108,14 +107,14 @@ func goldenScenarios() []goldenScenario {
 			budgetNS: 60000,
 			cfg: func() Config {
 				cfg := DefaultConfig()
-				cfg.Policy = fleet.JoinShortestQueue
-				cfg.ClusterPolicy = fleet.RoundRobin
+				cfg.Policy = JoinShortestQueue
+				cfg.ClusterPolicy = RoundRobin
 				cfg.Clusters = 8
 				cfg.MaxBatch = 4
 				cfg.QueueDepth = 32
 				return cfg
 			},
-			specs: func() []fleet.ReplicaSpec { return hetSpecs(32) },
+			specs: func() []ReplicaSpec { return hetSpecs(32) },
 			gen:   func() trace.Generator { return trace.Bursty(1.5e8, 1.8, 4e5, 23) },
 		},
 		{
@@ -126,8 +125,8 @@ func goldenScenarios() []goldenScenario {
 			budgetNS: 80000,
 			cfg: func() Config {
 				cfg := DefaultConfig()
-				cfg.Policy = fleet.LeastOutstanding
-				cfg.ClusterPolicy = fleet.RoundRobin
+				cfg.Policy = LeastOutstanding
+				cfg.ClusterPolicy = RoundRobin
 				cfg.Clusters = 8
 				cfg.MaxBatch = 2
 				cfg.QueueDepth = 64
@@ -138,7 +137,7 @@ func goldenScenarios() []goldenScenario {
 				)
 				return cfg
 			},
-			specs: func() []fleet.ReplicaSpec { return hetSpecs(32) },
+			specs: func() []ReplicaSpec { return hetSpecs(32) },
 			gen:   func() trace.Generator { return trace.Poisson(1.4e8, 29) },
 		},
 		{
@@ -149,15 +148,15 @@ func goldenScenarios() []goldenScenario {
 			budgetNS: 0,
 			cfg: func() Config {
 				cfg := DefaultConfig()
-				cfg.Policy = fleet.JoinShortestQueue
-				cfg.ClusterPolicy = fleet.RoundRobin
+				cfg.Policy = JoinShortestQueue
+				cfg.ClusterPolicy = RoundRobin
 				cfg.Clusters = 8
 				cfg.QueueDepth = 1 << 14
 				cfg.Scaler = TargetUtilization{Target: 0.7, Min: 4}
 				cfg.ControlPeriodNS = 5e4
 				return cfg
 			},
-			specs: func() []fleet.ReplicaSpec { return homogeneous(32, 2000, 100) },
+			specs: func() []ReplicaSpec { return homogeneous(32, 2000, 100) },
 			gen:   func() trace.Generator { return trace.Diurnal(1.5e8, 0.8, 2e6, 37) },
 		},
 		{
@@ -167,13 +166,13 @@ func goldenScenarios() []goldenScenario {
 			budgetNS: 0,
 			cfg: func() Config {
 				cfg := DefaultConfig()
-				cfg.Policy = fleet.RoundRobin
-				cfg.ClusterPolicy = fleet.RoundRobin
+				cfg.Policy = RoundRobin
+				cfg.ClusterPolicy = RoundRobin
 				cfg.Clusters = 6
 				cfg.QueueDepth = 128
 				return cfg
 			},
-			specs: func() []fleet.ReplicaSpec { return hetSpecs(24) },
+			specs: func() []ReplicaSpec { return hetSpecs(24) },
 			gen:   func() trace.Generator { return trace.Pareto(1.2e8, 1.5, 41) },
 		},
 	}

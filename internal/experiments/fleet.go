@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"autohet/internal/accel"
+	"autohet/internal/chaos"
 	"autohet/internal/dnn"
-	"autohet/internal/fault"
 	"autohet/internal/fleet"
 	"autohet/internal/report"
 	"autohet/internal/sim"
@@ -19,10 +18,10 @@ import (
 // provisioning story: dispatch policy, equal-area replica choice, and fault
 // tolerance via retry routing.
 
-// fleetTimeScale paces fleet experiment runs at a fifth of real time: fast
-// enough for an experiment sweep, slow enough that admission-queue depths —
-// the signal JSQ and P2C route on — evolve as they would live.
-const fleetTimeScale = 0.2
+// fleetTimeScale runs fleet experiments free: the runtime routes on the
+// core's virtual queue depths and fleet.Run returns the unpaced core's
+// Result, so pacing would change only the wall time.
+const fleetTimeScale = 1e-9
 
 // fleetDesign is one mapped design replicas are cloned from.
 type fleetDesign struct {
@@ -176,9 +175,10 @@ func (s *Suite) fleetEqualArea(homo, het fleetDesign) (*report.Table, error) {
 }
 
 // fleetFaults degrades one of three replicas mid-run with stuck-at faults
-// above the degrade threshold. Requests already queued there bounce to the
-// healthy replicas (retry routing), which have the headroom to absorb the
-// re-offered traffic: every admitted request still completes.
+// above the degrade threshold (a chaos fault event a third into the run).
+// Requests already queued there bounce to the healthy replicas (retry
+// routing), which have the headroom to absorb the re-offered traffic:
+// every admitted request still completes.
 func (s *Suite) fleetFaults(homo fleetDesign) (*report.Table, error) {
 	specs := []fleet.ReplicaSpec{homo.spec("-1"), homo.spec("-2"), homo.spec("-3")}
 	aggregate := 3 * (1e9 / homo.pr.IntervalNS)
@@ -196,19 +196,14 @@ func (s *Suite) fleetFaults(homo fleetDesign) (*report.Table, error) {
 	cfg.BatchTimeoutNS = 2e6
 	cfg.TimeScale = fleetTimeScale
 	cfg.Seed = s.Seed
+	spanNS := float64(requests) / w.ArrivalRate * 1e9
+	const stuck = 0.05
+	cfg.Chaos = chaos.Scripted(chaos.Event{AtNS: 0.3 * spanNS, Kind: chaos.Faults, Target: specs[0].Name, Value: stuck})
 	f, err := fleet.New(cfg, specs...)
 	if err != nil {
 		return nil, err
 	}
-	// Degrade the first replica ~30% into the run (wall clock tracks the
-	// virtual span through the pacing TimeScale).
-	spanNS := float64(requests) / w.ArrivalRate * 1e9
-	stuck := &fault.Model{StuckAtZero: 0.03, StuckAtOne: 0.02, Seed: s.Seed}
-	timer := time.AfterFunc(time.Duration(0.3*spanNS*fleetTimeScale), func() {
-		_ = f.InjectFault(specs[0].Name, stuck)
-	})
 	res, err := fleet.Run(f, w)
-	timer.Stop()
 	snap := f.Snapshot()
 	f.Close()
 	if err != nil {
@@ -220,7 +215,7 @@ func (s *Suite) fleetFaults(homo fleetDesign) (*report.Table, error) {
 		Note: fmt.Sprintf("Replica %s degrades (%.0f%% stuck-at cells) a third into the run; "+
 			"its queued requests are re-dispatched and every admitted request completes: "+
 			"%d offered = %d completed + %d shed, %d failed, %d retried.",
-			specs[0].Name, 100*stuck.CellFaultRate(), res.Offered, res.Completed,
+			specs[0].Name, 100*stuck, res.Offered, res.Completed,
 			res.Shed, res.Failed, res.Retried),
 		Header: []string{"Replica", "Degraded", "Served", "p99 (µs)"},
 	}

@@ -9,21 +9,23 @@ import (
 )
 
 func TestCrashBouncesQueueAndRestartHeals(t *testing.T) {
-	f, err := newFleet(freeRunning(),
+	f := mustNew(t, frozen(JoinShortestQueue, 8),
 		ReplicaSpec{Name: "a", Pipeline: fastPipeline()},
 		ReplicaSpec{Name: "b", Pipeline: fastPipeline()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 4
-	done := make(chan Outcome, n)
-	for i := 0; i < n; i++ {
-		stage(t, f, 0, NewRequest(float64(i), 0, done))
-	}
+	done := make(chan Outcome, 2*n)
+	stageQueues(t, f, []int{n, 0}, done)
 	if err := f.Crash("a"); err != nil {
 		t.Fatal(err)
 	}
-	f.start()
+	if got := queued(f); got[0] != 0 || got[1] != n {
+		t.Fatalf("queues after crash %v, want a's %d bounced to b", got, n)
+	}
+	// Four more fill b's batch of 8.
+	filler := make(chan Outcome, n)
+	for i := 0; i < n; i++ {
+		submit(t, f, 0, filler)
+	}
 	for i := 0; i < n; i++ {
 		out := <-done
 		if out.Err != nil {
@@ -33,42 +35,30 @@ func TestCrashBouncesQueueAndRestartHeals(t *testing.T) {
 			t.Fatalf("outcome %+v, want bounced to b", out)
 		}
 	}
-	// Restart: "a" takes traffic again.
+	// Restart: jsq sends the next request to the empty a again.
 	if err := f.Restart("a"); err != nil {
 		t.Fatal(err)
 	}
-	served := map[string]bool{}
-	deadline := time.Now().Add(5 * time.Second)
-	for !served["a"] {
-		if time.Now().After(deadline) {
-			t.Fatal("restarted replica never served")
-		}
-		if err := f.Submit(NewRequest(0, 0, done)); err != nil {
-			t.Fatal(err)
-		}
-		served[(<-done).Replica] = true
+	if got := lastPick(t, f, done); got != "a" {
+		t.Fatalf("restarted replica not picked (got %q)", got)
 	}
-	f.Close()
+	release(t, f)
 	if err := f.Crash("nope"); err == nil {
 		t.Fatal("crash of unknown replica did not error")
 	}
 }
 
 func TestSlowAndLinkStretchService(t *testing.T) {
-	f, err := newFleet(freeRunning(), ReplicaSpec{Name: "a",
+	f := mustNew(t, freeRunning(), ReplicaSpec{Name: "a",
 		Pipeline: &sim.PipelineResult{FillNS: 1000, IntervalNS: 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	done := make(chan Outcome, 3)
-	stage(t, f, 0, NewRequest(0, 0, done))
 	if err := f.SetSlowFactor("a", 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.SetLinkPenalty("a", 500); err != nil {
 		t.Fatal(err)
 	}
-	f.start()
+	submit(t, f, 0, done)
 	out := <-done
 	// fill·3 + link = 3500.
 	if out.Err != nil || out.LatencyNS != 3500 {
@@ -81,12 +71,10 @@ func TestSlowAndLinkStretchService(t *testing.T) {
 	if err := f.SetLinkPenalty("a", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Submit(NewRequest(0, 0, done)); err != nil {
-		t.Fatal(err)
-	}
+	submit(t, f, 1e6, done)
 	out = <-done
-	if out.Err != nil || out.LatencyNS <= 0 {
-		t.Fatalf("restored outcome %+v", out)
+	if out.Err != nil || out.LatencyNS != 1000 {
+		t.Fatalf("restored outcome %+v, want 1000 ns", out)
 	}
 	if err := f.SetSlowFactor("a", 0.5); err == nil {
 		t.Fatal("slow factor < 1 accepted")
@@ -95,40 +83,40 @@ func TestSlowAndLinkStretchService(t *testing.T) {
 }
 
 func TestBreakerOpensOnCrashBounces(t *testing.T) {
-	cfg := freeRunning()
-	cfg.Breaker = &chaos.BreakerConfig{FailureThreshold: 3, OpenNS: 1e15}
+	cfg := frozen(RoundRobin, 4)
+	cfg.Resilience.Breaker = &chaos.BreakerConfig{FailureThreshold: 3, OpenNS: 1e15}
 	cfg.MaxRetries = 5
-	f, err := New(cfg,
+	f := mustNew(t, cfg,
 		ReplicaSpec{Name: "a", Pipeline: fastPipeline()},
 		ReplicaSpec{Name: "b", Pipeline: fastPipeline()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := f.Crash("a"); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan Outcome, 16)
-	// Enough traffic that round robin keeps offering "a" work via the
-	// fallback path... it cannot: pick filters degraded. Stage via the
-	// queue directly instead: requeue-style bounces feed the breaker.
+	done := make(chan Outcome, 64)
+	// Dispatch filters the crashed replica: all eight go to b (two full
+	// batches of 4).
 	for i := 0; i < 8; i++ {
-		if err := f.Submit(NewRequest(float64(i), 0, done)); err != nil {
-			t.Fatal(err)
-		}
+		submit(t, f, 0, done)
 	}
 	for i := 0; i < 8; i++ {
-		if out := <-done; out.Err != nil {
-			t.Fatal(out.Err)
+		if out := <-done; out.Err != nil || out.Replica != "b" {
+			t.Fatalf("outcome %+v, want served by b", out)
 		}
 	}
-	// All served by b; a's breaker saw no traffic (dispatch filtered it),
-	// so it stays closed — now push bounces through it directly.
-	ra := f.replicaByName("a")
-	for i := 0; i < 3; i++ {
-		ra.breaker.Record(f.VirtualNow(), false)
+	// a's breaker saw no traffic, so it is still closed. Restart a, let
+	// round robin queue three requests on each replica, and crash a again:
+	// the three bounces are failures for a's breaker, which opens.
+	if err := f.Restart("a"); err != nil {
+		t.Fatal(err)
 	}
-	if st := ra.breaker.State(); st != chaos.BreakerOpen {
-		t.Fatalf("breaker state %v after failures, want open", st)
+	for i := 0; i < 6; i++ {
+		submit(t, f, 0, done)
+	}
+	if got := queued(f); got[0] != 3 || got[1] != 3 {
+		t.Fatalf("staged queues %v, want 3 and 3", got)
+	}
+	if err := f.Crash("a"); err != nil {
+		t.Fatal(err)
 	}
 	// Restart heals the crash flag, but the open breaker (cooldown far in
 	// the future) keeps dispatch away from "a".
@@ -136,14 +124,11 @@ func TestBreakerOpensOnCrashBounces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := f.Submit(NewRequest(0, 0, done)); err != nil {
-			t.Fatal(err)
-		}
-		if out := <-done; out.Replica != "b" {
-			t.Fatalf("open breaker leaked traffic to %q", out.Replica)
+		if got := lastPick(t, f, done); got != "b" {
+			t.Fatalf("open breaker leaked traffic to %q", got)
 		}
 	}
-	f.Close()
+	release(t, f)
 }
 
 // Satellite: graceful drain under churn. A chaos schedule crashes and
@@ -188,10 +173,12 @@ func TestDrainUnderChurnLosesNothing(t *testing.T) {
 	const n = 1000
 	done := make(chan Outcome, n)
 	accepted, shed, unroutable := 0, 0, 0
-	f.resetClock()
 	for i := 0; i < n; i++ {
 		arrival := float64(i) * 1e5 // 10k req/s against 40k capacity
-		f.pace(arrival)
+		// Pace the submitter on the fleet's clock.
+		if d := time.Duration((arrival - f.VirtualNow()) * cfg.TimeScale); d > 0 {
+			time.Sleep(d)
+		}
 		switch err := f.Submit(NewRequest(arrival, 2e7, done)); err {
 		case nil:
 			accepted++

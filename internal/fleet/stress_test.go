@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"autohet/internal/des"
 	"autohet/internal/fault"
 	"autohet/internal/sim"
 )
@@ -23,13 +24,15 @@ func TestStressConcurrentFleet(t *testing.T) {
 		perProducer = 300
 	)
 	cfg := Config{
-		Policy:         PowerOfTwo,
-		MaxBatch:       4,
-		BatchTimeoutNS: 50_000,
-		QueueDepth:     64,
-		MaxRetries:     2,
-		TimeScale:      1e-4, // ~0.1 µs wall per 1 ms virtual: real contention, fast test
-		Seed:           5,
+		Config: des.Config{
+			Policy:         PowerOfTwo,
+			MaxBatch:       4,
+			BatchTimeoutNS: 50_000,
+			QueueDepth:     64,
+			MaxRetries:     2,
+			Seed:           5,
+		},
+		TimeScale: 1e-4, // ~0.1 µs wall per 1 ms virtual: real contention, fast test
 	}
 	specs := []ReplicaSpec{
 		{Name: "a", Pipeline: &sim.PipelineResult{FillNS: 2e6, IntervalNS: 1e6}},

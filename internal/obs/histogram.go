@@ -136,3 +136,20 @@ func (h *Histogram) Quantile(p float64) float64 {
 	}
 	return h.Max()
 }
+
+// Percentile returns the nearest-rank p-quantile of ascending-sorted
+// values (0 for none) — the exact convention every engine's crosscheck
+// compares on.
+func Percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"autohet/internal/obs"
 	"autohet/internal/sim"
 )
 
@@ -117,9 +118,9 @@ func ServeClosed(pr *sim.PipelineResult, w ClosedLoop) (*ClosedStats, error) {
 		sum += l
 	}
 	st.MeanNS = sum / float64(len(latencies))
-	st.P50NS = percentile(latencies, 0.50)
-	st.P95NS = percentile(latencies, 0.95)
-	st.P99NS = percentile(latencies, 0.99)
+	st.P50NS = obs.Percentile(latencies, 0.50)
+	st.P95NS = obs.Percentile(latencies, 0.95)
+	st.P99NS = obs.Percentile(latencies, 0.99)
 	if makespan > 0 {
 		st.ThroughputRPS = float64(len(latencies)) / makespan * 1e9
 		busy := float64(len(latencies)) * pr.IntervalNS

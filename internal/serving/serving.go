@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"autohet/internal/obs"
 	"autohet/internal/sim"
 )
 
@@ -123,30 +124,15 @@ func Serve(pr *sim.PipelineResult, w Workload) (*Stats, error) {
 		sum += l
 	}
 	st.MeanNS = sum / float64(len(latencies))
-	st.P50NS = percentile(latencies, 0.50)
-	st.P95NS = percentile(latencies, 0.95)
-	st.P99NS = percentile(latencies, 0.99)
+	st.P50NS = obs.Percentile(latencies, 0.50)
+	st.P95NS = obs.Percentile(latencies, 0.95)
+	st.P99NS = obs.Percentile(latencies, 0.99)
 	st.MaxNS = latencies[len(latencies)-1]
 	if makespan > 0 {
 		busy := float64(w.Requests) * pr.IntervalNS
 		st.Utilization = math.Min(1, busy/makespan)
 	}
 	return st, nil
-}
-
-// percentile returns the p-quantile of sorted values (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // String summarizes the run.

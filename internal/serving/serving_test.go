@@ -9,6 +9,7 @@ import (
 	"autohet/internal/accel"
 	"autohet/internal/dnn"
 	"autohet/internal/hw"
+	"autohet/internal/obs"
 	"autohet/internal/sim"
 	"autohet/internal/xbar"
 )
@@ -202,16 +203,16 @@ func TestSeedZeroSelectsDefault(t *testing.T) {
 
 func TestPercentileNearestRank(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if percentile(vals, 0.5) != 5 {
-		t.Fatalf("p50 = %v", percentile(vals, 0.5))
+	if obs.Percentile(vals, 0.5) != 5 {
+		t.Fatalf("p50 = %v", obs.Percentile(vals, 0.5))
 	}
-	if percentile(vals, 0.99) != 10 {
-		t.Fatalf("p99 = %v", percentile(vals, 0.99))
+	if obs.Percentile(vals, 0.99) != 10 {
+		t.Fatalf("p99 = %v", obs.Percentile(vals, 0.99))
 	}
-	if percentile(vals, 0.01) != 1 {
-		t.Fatalf("p1 = %v", percentile(vals, 0.01))
+	if obs.Percentile(vals, 0.01) != 1 {
+		t.Fatalf("p1 = %v", obs.Percentile(vals, 0.01))
 	}
-	if percentile(nil, 0.5) != 0 {
+	if obs.Percentile(nil, 0.5) != 0 {
 		t.Fatal("empty percentile != 0")
 	}
 }

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"sync/atomic"
+
 	"autohet/internal/chaos"
 	"autohet/internal/obs"
 )
@@ -11,55 +13,39 @@ import (
 // CounterFunc (zero cost until a scrape), queue depths read the per-cluster
 // atomic through GaugeFunc, and the speedup gauge is set once per run.
 // Rebinding semantics (RegisterCounter/CounterFunc replace callbacks on
-// re-registration) mean each new Fleet re-claims the series, matching the
-// goroutine runtime's convention.
-
-// gaugeHandle is a nil-safe wrapper so compileResult can set the speedup
-// gauge without caring whether metrics registration happened.
-type gaugeHandle struct{ g *obs.Gauge }
-
-func (h *gaugeHandle) set(v float64) {
-	if h == nil || h.g == nil {
-		return
-	}
-	h.g.Set(v)
-}
+// re-registration) mean each new Fleet re-claims the series.
 
 func (f *Fleet) registerMetrics() {
 	reg := obs.Default
 	reg.CounterFunc("autohet_des_events_total",
 		"Simulation events fired by the DES engine.",
 		f.eng.Events)
-	reg.CounterFunc(`autohet_des_requests_total{outcome="completed"}`,
-		"DES fleet requests by outcome.",
-		f.completed.Load)
-	reg.CounterFunc(`autohet_des_requests_total{outcome="shed"}`,
-		"DES fleet requests by outcome.",
-		f.shed.Load)
-	reg.CounterFunc(`autohet_des_requests_total{outcome="expired"}`,
-		"DES fleet requests by outcome.",
-		f.expired.Load)
-	reg.CounterFunc(`autohet_des_requests_total{outcome="unroutable"}`,
-		"DES fleet requests by outcome.",
-		f.unroutable.Load)
-	reg.CounterFunc(`autohet_des_requests_total{outcome="failed"}`,
-		"DES fleet requests by outcome.",
-		f.failed.Load)
+	for _, oc := range []struct {
+		outcome string
+		c       *atomic.Int64
+	}{
+		{"completed", &f.completed},
+		{"shed", &f.shed},
+		{"expired", &f.expired},
+		{"unroutable", &f.unroutable},
+		{"failed", &f.failed},
+	} {
+		reg.CounterFunc(`autohet_des_requests_total{outcome="`+oc.outcome+`"}`, "DES fleet requests by outcome.", oc.c.Load)
+	}
 	reg.CounterFunc(`autohet_chaos_events_total{engine="des"}`,
 		"Chaos fault events applied to the DES fleet.",
 		f.chaosEvents.Load)
-	reg.CounterFunc(`autohet_chaos_actions_total{action="retry"}`,
-		"Resilience actions taken by the DES fleet.",
-		f.retried.Load)
-	reg.CounterFunc(`autohet_chaos_actions_total{action="hedge"}`,
-		"Resilience actions taken by the DES fleet.",
-		f.hedged.Load)
-	reg.CounterFunc(`autohet_chaos_actions_total{action="hedge_wasted"}`,
-		"Resilience actions taken by the DES fleet.",
-		f.hedgeWasted.Load)
-	reg.CounterFunc(`autohet_chaos_actions_total{action="brownout_shed"}`,
-		"Resilience actions taken by the DES fleet.",
-		f.brownoutShed.Load)
+	for _, a := range []struct {
+		action string
+		c      *atomic.Int64
+	}{
+		{"retry", &f.retried},
+		{"hedge", &f.hedged},
+		{"hedge_wasted", &f.hedgeWasted},
+		{"brownout_shed", &f.brownoutShed},
+	} {
+		reg.CounterFunc(`autohet_chaos_actions_total{action="`+a.action+`"}`, "Resilience actions taken by the DES fleet.", a.c.Load)
+	}
 	if f.breakersOn {
 		reg.GaugeFunc("autohet_chaos_breakers_open",
 			"DES replicas whose circuit breaker is currently open.",
@@ -73,8 +59,8 @@ func (f *Fleet) registerMetrics() {
 				return open
 			})
 	}
-	f.speedupGauge = &gaugeHandle{g: reg.Gauge("autohet_des_speedup",
-		"Virtual seconds simulated per wall second in the last DES run.")}
+	f.speedupGauge = reg.Gauge("autohet_des_speedup",
+		"Virtual seconds simulated per wall second in the last DES run.")
 	for _, cl := range f.clusters {
 		cl := cl
 		reg.GaugeFunc(`autohet_des_cluster_queue_depth{cluster="`+cl.name+`"}`,

@@ -24,8 +24,8 @@ import (
 	"autohet/internal/xbar"
 )
 
-// timeScale paces runs at a fifth of real time: fast, but slow enough that
-// queue depths — the routing signal — evolve as they would live.
+// timeScale paces runs at a fifth of real time, so the mid-run fault below
+// can land from a wall-clock timer, as it would on a live deployment.
 const timeScale = 0.2
 
 func build(name string, st accel.Strategy) fleet.ReplicaSpec {

@@ -11,8 +11,8 @@ import (
 )
 
 // DES experiments — the fleet-serving story at cluster scale on the
-// discrete-event virtual-time engine. Where the goroutine fleet experiments
-// pace a handful of replicas at a fifth of real time, these sweep arrival
+// trace driver of the fleet core. Where the fleet experiments serve a
+// handful of replicas through the paced runtime, these sweep arrival
 // processes and autoscaling policies over hundreds of replicas in
 // milliseconds of wall time.
 

@@ -32,7 +32,7 @@ type FleetBenchLeg struct {
 	VirtualSeconds float64 `json:"virtual_seconds"`
 	WallSeconds    float64 `json:"wall_seconds"`
 	// SpeedupVsWall is virtual over wall — the engine's headline (a
-	// wall-paced goroutine fleet holds this at its TimeScale).
+	// wall-paced fleet runtime holds this at 1/TimeScale).
 	SpeedupVsWall float64 `json:"speedup_vs_wall"`
 	EventsPerSec  float64 `json:"events_per_sec"`
 	// RequestsPerSec is simulated requests resolved per wall second.

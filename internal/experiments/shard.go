@@ -32,7 +32,7 @@ const shardStages = 4
 const shardLoad = 0.8
 
 // Shard generates the sharded-vs-replicated serving table and cross-checks
-// every sharded goroutine run against the DES engine.
+// every sharded paced run against the trace driver.
 func (s *Suite) Shard() (*report.Table, error) {
 	mesh, err := noc.NewMeshFor(s.Cfg.TilesPerBank)
 	if err != nil {
@@ -108,13 +108,13 @@ func (s *Suite) Shard() (*report.Table, error) {
 	t.Note = fmt.Sprintf("Equal capacity by construction (the bottleneck layer bounds both intervals); "+
 		"sharding pays transfer latency, per-stage queueing, and the stage-imbalance bubble for a smaller "+
 		"largest chip — modest here, because latency-balanced cuts leave the area-heavy FC layers in one "+
-		"stage. Goroutine-vs-DES crosscheck max relative deviation %.2g (tolerance 1e-6).", maxDev)
+		"stage. Paced-vs-trace driver crosscheck max relative deviation %.2g (tolerance 1e-6).", maxDev)
 	return t, nil
 }
 
-// runShardedFleet runs one free-running goroutine-fleet workload. Round-robin
-// dispatch over single-replica stages is pacing-independent, so a free clock
-// keeps the sweep fast and the run bit-reproducible against the DES engine.
+// runShardedFleet runs one free-running workload on the paced runtime
+// (fleet.Run returns the unpaced core's Result, so a free clock only keeps
+// the sweep fast).
 func runShardedFleet(w fleet.Workload, shards int, transfers []float64, seed int64, specs ...fleet.ReplicaSpec) (*fleet.Result, error) {
 	cfg := fleet.DefaultConfig()
 	cfg.TimeScale = 1e-9
@@ -148,7 +148,7 @@ func desShardCheck(w fleet.Workload, transfers []float64, want *fleet.Result, sp
 		return 0, err
 	}
 	if got.Completed != want.Completed || got.Shed != want.Shed || got.Failed != want.Failed {
-		return 0, fmt.Errorf("des crosscheck: %d/%d/%d completed/shed/failed, goroutine %d/%d/%d",
+		return 0, fmt.Errorf("des crosscheck: %d/%d/%d completed/shed/failed, paced %d/%d/%d",
 			got.Completed, got.Shed, got.Failed, want.Completed, want.Shed, want.Failed)
 	}
 	dev := 0.0

@@ -68,8 +68,8 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 }
 
 // Breaker is one replica's circuit breaker. Create with NewBreaker; methods
-// are safe for concurrent use (the goroutine fleet records outcomes from
-// replica loops while submitters route).
+// are safe for concurrent use (a metric scrape reads State while the fleet
+// records outcomes).
 type Breaker struct {
 	mu        sync.Mutex
 	cfg       BreakerConfig

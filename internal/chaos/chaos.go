@@ -1,12 +1,11 @@
 // Package chaos is the fault-injection and client-side-resilience toolkit
-// shared by both fleet engines (the goroutine runtime in internal/fleet and
-// the discrete-event simulator in internal/des).
+// of the fleet core (internal/des), under both of its drivers.
 //
 // Injection side: a Schedule is a deterministic, virtual-time-ordered list
 // of fault events — replica crashes and restarts, fail-slow service
 // multipliers, degraded NoC/link transfer cost, and correlated stuck-at
-// fault storms (which drive the existing internal/repair sweep path in the
-// goroutine runtime). Schedules are either scripted outright or generated
+// fault storms (which the fleet's online repair sweeps heal). Schedules are
+// either scripted outright or generated
 // from MTBF/MTTR distributions with a seed; either way the same seed yields
 // the same byte-for-byte event sequence, so chaos experiments replay
 // exactly (the DES fleet asserts a byte-identical event log under chaos in
@@ -48,9 +47,9 @@ const (
 	// restores the healthy link.
 	Link Kind = "link"
 	// Faults injects a stuck-at cell fault storm of rate Value on the
-	// target. The goroutine fleet routes this through its online
-	// detect/repair sweep path; the DES fleet folds it into the static
-	// health score against DegradeThreshold.
+	// target through the fleet's fault ledger: its health score drops
+	// against DegradeThreshold and the online repair sweeps heal it.
+	// Value 0 clears the target's faults.
 	Faults Kind = "faults"
 )
 

@@ -77,8 +77,7 @@ func (p RetryPolicy) BackoffNS(retry int, rng *rand.Rand) float64 {
 }
 
 // RetryBudget is the token bucket behind RetryPolicy.BudgetFrac. It is not
-// concurrency-safe; each engine owns one on its own goroutine (the
-// goroutine fleet guards it with its dispatch lock).
+// concurrency-safe; each fleet owns one on its event loop.
 type RetryBudget struct {
 	tokens float64
 	frac   float64
@@ -211,7 +210,7 @@ func (p BrownoutPolicy) Shed(priority, queued, active int) bool {
 }
 
 // Resilience bundles the client-side policies. Nil members are disabled;
-// the zero value disables everything (exact legacy engine behavior).
+// the zero value disables everything (plain dispatch, bit for bit).
 type Resilience struct {
 	Retry    *RetryPolicy
 	Hedge    *HedgePolicy

@@ -27,8 +27,8 @@ func crossCheck(t *testing.T, pr *sim.PipelineResult, load float64, requests int
 
 	cfg := DefaultConfig()
 	cfg.TimeScale = 1e-9 // free-running: pacing off, accounting unchanged
-	// The free-running submitter can outpace the replica loop, so the
-	// admission queue must hold the whole trace to rule out shedding.
+	// The admission queue holds the whole trace, as serving.Serve's
+	// unbounded queue does, to rule out shedding.
 	cfg.QueueDepth = requests
 	f, err := New(cfg, ReplicaSpec{Name: "solo", Pipeline: pr})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"autohet/internal/chaos"
 	"autohet/internal/des/trace"
+	"autohet/internal/fault"
 	"autohet/internal/sim"
 )
 
@@ -34,6 +35,9 @@ type goldenScenario struct {
 	cfg      func() Config
 	specs    func() []ReplicaSpec
 	gen      func() trace.Generator
+	// prep, when set, edits the built fleet before the run (state no
+	// Config or ReplicaSpec can express).
+	prep func(*Fleet)
 }
 
 // hetSpecs builds a heterogeneous fleet from four pipeline shapes.
@@ -175,6 +179,85 @@ func goldenScenarios() []goldenScenario {
 			specs: func() []ReplicaSpec { return hetSpecs(24) },
 			gen:   func() trace.Generator { return trace.Pareto(1.2e8, 1.5, 41) },
 		},
+		{
+			// The perfbench fleet-flat shape at small size: one cluster, jsq,
+			// four pipeline stages with 0.1 ms hops. Every pick is a
+			// least-score pick over one stage's 16 replicas.
+			name:     "flat_stages",
+			requests: 8000,
+			budgetNS: 0,
+			cfg: func() Config {
+				cfg := DefaultConfig()
+				cfg.Policy = JoinShortestQueue
+				cfg.ClusterPolicy = RoundRobin
+				cfg.QueueDepth = 64
+				cfg.Shards = 4
+				cfg.StageTransferNS = []float64{1e5, 1e5, 1e5}
+				return cfg
+			},
+			specs: func() []ReplicaSpec { return homogeneous(64, 2000, 100) },
+			gen:   func() trace.Generator { return trace.Bursty(1.1e8, 1.9, 5e5, 43) },
+		},
+		{
+			// Least-outstanding at both levels over faulty replicas: health
+			// below 1 (some equal, so equal scores tie on index), repair
+			// sweeps raising it mid-run, batching so in-flight work counts,
+			// and autoscaler deactivations.
+			name:     "lo_faults_scaler",
+			requests: 20000,
+			budgetNS: 60000,
+			cfg: func() Config {
+				cfg := DefaultConfig()
+				cfg.Policy = LeastOutstanding
+				cfg.ClusterPolicy = LeastOutstanding
+				cfg.Clusters = 4
+				cfg.MaxBatch = 2
+				cfg.QueueDepth = 32
+				cfg.HealthSweepNS = 2e5
+				cfg.Scaler = TargetUtilization{Target: 0.7, Min: 8}
+				cfg.ControlPeriodNS = 1e5
+				return cfg
+			},
+			specs: func() []ReplicaSpec {
+				specs := hetSpecs(32)
+				rates := []float64{0, 0.002, 0.005, 0.002, 0.0025, 0, 0.008, 0.005}
+				for i := range specs {
+					if r := rates[i%len(rates)]; r > 0 {
+						specs[i].Faults = &fault.Model{StuckAtZero: r, Seed: int64(i)}
+					}
+					if i%5 == 0 {
+						specs[i].Repair = &RepairSpec{Capacity: 0.003, MissRate: 0.5}
+					}
+				}
+				return specs
+			},
+			gen: func() trace.Generator { return trace.Bursty(1.2e8, 1.8, 4e5, 47) },
+		},
+		{
+			// Jsq with subnormal health: such a replica scores +Inf, so it
+			// loses every pick to a finite score, and a cluster whose every
+			// replica is subnormal picks its first candidate. The health
+			// formula cannot reach a subnormal, so prep sets it.
+			name:     "jsq_subnormal",
+			requests: 20000,
+			budgetNS: 0,
+			cfg: func() Config {
+				cfg := DefaultConfig()
+				cfg.Policy = JoinShortestQueue
+				cfg.ClusterPolicy = JoinShortestQueue
+				cfg.Clusters = 3
+				cfg.QueueDepth = 16
+				return cfg
+			},
+			specs: func() []ReplicaSpec { return homogeneous(12, 2000, 100) },
+			gen:   func() trace.Generator { return trace.Bursty(8e7, 1.9, 5e5, 53) },
+			prep: func(f *Fleet) {
+				for _, i := range []int{1, 8, 9, 10, 11} {
+					f.replicas[i].health = 5e-324
+				}
+				f.refreshDispatch()
+			},
+		},
 	}
 }
 
@@ -188,6 +271,9 @@ func runGoldenScenario(t *testing.T, sc goldenScenario) *bytes.Buffer {
 	f, err := NewFleet(cfg, sc.specs()...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sc.prep != nil {
+		sc.prep(f)
 	}
 	res, err := f.RunTrace(sc.gen(), sc.requests, sc.budgetNS)
 	if err != nil {

@@ -95,10 +95,10 @@ func (f *Fleet) replicaByName(name string) *simReplica {
 	return nil
 }
 
-// refreshDispatch rebuilds the per-cluster dispatchable counts and the
-// O(1) signal aggregates (active replicas, healthy capacity) from scratch:
-// at build time and after chaos, a fault or the autoscaler changes a
-// replica's routability.
+// refreshDispatch rebuilds the per-cluster dispatchable counts, the pick
+// index and the O(1) signal aggregates (active replicas, healthy capacity)
+// from scratch: at build time and after chaos, a fault, a repair sweep or
+// the autoscaler changes a replica's health or routability.
 func (f *Fleet) refreshDispatch() {
 	for _, cl := range f.clusters {
 		cl.dispatchable = 0
@@ -114,6 +114,15 @@ func (f *Fleet) refreshDispatch() {
 				f.capacityRPS += r.capacityRPS
 			}
 		}
+	}
+	f.liveClusters = 0
+	for _, cl := range f.clusters {
+		if cl.dispatchable > 0 {
+			f.liveClusters++
+		}
+	}
+	if f.pick != nil {
+		f.pick.rebuild(f.replicas)
 	}
 }
 

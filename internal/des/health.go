@@ -233,6 +233,7 @@ func (f *Fleet) drain(r *simReplica, reason string) {
 		rq := r.queue.pop()
 		f.queued--
 		r.cl.queued.Add(-1)
+		f.rescore(r)
 		f.failCopy(rq, r, reason)
 	}
 }

@@ -162,6 +162,10 @@ func (f *Fleet) Begin(gen trace.Generator, requests int, budgetNS float64) error
 	f.hedgeHist = obs.Histogram{}
 	for _, cl := range f.clusters {
 		cl.queued.Store(0)
+		cl.inFlight = 0
+	}
+	if f.pick != nil {
+		f.pick.rebuild(f.replicas)
 	}
 	f.clusterRR = 0
 	clear(f.stageRR)

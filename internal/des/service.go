@@ -148,6 +148,7 @@ func (f *Fleet) executeBatch(r *simReplica, take int, timedOut bool) {
 		kept++
 	}
 	if kept == 0 {
+		f.rescore(r)
 		return
 	}
 	r.batches++
@@ -157,6 +158,8 @@ func (f *Fleet) executeBatch(r *simReplica, take int, timedOut bool) {
 	r.busy = true
 	r.inFlight = kept
 	f.inFlight += kept
+	r.cl.inFlight += kept
+	f.rescore(r)
 	f.eng.AtEvent(r.nextFree, evFree, int64(r.id), 0, nil)
 }
 
@@ -164,7 +167,9 @@ func (f *Fleet) executeBatch(r *simReplica, take int, timedOut bool) {
 func (f *Fleet) onFree(r *simReplica) {
 	r.busy = false
 	f.inFlight -= r.inFlight
+	r.cl.inFlight -= r.inFlight
 	r.inFlight = 0
+	f.rescoreLoad(r)
 	if f.logging {
 		f.logf("F t=%.3f r=%s\n", f.eng.Now(), r.name)
 	}

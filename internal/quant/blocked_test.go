@@ -15,10 +15,10 @@ func TestBlockedMatchesReference(t *testing.T) {
 	}
 	shapes := []struct{ rows, cols, B int }{
 		{2, 16, 1},
-		{3, 16, 2},   // odd rows
-		{64, 48, 8},  // multiple blocks
-		{65, 50, 5},  // odd rows + column tail
-		{1, 17, 3},   // rp == 0: tail row only
+		{3, 16, 2},  // odd rows
+		{64, 48, 8}, // multiple blocks
+		{65, 50, 5}, // odd rows + column tail
+		{1, 17, 3},  // rp == 0: tail row only
 		{200, 16, 33},
 		{7, 31, 4},
 	}

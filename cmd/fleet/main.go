@@ -23,8 +23,8 @@
 //	      -trace bursty -requests 1000000 -policy jsq
 //
 // -workers shards a DES fleet into parallel per-cluster simulation lanes
-// (round-robin cluster routing required; results are bit-identical to
-// -workers 1):
+// (round-robin cluster routing required; a -chaos or -scale-target run is
+// serial; results are bit-identical to -workers 1):
 //
 //	fleet -engine des -spec "4*128x128" -replicas 100000 -clusters 1000 \
 //	      -trace bursty -requests 10000000 -policy jsq -cluster-policy rr -workers 8
@@ -73,7 +73,8 @@ type desOpts struct {
 	// workers > 1 shards the fleet into parallel cluster lanes (see
 	// des.Config.Workers); clusterPolicy overrides the cluster-level
 	// routing policy ("" = same as the replica policy). The sharded path
-	// needs round-robin cluster routing, e.g. -policy jsq -cluster-policy rr.
+	// needs round-robin cluster routing, e.g. -policy jsq -cluster-policy rr,
+	// and runs serially under -chaos or -scale-target.
 	workers       int
 	clusterPolicy string
 	// scaleTarget enables the TargetUtilization autoscaler (0 = off);
@@ -175,7 +176,7 @@ func main() {
 	clusters := flag.Int("clusters", 0,
 		"cluster count for two-level routing (-engine des only; 0 = one cluster per 100 replicas)")
 	workers := flag.Int("workers", 1,
-		"parallel simulation lanes (-engine des only; needs -cluster-policy rr, results identical to -workers 1)")
+		"parallel simulation lanes (-engine des only; needs -cluster-policy rr; a -chaos or -scale-target run is serial; results identical to -workers 1)")
 	clusterPolicy := flag.String("cluster-policy", "",
 		"cluster-level routing policy (-engine des only; empty = same as -policy)")
 	scaleTarget := flag.Float64("scale-target", 0,

@@ -13,19 +13,19 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"autohet/internal/accel"
+	"autohet/internal/chaos"
 	"autohet/internal/dnn"
-	"autohet/internal/fault"
 	"autohet/internal/fleet"
 	"autohet/internal/hw"
 	"autohet/internal/sim"
 	"autohet/internal/xbar"
 )
 
-// timeScale paces runs at a fifth of real time, so the mid-run fault below
-// can land from a wall-clock timer, as it would on a live deployment.
+// timeScale paces runs at a fifth of real time, as a live deployment would
+// be; the mid-run fault below is a chaos event on the virtual clock, so it
+// lands at the same instant however the host schedules the pacer.
 const timeScale = 0.2
 
 func build(name string, st accel.Strategy) fleet.ReplicaSpec {
@@ -90,17 +90,14 @@ func main() {
 	cfg.MaxBatch = 16
 	cfg.BatchTimeoutNS = 2e6
 	cfg.TimeScale = timeScale
+	w := fleet.Workload{ArrivalRate: 0.6 * aggregate, Requests: 3000}
+	spanNS := float64(w.Requests) / w.ArrivalRate * 1e9
+	cfg.Chaos = chaos.Scripted(chaos.Event{AtNS: 0.3 * spanNS, Kind: chaos.Faults, Target: "het-1", Value: 0.05})
 	f, err := fleet.New(cfg, specs...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := fleet.Workload{ArrivalRate: 0.6 * aggregate, Requests: 3000}
-	spanNS := float64(w.Requests) / w.ArrivalRate * 1e9
-	timer := time.AfterFunc(time.Duration(0.3*spanNS*timeScale), func() {
-		f.InjectFault("het-1", &fault.Model{StuckAtZero: 0.05, Seed: 1})
-	})
 	res, err := fleet.Run(f, w)
-	timer.Stop()
 	snap := f.Snapshot()
 	f.Close()
 	if err != nil {

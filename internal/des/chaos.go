@@ -246,19 +246,13 @@ func (f *Fleet) fireHedge(st *reqState) {
 	if st.done || st.failed {
 		return
 	}
-	r := f.pickReplica()
+	r := f.repick(0)
 	if r == st.primary && r != nil {
 		// A hedge on the replica already serving the primary buys nothing;
 		// prefer any other replica with queue space.
 		if alt := f.fallback(r); alt != nil {
 			r = alt
 		}
-	}
-	if r != nil && r.queue.n >= f.cfg.QueueDepth {
-		r = f.fallback(r)
-	}
-	if r == nil && f.breakersOn {
-		r = f.roomIn(f.replicas, nil, nil)
 	}
 	if r == nil {
 		return // primary still live; nothing to hedge onto

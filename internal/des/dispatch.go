@@ -376,12 +376,11 @@ func (f *Fleet) roomIn(rs []*simReplica, skip *simReplica, skipCl *simCluster) *
 }
 
 // logf appends one deterministic event-log line when logging is enabled.
-// Lane sub-fleets record structured entries (keyed by the current event's
-// virtual time and class) for the canonical merge instead of writing
-// directly.
+// Lane sub-fleets record each line with the current event's virtual time
+// for the merge instead of writing directly.
 func (f *Fleet) logf(format string, args ...any) {
 	if f.laneSink != nil {
-		f.laneSink.add(f.eng.Now(), logLine(format, args...))
+		f.laneSink.add(f.eng.Now(), format, args...)
 		return
 	}
 	if f.log == nil {

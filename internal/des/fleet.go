@@ -121,16 +121,16 @@ type Config struct {
 	// canonical virtual-time-ordered merged log is written (byte-identical
 	// to the workers=1 log).
 	Log io.Writer
-	// Workers > 1 shards the clusters into that many lanes, each advanced
-	// by its own engine on its own goroutine under conservative time-window
-	// barriers (see parallel.go). Results are exact: workers=N equals
-	// workers=1 bit for bit. Parallelism engages only for configurations
-	// whose cross-lane interactions are precomputable (Clusters >= workers,
-	// round-robin cluster routing, no PowerOfTwo sampling, no admission
-	// hook, no resilience stack, no repair loop); anything else — and any
-	// run that develops
-	// a cross-cluster interaction such as whole-cluster backpressure —
-	// falls back to the serial engine, still exact. Default 1.
+	// Workers > 1 shards the clusters into that many lanes, each run to
+	// completion by its own engine on its own goroutine (see parallel.go).
+	// Results are exact: workers=N equals workers=1 bit for bit. Lanes
+	// engage only when the cluster groups cannot affect each other for the
+	// whole run: at least two clusters, round-robin cluster routing, no
+	// PowerOfTwo sampling, no admission hook, no resilience stack, no repair
+	// loop, no chaos schedule and no autoscaler. Anything else — a chaos or
+	// autoscaled run included — and any run that develops a cross-cluster
+	// interaction such as whole-cluster backpressure runs on the serial
+	// engine, still exact. Default 1.
 	Workers int
 
 	// lane marks a sub-fleet built by the parallel coordinator: skips
@@ -275,7 +275,7 @@ func (c *Config) normalize() error {
 // per-event allocations. Payload conventions are documented per kind.
 const (
 	evArrival     uint16 = iota + 1 // serial arrival chain; i = request id
-	evLaneArrival                   // lane-mode arrival; i = index into lane.arrivals
+	evLaneArrival                   // lane arrival chain; i = index into f.laneArrivals
 	evFree                          // pipeline free; i = replica index
 	evCollect                       // batch collect timeout; i = replica index
 	evControl                       // autoscaler control tick
@@ -301,15 +301,7 @@ func (f *Fleet) handle(kind uint16, i int64, x float64, p any) {
 	case evControl:
 		f.controlTick()
 	case evChaos:
-		if s := f.laneSink; s != nil {
-			// Chaos-origin log lines carry the global schedule index so the
-			// merged log can reproduce the serial equal-time order.
-			s.curClass, s.curTie = classChaos, int32(f.laneChaosIdx[i])
-			f.applyChaos(f.sched[i])
-			s.curClass, s.curTie = classNormal, 0
-		} else {
-			f.applyChaos(f.sched[i])
-		}
+		f.applyChaos(f.sched[i])
 	case evResolve:
 		f.resolveCopy(p.(*reqState), f.replicas[i], x)
 	case evRetry:
@@ -531,10 +523,8 @@ type Fleet struct {
 	// are live only when this fleet runs as one lane of a parallel run.
 	specs         []ReplicaSpec
 	laneArrivals  []laneArrival
-	laneSched     int // laneArrivals already scheduled as events
 	laneAbort     bool
 	laneSink      *laneLog
-	laneChaosIdx  []int      // lane chaos event index -> global schedule index
 	speedupGauge  *obs.Gauge // nil on lane sub-fleets
 	ran           bool
 	clusterBuf    []*simCluster // reusable scratch for degraded-path picks

@@ -259,7 +259,7 @@ func TestMetricsRegistered(t *testing.T) {
 	}
 	want := map[string]bool{
 		"autohet_des_events_total":        false,
-		"autohet_des_requests_total":      false,
+		"autohet_fleet_requests_total":    false,
 		"autohet_des_speedup":             false,
 		"autohet_des_cluster_queue_depth": false,
 	}

@@ -24,13 +24,15 @@ func (f *Fleet) registerMetrics() {
 		outcome string
 		c       *atomic.Int64
 	}{
+		{"submitted", &f.submitted},
 		{"completed", &f.completed},
 		{"shed", &f.shed},
-		{"expired", &f.expired},
 		{"unroutable", &f.unroutable},
+		{"expired", &f.expired},
+		{"retried", &f.retried},
 		{"failed", &f.failed},
 	} {
-		reg.CounterFunc(`autohet_des_requests_total{outcome="`+oc.outcome+`"}`, "DES fleet requests by outcome.", oc.c.Load)
+		reg.CounterFunc(`autohet_fleet_requests_total{outcome="`+oc.outcome+`"}`, "Fleet request outcomes by disposition.", oc.c.Load)
 	}
 	reg.CounterFunc(`autohet_chaos_events_total{engine="des"}`,
 		"Chaos fault events applied to the DES fleet.",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"autohet/internal/chaos"
@@ -284,27 +283,13 @@ func quantiles(h *obs.Histogram) (mean, p50, p95, p99, max float64) {
 	return h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max()
 }
 
-// registerFleetMetrics publishes the online fleet's request outcomes,
-// latency histograms and per-replica queue/health gauges on obs.Default.
-// Registration rebinds by name: the latest fleet owns the series.
+// registerFleetMetrics publishes the online fleet's latency histograms and
+// per-replica queue/health gauges on obs.Default (registerMetrics already
+// publishes its request outcomes). Registration rebinds by name: the latest
+// fleet owns the series.
 func (f *Fleet) registerFleetMetrics() {
 	reg := obs.Default
 	o := f.online
-	const reqHelp = "Fleet request outcomes by disposition."
-	for _, oc := range []struct {
-		outcome string
-		c       *atomic.Int64
-	}{
-		{"submitted", &f.submitted},
-		{"completed", &f.completed},
-		{"shed", &f.shed},
-		{"unroutable", &f.unroutable},
-		{"expired", &f.expired},
-		{"retried", &f.retried},
-		{"failed", &f.failed},
-	} {
-		reg.CounterFunc(fmt.Sprintf("autohet_fleet_requests_total{outcome=%q}", oc.outcome), reqHelp, oc.c.Load)
-	}
 	reg.RegisterHistogram("autohet_fleet_latency_ns", "Fleet-wide completed-request latency in virtual nanoseconds.", &o.hist)
 	locked := func(read func() float64) func() float64 {
 		return func() float64 {

@@ -2,68 +2,34 @@ package des
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"autohet/internal/chaos"
 	"autohet/internal/des/trace"
 )
 
-// Parallel lane execution (Config.Workers > 1). Clusters are nearly
-// independent between routing decisions, so the fleet shards into W lanes
-// of contiguous clusters, each advanced by its own engine on its own
-// goroutine. The only cross-lane couplings are (a) the cluster-routing
-// decision per arrival and (b) the autoscaler control tick; both are
-// handled by a coordinator that runs the serial fleet's own decision code
-// on the parent fleet, whose replicas serve as the routing model while the
-// lanes simulate:
+// Parallel lane execution (Config.Workers > 1). Lanes run only when the
+// cluster groups cannot affect each other for the whole run
+// (parallelEligible): round-robin cluster routing, no chaos schedule, no
+// autoscaler, no repair loop, no admission hook and no resilience stack.
+// Then the set of clusters with a dispatchable replica never changes, so the
+// cluster picked for each arrival depends only on the round-robin cursor.
+// The coordinator routes the whole trace up front with the parent fleet's
+// own pickCluster, and the fleet shards into W lanes of contiguous clusters,
+// each run to completion by its own engine on its own goroutine with no
+// synchronization in between. A lane chains its share of the arrivals the
+// way fireArrival chains the serial trace: firing one schedules the next.
 //
-//   - Arrival routing: with round-robin cluster policy the pick depends
-//     only on which clusters have a dispatchable replica, and
-//     dispatchability changes only through chaos events (known times,
-//     deterministic effects) and scaler flips (applied at tick barriers).
-//     The coordinator replays both in virtual-time order and assigns every
-//     arrival to its lane before the lanes run — identical to the serial
-//     pick, without running the simulation.
-//   - Control ticks: lanes run under conservative time-window barriers at
-//     the tick times. At each barrier every lane has fired all events
-//     strictly before the tick, so the coordinator can sum the lanes'
-//     queued/in-flight state into the exact Signal the serial controlTick
-//     would observe, apply the Scaler decision to the parent's active set,
-//     and push the flips into the lanes before the next window.
+// The one cross-lane interaction a lane can still develop is whole-cluster
+// backpressure: the serial fleet would scan the other clusters for room.
+// The lane aborts, and the whole workload reruns serially from a recorded
+// copy of the trace — exactness is never traded for speed.
 //
-// Anything the routing model cannot predict exactly aborts the parallel
-// attempt and reruns the whole workload serially from a recorded copy of
-// the trace — exactness is never traded for speed. Abort triggers:
-// whole-cluster backpressure (the serial fleet would scan other clusters),
-// and exact virtual-time ties between a barrier and a lane event, arrival,
-// or chaos event (the serial interleaving at an exact tie depends on event
-// sequence numbers the lanes cannot observe).
-//
-// Logging: each lane records structured log entries (time, class, chaos
-// index, emission order). The merged log orders entries by (time, class,
-// chaos index, lane, emission order), where class 0 = chaos-origin lines,
-// 1 = coordinator/control lines, 2 = normal lines — reproducing the serial
-// log byte for byte (chaos setup events hold the smallest sequence numbers,
-// so they fire first at an instant; remaining same-instant cross-lane
-// collisions of normal events are detected at merge and rerun serially).
-
-// Merged-log entry classes, in serial tie-break order at one instant:
-// chaos events hold setup-time sequence numbers (smallest), control/
-// coordinator lines come next, dynamically scheduled events last.
-const (
-	classChaos  uint8 = 0
-	classCoord  uint8 = 1
-	classNormal uint8 = 2
-)
-
-// logLine formats one log line for a structured sink.
-func logLine(format string, args ...any) []byte {
-	return []byte(fmt.Sprintf(format, args...))
-}
+// Logging: each lane records its lines with their virtual times, and the
+// merged log orders them by (time, lane). Two lanes logging at one exact
+// instant cannot be ordered without the serial sequence numbers; that
+// measure-zero case reruns serially too.
 
 // laneArrival is one precomputed arrival routed to a lane: the request id,
 // its arrival time from the shared trace, and the lane-local cluster index
@@ -74,73 +40,61 @@ type laneArrival struct {
 	cl int32
 }
 
-// laneEntry is one structured log line: the sort key plus the byte range in
-// the lane's buffer.
+// laneEntry is one log line: its virtual time and its byte range in the
+// lane's buffer.
 type laneEntry struct {
 	at         float64
-	class      uint8
-	tie        int32 // global chaos schedule index for class 0
-	lane       int32
 	start, end int32
 }
 
-// laneLog accumulates structured log lines for the canonical merge.
+// laneLog accumulates one lane's log lines for the merge.
 type laneLog struct {
-	lane     int32
-	curClass uint8
-	curTie   int32
-	buf      []byte
-	entries  []laneEntry
+	buf     []byte
+	entries []laneEntry
 }
 
-func (l *laneLog) add(at float64, line []byte) {
+func (l *laneLog) add(at float64, format string, args ...any) {
 	start := int32(len(l.buf))
-	l.buf = append(l.buf, line...)
-	l.entries = append(l.entries, laneEntry{
-		at: at, class: l.curClass, tie: l.curTie, lane: l.lane,
-		start: start, end: int32(len(l.buf)),
-	})
+	l.buf = fmt.Appendf(l.buf, format, args...)
+	l.entries = append(l.entries, laneEntry{at: at, start: start, end: int32(len(l.buf))})
 }
 
 // fireLaneArrival handles one evLaneArrival event on a lane sub-fleet: the
-// serial arrive() minus the coordinator-owned steps (brownout, cluster
-// pick, admission — all precomputed or ineligible in parallel mode).
+// serial arrive() minus the coordinator-owned cluster pick, then the lane's
+// next arrival, chained like fireArrival.
 func (f *Fleet) fireLaneArrival(i int) {
 	a := f.laneArrivals[i]
 	f.submitted.Add(1)
-	f.arrivalsTick++
 	f.window(a.at).Arrived++
 	if f.logging {
 		f.logf("A t=%.3f id=%d\n", a.at, a.id)
 	}
-	cl := f.clusters[a.cl]
-	r := f.pickInCluster(cl)
+	// The coordinator picked a live cluster, and liveness never changes in
+	// a lane run, so the policy pick always finds a replica.
+	r := f.pickInCluster(f.clusters[a.cl])
+	if r.queue.n >= f.cfg.QueueDepth {
+		r = f.roomIn(r.cl.replicas, r, nil)
+	}
 	if r == nil {
-		// Shadow model promised a dispatchable replica; a miss means a
-		// modeling gap — abort and rerun serially rather than diverge.
+		// Whole cluster full: the serial fleet would scan other clusters —
+		// a cross-lane interaction. Abort.
 		f.laneAbort = true
 		f.eng.Halt()
 		return
 	}
-	if r.queue.n >= f.cfg.QueueDepth {
-		r = f.roomIn(r.cl.replicas, r, nil)
-		if r == nil {
-			// Whole cluster full: the serial fleet would scan other
-			// clusters — a cross-lane interaction. Abort.
-			f.laneAbort = true
-			f.eng.Halt()
-			return
-		}
-	}
 	f.enqueue(r, simReq{id: a.id, arrival: a.at, budget: f.budgetNS, enqueued: a.at})
+	if i++; i < len(f.laneArrivals) {
+		f.eng.AtEvent(f.laneArrivals[i].at, evLaneArrival, int64(i), 0, nil)
+	}
 }
 
-// parallelEligible reports whether this configuration's cross-lane
-// interactions are precomputable. PowerOfTwo consumes a fleet-global random
-// stream per pick; JSQ/least-outstanding cluster routing reads live queue
-// state across lanes; admission and the resilience stack (brownout, hedges
-// re-picking clusters, breakers, retries) couple lanes per arrival; the
-// repair loop's sweeps and bounces touch every lane at once.
+// parallelEligible reports whether the cluster groups cannot affect each
+// other for the whole run. PowerOfTwo consumes a fleet-global random stream
+// per pick; JSQ/least-outstanding cluster routing reads live queue state
+// across lanes; admission and the resilience stack (brownout, hedges
+// re-picking clusters, breakers, retries) couple lanes per arrival; chaos
+// events, the autoscaler and the repair loop's sweeps change which clusters
+// take traffic mid-run; a fleet with no live cluster has nothing to route.
 func (f *Fleet) parallelEligible() bool {
 	if f.cfg.Workers <= 1 ||
 		f.cfg.Shards > 1 ||
@@ -149,7 +103,10 @@ func (f *Fleet) parallelEligible() bool {
 		f.cfg.Policy == PowerOfTwo ||
 		f.cfg.Admit != nil ||
 		f.cfg.MaxRetries > 0 ||
-		f.cfg.Resilience.Enabled() {
+		f.cfg.Resilience.Enabled() ||
+		f.cfg.Chaos != nil ||
+		f.cfg.Scaler != nil ||
+		f.liveClusters == 0 {
 		return false
 	}
 	for _, r := range f.replicas {
@@ -177,29 +134,9 @@ func (g *replayGen) NextGapNS() float64 {
 
 // lane is one worker's shard: a sub-fleet over a contiguous cluster range.
 type lane struct {
-	f        *Fleet
-	cLo, cHi int // global cluster range [cLo, cHi)
-	rLo      int // global index of the lane's first replica
-}
-
-// runBefore fires every lane event strictly before horizon T. A pending
-// event exactly at a finite T is an exact barrier tie the serial ordering
-// of which depends on sequence numbers — reported for abort.
-func (ln *lane) runBefore(T float64) (tie bool) {
-	e := ln.f.eng
-	for {
-		at, ok := e.PeekAt()
-		if !ok || at > T {
-			return false
-		}
-		if at == T && !math.IsInf(T, 1) {
-			return true
-		}
-		e.Step()
-		if ln.f.laneAbort {
-			return false
-		}
-	}
+	f   *Fleet
+	cLo int // global index of the lane's first cluster
+	rLo int // global index of the lane's first replica
 }
 
 // runParallel is the coordinator. It either completes the sharded run and
@@ -207,51 +144,8 @@ func (ln *lane) runBefore(T float64) (tie bool) {
 // serially — the return is always exact.
 func (f *Fleet) runParallel(gen trace.Generator, requests int, budgetNS float64, wallStart time.Time) *Result {
 	cfg := f.cfg
-	W := cfg.Workers
-	if W > cfg.Clusters {
-		W = cfg.Clusters
-	}
+	W := min(cfg.Workers, cfg.Clusters)
 	n := len(f.replicas)
-
-	// Record the whole trace first: the coordinator needs arrival times to
-	// route ahead of the lanes, and an abort needs to replay the identical
-	// trace. Absolute times accumulate gap by gap — the serial float sum.
-	gaps := make([]float64, requests)
-	times := make([]float64, requests)
-	arrival := 0.0
-	for i := range gaps {
-		g := gen.NextGapNS()
-		gaps[i] = g
-		arrival += g
-		times[i] = arrival
-	}
-	// The parent fleet itself is the coordinator's routing model: its
-	// replicas take chaos events' routing effects and the scaler's flips,
-	// and its own cluster pick routes each arrival, exactly as in a serial
-	// run. The lanes own everything else. An abort restores the parent's
-	// build-time state before rerunning serially.
-	type saved struct {
-		active bool
-		replicaHealth
-	}
-	build := make([]saved, n)
-	for i, r := range f.replicas {
-		build[i] = saved{r.active, r.replicaHealth}
-	}
-	serial := func() *Result {
-		for i, r := range f.replicas {
-			r.active, r.replicaHealth = build[i].active, build[i].replicaHealth
-		}
-		f.clusterRR, f.scaleActions = 0, 0
-		f.refreshDispatch()
-		return f.runSerial(&replayGen{gaps: gaps}, requests, budgetNS, wallStart)
-	}
-	route := func(ev chaos.Event) {
-		if r := f.replicaByName(ev.Target); r != nil && r.apply(ev, r.name, f.cfg.Seed, f.cfg.DegradeThreshold) &&
-			ev.Kind != chaos.Slow && ev.Kind != chaos.Link {
-			f.refreshDispatch()
-		}
-	}
 
 	// Build lanes: contiguous cluster ranges, cluster boundaries copied
 	// from the parent split, replica names pre-resolved so lane-local logs
@@ -281,189 +175,63 @@ func (f *Fleet) runParallel(gen trace.Generator, requests int, budgetNS float64,
 		laneCfg := cfg
 		laneCfg.Workers = 1
 		laneCfg.Clusters = cHi - cLo
-		laneCfg.Scaler = nil
-		laneCfg.Chaos = nil
 		laneCfg.Log = nil
 		laneCfg.lane = true
 		laneCfg.laneBounds = bounds
 		lf, err := NewFleet(laneCfg, laneSpecs...)
 		if err != nil {
-			return serial()
+			return f.runSerial(gen, requests, budgetNS, wallStart)
 		}
 		lf.ran = true
 		lf.budgetNS = budgetNS
-		lf.latencies = make([]float64, 0, requests/W+1)
+		share := requests*(cHi-cLo)/cfg.Clusters + 1
+		lf.laneArrivals = make([]laneArrival, 0, share)
+		lf.latencies = make([]float64, 0, share)
 		if f.log != nil {
-			lf.laneSink = &laneLog{lane: int32(l), curClass: classNormal}
+			lf.laneSink = &laneLog{}
 			lf.logging = true
 		}
-		lanes[l] = &lane{f: lf, cLo: cLo, cHi: cHi, rLo: rLo}
+		lanes[l] = &lane{f: lf, cLo: cLo, rLo: rLo}
 	}
 
-	// Partition the chaos schedule by target lane (unknown targets fire in
-	// lane 0, where they log and fall through exactly as in serial), keeping
-	// global schedule indices for the merged-log sort key, and schedule each
-	// lane's events up front — chaos setup precedes arrivals in the serial
-	// sequence order, and lane engines preserve that.
-	var chaosEvents []chaos.Event
-	if cfg.Chaos != nil {
-		chaosEvents = cfg.Chaos.Events
+	// Record the trace and route it with the parent's own cluster pick,
+	// exactly as a serial run picks. The gaps let an abort replay the
+	// identical trace; absolute times accumulate gap by gap — the serial
+	// float sum.
+	gaps := make([]float64, requests)
+	arrival := 0.0
+	for i := range gaps {
+		gaps[i] = gen.NextGapNS()
+		arrival += gaps[i]
+		cl := f.pickCluster()
+		ln := lanes[laneOf[cl.id]]
+		ln.f.laneArrivals = append(ln.f.laneArrivals, laneArrival{id: i, at: arrival, cl: int32(cl.id - ln.cLo)})
 	}
-	for gi := range chaosEvents {
-		ev := chaosEvents[gi]
-		l := 0
-		if r := f.replicaByName(ev.Target); r != nil {
-			l = laneOf[r.cl.id]
+	serial := func() *Result {
+		f.clusterRR = 0
+		return f.runSerial(&replayGen{gaps: gaps}, requests, budgetNS, wallStart)
+	}
+
+	// Run every lane to completion concurrently.
+	var wg sync.WaitGroup
+	for _, ln := range lanes {
+		wg.Add(1)
+		go func(lf *Fleet) {
+			defer wg.Done()
+			if len(lf.laneArrivals) > 0 {
+				lf.eng.AtEvent(lf.laneArrivals[0].at, evLaneArrival, 0, 0, nil)
+			}
+			lf.eng.Run()
+		}(ln.f)
+	}
+	wg.Wait()
+	for _, ln := range lanes {
+		if ln.f.laneAbort {
+			return serial()
 		}
-		lf := lanes[l].f
-		li := len(lf.laneChaosIdx)
-		lf.sched = append(lf.sched, ev)
-		lf.laneChaosIdx = append(lf.laneChaosIdx, gi)
-		lf.eng.AtEvent(ev.AtNS, evChaos, int64(li), 0, nil)
 	}
-
-	var coordLog *laneLog
 	if f.log != nil {
-		coordLog = &laneLog{lane: -1, curClass: classCoord}
-	}
-	period := cfg.ControlPeriodNS
-	nextTick := math.Inf(1)
-	if cfg.Scaler != nil {
-		nextTick = period
-	}
-	var (
-		arrIdx, chaosIdx        int
-		ticks                   int64
-		lastTickAt              float64
-		arrivalsTick            int64
-		traceDone               bool
-		coordShed, coordArrived int64
-	)
-
-	for {
-		T := nextTick
-		// Route every arrival strictly before the barrier, replaying chaos
-		// effects on dispatchability in time order (equal-time chaos fires
-		// first: its setup sequence numbers precede every arrival's).
-		for arrIdx < requests && times[arrIdx] < T {
-			t := times[arrIdx]
-			for chaosIdx < len(chaosEvents) && chaosEvents[chaosIdx].AtNS <= t {
-				route(chaosEvents[chaosIdx])
-				chaosIdx++
-			}
-			arrivalsTick++
-			cl := f.pickCluster()
-			if cl == nil {
-				coordArrived++
-				coordShed++
-				cw := f.window(t)
-				cw.Arrived++
-				cw.Unroutable++
-				if coordLog != nil {
-					coordLog.curClass = classNormal
-					coordLog.add(t, logLine("A t=%.3f id=%d\n", t, arrIdx))
-					coordLog.add(t, logLine("H t=%.3f id=%d reason=noreplica\n", t, arrIdx))
-					coordLog.curClass = classCoord
-				}
-			} else {
-				ln := lanes[laneOf[cl.id]]
-				ln.f.laneArrivals = append(ln.f.laneArrivals,
-					laneArrival{id: arrIdx, at: t, cl: int32(cl.id - ln.cLo)})
-			}
-			arrIdx++
-		}
-		traceDone = arrIdx == requests
-		// Remaining pre-barrier chaos only matters to future routing.
-		for chaosIdx < len(chaosEvents) && chaosEvents[chaosIdx].AtNS < T {
-			route(chaosEvents[chaosIdx])
-			chaosIdx++
-		}
-		// Exact barrier ties: the serial interleaving depends on sequence
-		// numbers the coordinator cannot see. Rerun serially.
-		if chaosIdx < len(chaosEvents) && chaosEvents[chaosIdx].AtNS == T {
-			return serial()
-		}
-		if arrIdx < requests && times[arrIdx] == T {
-			return serial()
-		}
-
-		// Run every lane to the barrier concurrently.
-		var wg sync.WaitGroup
-		var abort atomic.Bool
-		for _, ln := range lanes {
-			wg.Add(1)
-			go func(ln *lane) {
-				defer wg.Done()
-				lf := ln.f
-				for ; lf.laneSched < len(lf.laneArrivals); lf.laneSched++ {
-					a := lf.laneArrivals[lf.laneSched]
-					lf.eng.AtEvent(a.at, evLaneArrival, int64(lf.laneSched), 0, nil)
-				}
-				if ln.runBefore(T) || lf.laneAbort {
-					abort.Store(true)
-				}
-			}(ln)
-		}
-		wg.Wait()
-		if abort.Load() {
-			return serial()
-		}
-		if math.IsInf(T, 1) {
-			break // final window: every lane drained
-		}
-
-		// Control tick at the barrier: the exact serial controlTick against
-		// summed lane state.
-		ticks++
-		lastTickAt = T
-		rate := float64(arrivalsTick) / period * 1e9
-		arrivalsTick = 0
-		queued, inFlight := 0, 0
-		for _, ln := range lanes {
-			queued += ln.f.queued
-			inFlight += ln.f.inFlight
-		}
-		if f.scale(Signal{
-			NowNS: T, Active: f.active, Total: n,
-			Queued: queued, InFlight: inFlight,
-			ArrivalRate: rate, CapacityRPS: f.capacityRPS,
-		}) {
-			for _, ln := range lanes {
-				changed := false
-				for g := ln.rLo; g < clusterBound[ln.cHi]; g++ {
-					lr := ln.f.replicas[g-ln.rLo]
-					if lr.active != f.replicas[g].active {
-						lr.active = f.replicas[g].active
-						changed = true
-					}
-				}
-				if changed {
-					ln.f.refreshDispatch()
-				}
-			}
-			if coordLog != nil {
-				coordLog.add(T, logLine("C t=%.3f active=%d rate=%.0f\n", T, f.active, rate))
-			}
-		}
-		if !traceDone || queued+inFlight > 0 {
-			nextTick = T + period
-		} else {
-			nextTick = math.Inf(1)
-		}
-	}
-
-	// Merge the canonical log (cross-lane normal-class ties at one instant
-	// cannot be ordered without serial sequence numbers — rerun serially;
-	// continuous event times make this a measure-zero path).
-	if f.log != nil {
-		logs := make([]*laneLog, 0, W+1)
-		for _, ln := range lanes {
-			logs = append(logs, ln.f.laneSink)
-		}
-		if coordLog != nil {
-			logs = append(logs, coordLog)
-		}
-		merged, ok := mergeLaneLogs(logs)
+		merged, ok := mergeLaneLogs(lanes)
 		if !ok {
 			return serial()
 		}
@@ -473,51 +241,37 @@ func (f *Fleet) runParallel(gen trace.Generator, requests int, budgetNS float64,
 
 	// Fold lane state back into the parent fleet and compile the Result
 	// with the serial arithmetic (identical iteration orders throughout).
+	var events int64
+	endNow := 0.0
 	for _, ln := range lanes {
-		for j, lr := range ln.f.replicas {
+		lf := ln.f
+		for j, lr := range lf.replicas {
 			pr := f.replicas[ln.rLo+j]
-			pr.active = lr.active
-			pr.replicaHealth = lr.replicaHealth
 			pr.served = lr.served
 			pr.expired = lr.expired
 			pr.batches = lr.batches
 			pr.batchSum = lr.batchSum
 			pr.busyNS = lr.busyNS
 		}
-		for j, lcl := range ln.f.clusters {
+		for j, lcl := range lf.clusters {
 			pcl := f.clusters[ln.cLo+j]
 			pcl.served = lcl.served
 			pcl.peakQueued = lcl.peakQueued
-			pcl.queued.Store(lcl.queued.Load())
 		}
-	}
-	var events int64 = ticks + coordShed
-	endNow := lastTickAt
-	total := int(coordArrived)
-	for _, ln := range lanes {
-		lf := ln.f
 		events += lf.eng.Events()
-		if now := lf.eng.Now(); now > endNow {
-			endNow = now
-		}
-		total += int(lf.submitted.Load())
+		endNow = max(endNow, lf.eng.Now())
 		f.latencies = append(f.latencies, lf.latencies...)
-		if lf.makespan > f.makespan {
-			f.makespan = lf.makespan
-		}
+		f.makespan = max(f.makespan, lf.makespan)
+		f.submitted.Add(lf.submitted.Load())
+		// A lane never sheds or fails a request (it aborts instead), so
+		// completions and budget expiries are its only outcomes.
 		f.completed.Add(lf.completed.Load())
-		f.shed.Add(lf.shed.Load())
-		f.unroutable.Add(lf.unroutable.Load())
 		f.expired.Add(lf.expired.Load())
-		f.failed.Add(lf.failed.Load())
-		f.chaosEvents.Add(lf.chaosEvents.Load())
 		for i := range lf.windows {
 			f.windowAt(i).add(&lf.windows[i])
 		}
 	}
-	f.submitted.Store(int64(total))
-	f.unroutable.Add(coordShed)
-	f.lastArrival = times[requests-1]
+	f.lastArrival = arrival
 	f.eng.setNow(endNow)
 
 	res := f.compileResult(requests, events, time.Since(wallStart))
@@ -525,45 +279,34 @@ func (f *Fleet) runParallel(gen trace.Generator, requests int, budgetNS float64,
 	return res
 }
 
-// mergeLaneLogs sorts every structured entry into canonical serial order
-// and concatenates the bytes. ok is false when two normal-class entries
-// from different sources share an exact virtual time — the unorderable tie.
-func mergeLaneLogs(logs []*laneLog) (merged []byte, ok bool) {
+// mergeLaneLogs orders every lane's lines by (time, lane) and concatenates
+// the bytes; each lane's own lines are already in time order. ok is false
+// when two lanes logged at the same virtual time — the unorderable tie.
+func mergeLaneLogs(lanes []*lane) (merged []byte, ok bool) {
 	type ref struct {
-		log *laneLog
-		i   int
+		e    laneEntry
+		lane int
 	}
 	var refs []ref
 	size := 0
-	for _, l := range logs {
-		for i := range l.entries {
-			refs = append(refs, ref{l, i})
+	for l, ln := range lanes {
+		for _, e := range ln.f.laneSink.entries {
+			refs = append(refs, ref{e, l})
 		}
-		size += len(l.buf)
+		size += len(ln.f.laneSink.buf)
 	}
 	sort.SliceStable(refs, func(a, b int) bool {
-		ea, eb := &refs[a].log.entries[refs[a].i], &refs[b].log.entries[refs[b].i]
-		if ea.at != eb.at {
-			return ea.at < eb.at
+		if refs[a].e.at != refs[b].e.at {
+			return refs[a].e.at < refs[b].e.at
 		}
-		if ea.class != eb.class {
-			return ea.class < eb.class
-		}
-		if ea.tie != eb.tie {
-			return ea.tie < eb.tie
-		}
-		return ea.lane < eb.lane
+		return refs[a].lane < refs[b].lane
 	})
 	merged = make([]byte, 0, size)
 	for k, r := range refs {
-		e := &r.log.entries[r.i]
-		if k > 0 {
-			p := &refs[k-1].log.entries[refs[k-1].i]
-			if p.at == e.at && p.class == classNormal && e.class == classNormal && p.lane != e.lane {
-				return nil, false
-			}
+		if k > 0 && refs[k-1].e.at == r.e.at && refs[k-1].lane != r.lane {
+			return nil, false
 		}
-		merged = append(merged, r.log.buf[e.start:e.end]...)
+		merged = append(merged, lanes[r.lane].f.laneSink.buf[r.e.start:r.e.end]...)
 	}
 	return merged, true
 }

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"autohet/internal/chaos"
+	"autohet/internal/des/trace"
 )
 
 // shardableScenarios are the golden scenarios whose configs are eligible
-// for lane sharding (round-robin cluster routing, no admission/resilience).
+// for lane sharding (round-robin cluster routing, no admission, resilience,
+// chaos or autoscaler).
 func shardableScenarios() []goldenScenario {
 	var out []goldenScenario
 	for _, sc := range goldenScenarios() {
 		switch sc.name {
-		case "shard_plain", "shard_storm", "shard_scaler", "shard_rr":
+		case "shard_plain", "shard_rr":
 			out = append(out, sc)
 		}
 	}
@@ -49,8 +53,7 @@ func stripWall(r *Result) *Result {
 
 // TestParallelIdenticalToSerial is the workers=N exactness contract:
 // identical Result structs (modulo wall-clock speed fields) and a merged
-// event log byte-identical to the serial log, for every shardable scenario
-// including mid-storm chaos and the autoscaler in the loop.
+// event log byte-identical to the serial log, for every shardable scenario.
 func TestParallelIdenticalToSerial(t *testing.T) {
 	for _, sc := range shardableScenarios() {
 		sc := sc
@@ -97,6 +100,7 @@ func TestParallelIneligibleFallsBack(t *testing.T) {
 		sc := sc
 		switch sc.name {
 		case "mixed", "resilience_storm": // jsq cluster routing, admit, resilience
+		case "shard_storm", "shard_scaler": // rr cluster routing under chaos, autoscaler
 		default:
 			continue
 		}
@@ -114,4 +118,67 @@ func TestParallelIneligibleFallsBack(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParallelLanes draws lane-eligible configurations — 2–16 clusters,
+// 2–8 workers, a rr/jsq/lo replica policy, batching, queues small enough
+// that whole-cluster aborts fire, budgets, heterogeneous replicas — and
+// demands the Workers=1 Result and a byte-identical log from the lanes.
+// The same configuration with a chaos event or an autoscaler must run on
+// one lane.
+func FuzzParallelLanes(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(0), uint8(1), uint8(3), uint8(31), uint8(0), uint8(1))
+	f.Add(int64(2), uint8(14), uint8(6), uint8(0), uint8(0), uint8(1), uint8(7), uint8(3))
+	f.Add(int64(3), uint8(1), uint8(2), uint8(2), uint8(1), uint8(3), uint8(20), uint8(2))
+	f.Add(int64(4), uint8(3), uint8(1), uint8(1), uint8(7), uint8(15), uint8(33), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, clusters, workers, policy, batch, depth, budget, load uint8) {
+		cfg := DefaultConfig()
+		cfg.Clusters = 2 + int(clusters)%15
+		cfg.Policy = []Policy{RoundRobin, JoinShortestQueue, LeastOutstanding}[policy%3]
+		cfg.ClusterPolicy = RoundRobin
+		cfg.MaxBatch = 1 + int(batch)%8
+		cfg.QueueDepth = 1 + int(depth)%32
+		cfg.Seed = seed
+		specs := hetSpecs(cfg.Clusters * (1 + int(uint64(seed)%4)))
+		var budgetNS float64
+		if b := int(budget) % 40; b > 0 {
+			budgetNS = 1000 + 250*float64(b)
+		}
+		// hetSpecs replicas average ~8.2M req/s of capacity.
+		rate := []float64{0.5, 0.8, 1.0, 1.3}[load%4] * 8.2e6 * float64(len(specs))
+		run := func(cfg Config) (*Result, []byte) {
+			var buf bytes.Buffer
+			cfg.Log = &buf
+			fl, err := NewFleet(cfg, specs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := fl.RunTrace(trace.Bursty(rate, 1.8, 4e5, seed), 2000, budgetNS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, buf.Bytes()
+		}
+		serial, serialLog := run(cfg)
+		cfg.Workers = 2 + int(workers)%7
+		par, parLog := run(cfg)
+		if !reflect.DeepEqual(stripWall(par), stripWall(serial)) {
+			t.Fatalf("workers=%d (lanes=%d): Result diverged from serial\nserial:   %+v\nparallel: %+v",
+				cfg.Workers, par.Lanes, stripWall(serial), stripWall(par))
+		}
+		if !bytes.Equal(parLog, serialLog) {
+			t.Fatalf("workers=%d (lanes=%d): log diverged from serial at byte %d",
+				cfg.Workers, par.Lanes, firstDiff(parLog, serialLog))
+		}
+		coupled := cfg
+		coupled.Chaos = chaos.Scripted(chaos.Event{AtNS: 1e5, Kind: chaos.Slow, Target: "r0", Value: 2})
+		if res, _ := run(coupled); res.Lanes != 1 {
+			t.Fatalf("chaos run engaged %d lanes", res.Lanes)
+		}
+		coupled = cfg
+		coupled.Scaler = TargetUtilization{Target: 0.7, Min: 1}
+		if res, _ := run(coupled); res.Lanes != 1 {
+			t.Fatalf("autoscaled run engaged %d lanes", res.Lanes)
+		}
+	})
 }

@@ -31,10 +31,11 @@ type MVMKernelLeg struct {
 // MVMKernelBatchLeg records the engine's fast serving pipeline at one kernel
 // batch size on the same Fig. 5 layer. The B=1 leg times the unbatched
 // per-patch pipeline (per-patch quantization + single-vector integer kernel —
-// the serving path before kernel batching); batched legs time the batch
-// pipeline (one-pass codes-only batch quantization + the blocked/pair batched
-// kernel hierarchy). speedup_vs_b1 therefore reads as the per-patch
-// amortization a formed batch of B buys over one-at-a-time processing.
+// the serving path before kernel batching); batched legs time the engine's
+// batch pipeline (one-pass codes-only batch quantization + the AVX2 blocked
+// kernel, or the scalar batch kernel without AVX2). speedup_vs_b1 therefore
+// reads as the per-patch amortization a formed batch of B buys over
+// one-at-a-time processing.
 type MVMKernelBatchLeg struct {
 	Batch      int     `json:"batch"`
 	NsPerMVM   float64 `json:"ns_per_mvm"`
@@ -84,6 +85,7 @@ type MVMEndToEndLeg struct {
 // popcount engine measured against the byte-per-cell scalar reference it
 // replaced, at kernel granularity (single-vector and batched) and end to end.
 type MVMBench struct {
+	Machine     Machine             `json:"machine"`
 	Workers     int                 `json:"workers"`
 	Seed        int64               `json:"seed"`
 	Kernel      MVMKernelLeg        `json:"kernel"`
@@ -108,7 +110,7 @@ func BenchMVM(seed int64) (*MVMBench, error) {
 }
 
 func benchMVMModel(m *dnn.Model, seed int64, kernelReps int) (*MVMBench, error) {
-	b := &MVMBench{Workers: runtime.GOMAXPROCS(0), Seed: seed}
+	b := &MVMBench{Machine: HostMachine(), Workers: runtime.GOMAXPROCS(0), Seed: seed}
 	var err error
 	if b.Kernel, err = benchMVMKernel(seed, kernelReps); err != nil {
 		return nil, err

@@ -90,6 +90,9 @@ func TestBenchMVMTinyModel(t *testing.T) {
 	if len(back.KernelBatch) != len(b.KernelBatch) || back.KernelBatchLeg(32) == nil {
 		t.Fatalf("JSON round trip lost kernel batch legs: %+v", back.KernelBatch)
 	}
+	if back.Machine != b.Machine || b.Machine.GOMAXPROCS < 1 || b.Machine.NumCPU < 1 || b.Machine.GoVersion == "" || b.Machine.CPU == "" {
+		t.Fatalf("machine stamp missing or lost in JSON round trip: %+v, back %+v", b.Machine, back.Machine)
+	}
 }
 
 // TestKernelBatchAmortizationSmoke is the CI bench smoke: on a quiet machine

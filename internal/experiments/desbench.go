@@ -51,7 +51,8 @@ type FleetBenchLeg struct {
 // below round-robin cluster routing (the shardable two-level combination),
 // sweeping Config.Workers at the 10k-replica size.
 type FleetBench struct {
-	Seed int64 `json:"seed"`
+	Machine Machine `json:"machine"`
+	Seed    int64   `json:"seed"`
 	// CPUs is GOMAXPROCS during the run — the ceiling on useful Workers.
 	CPUs          int    `json:"cpus"`
 	Trace         string `json:"trace"`
@@ -72,6 +73,7 @@ type FleetBench struct {
 func BenchFleet(seed int64) (*FleetBench, error) {
 	ncpu := runtime.GOMAXPROCS(0)
 	b := &FleetBench{
+		Machine:       HostMachine(),
 		Seed:          seed,
 		CPUs:          ncpu,
 		Trace:         "bursty",

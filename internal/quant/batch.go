@@ -159,7 +159,7 @@ func QuantizeBatchFlatInto(pb *PackedBatch, xs []float64, n, b int) *PackedBatch
 }
 
 // QuantizeBatchFlatCodesInto is QuantizeBatchFlatInto without packing the
-// bit-serial digit slab. The byte-code kernels (blocked, pair, scalar fast
+// bit-serial digit slab. The byte-code kernels (blocked and scalar fast
 // paths) never read digit words, and packing them is the single largest
 // non-kernel cost per batch; the popcount kernels panic on a codes-only
 // batch rather than compute garbage (resize truncates Digits).

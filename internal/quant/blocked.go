@@ -2,11 +2,10 @@ package quant
 
 import "fmt"
 
-// SIMD-blocked signed integer kernel — the widest fast path. Where
-// PairMatrix packs two offset-binary codes per 64-bit multiply (2 MACs per
-// IMUL), the blocked layout feeds an AVX2 VPMADDWD micro-kernel that
-// performs 16 multiply-accumulates per instruction: weights are stored as
-// signed int8 with two consecutive rows interleaved per 16-column block,
+// SIMD-blocked signed integer kernel — the widest fast path. The blocked
+// layout feeds an AVX2 VPMADDWD micro-kernel that performs 16
+// multiply-accumulates per instruction: weights are stored as signed int8
+// with two consecutive rows interleaved per 16-column block,
 //
 //	Data[blk][pair][2j+0] = q[2p][j0+j]    (j0 = 16·blk)
 //	Data[blk][pair][2j+1] = q[2p+1][j0+j]
@@ -14,7 +13,7 @@ import "fmt"
 // so one VPMOVSXBW widens 16 bytes to 16 int16 lanes and one VPMADDWD
 // against the broadcast pair (u[2p] | u[2p+1]<<16) adds q[2p][j]·u[2p] +
 // q[2p+1][j]·u[2p+1] into 8 of 16 int32 column accumulators. Unlike the
-// bit-plane and pair kernels, this computes the *signed* product Σ_i q_i·u_i
+// bit-plane kernels, this computes the *signed* product Σ_i q_i·u_i
 // directly — no offset-binary correction term — which is exactly the fast
 // path's contract (integerMVMInto). Every intermediate is an exact integer,
 // so the result is bit-identical to the scalar reference; equivalence is
@@ -23,7 +22,7 @@ import "fmt"
 // The kernel is gated at runtime: Blocked() returns nil unless the CPU
 // reports AVX2 with OS-enabled YMM state (see detectAVX2), the row count
 // fits the int32 accumulator bound, and the matrix is at least one block
-// wide. Callers fall back to the pair or scalar kernels on nil.
+// wide. Callers fall back to the scalar batch kernel on nil.
 
 // maxBlockedRows bounds the row count for which a 16-lane int32 accumulator
 // cannot overflow: one row-pair VPMADDWD step contributes at most
@@ -49,10 +48,10 @@ type BlockedMatrix struct {
 }
 
 // Blocked returns the matrix's SIMD-blocked packing, built once and
-// memoized like Packed() and Pairs(). Returns nil when the running CPU
-// lacks AVX2, when Rows exceeds maxBlockedRows, or when the matrix is
-// narrower than one block; callers fall back to another kernel. Safe for
-// concurrent use.
+// memoized like Packed(). Returns nil when the running CPU lacks AVX2, when
+// Rows exceeds maxBlockedRows, or when the matrix is narrower than one
+// block; callers fall back to the scalar batch kernel. Safe for concurrent
+// use.
 func (m *Matrix) Blocked() *BlockedMatrix {
 	if !hasAVX2 || m.Rows > maxBlockedRows || m.Cols < blockedColWidth {
 		return nil
@@ -114,7 +113,7 @@ func (bm *BlockedMatrix) checkBlockedShapes(pb *PackedBatch, outLen, scratchLen 
 // holds the batch's input codes widened to the uint16 lanes VPMADDWD
 // consumes. The weight block is the outer loop so each block's RowPairs×32
 // bytes stay cache-resident while the member loop reuses them — the batched
-// amortization mirrors the bit-plane and pair kernels.
+// amortization mirrors the bit-plane kernels.
 func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) {
 	bm.checkBlockedShapes(pb, len(out), len(u16))
 	N, B := pb.N, pb.B

@@ -76,3 +76,34 @@ func TestBlockedRowBound(t *testing.T) {
 		t.Fatalf("Blocked() must refuse %d rows (bound %d)", m.Rows, maxBlockedRows)
 	}
 }
+
+// BenchmarkBlockedMulBatchConv4 times the AVX2 blocked kernel on the
+// conv4 shape (3456×256, B=32) with ~40% zero activations, the post-ReLU
+// regime the serving path sees. SetBytes counts MACs, so MB/s reads as
+// MMAC/s.
+func BenchmarkBlockedMulBatchConv4(b *testing.B) {
+	const rows, cols, B = 3456, 256, 32
+	rng := rand.New(rand.NewSource(1))
+	m := &Matrix{Rows: rows, Cols: cols, Bits: 8, Scale: 1, Q: make([]int8, rows*cols)}
+	for i := range m.Q {
+		m.Q[i] = int8(rng.Intn(256) - 128)
+	}
+	xs := make([]float64, rows*B)
+	for i := range xs {
+		if rng.Float64() >= 0.4 {
+			xs[i] = rng.Float64() * 100
+		}
+	}
+	pb := QuantizeBatchFlatInto(nil, xs, rows, B)
+	bw := m.Blocked()
+	if bw == nil {
+		b.Skip("no AVX2 blocked kernel on this CPU")
+	}
+	out := make([]float64, B*cols)
+	u16 := make([]uint16, B*rows)
+	b.SetBytes(int64(rows) * int64(cols) * int64(B))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bw.MulBatch(pb, out, u16)
+	}
+}

@@ -94,8 +94,10 @@ func FuzzPackedMVM(f *testing.F) {
 // Σ_i (q_i+offset)·u_i, `==` for every member — never a tolerance —
 // (3) splitting the batch sweep over an arbitrary row band must not change
 // any member's sums (the crossbar-banded form the sim engine executes), and
-// (4) the paired-column word-packed kernel (PairMatrix.MulBatch, the fast
-// path) must produce the identical integers through whole-byte MACs.
+// (4) the AVX2 blocked kernel (BlockedMatrix.MulBatch, the fast path) must
+// produce the identical signed integers: popcount sums − offset·Σu. Column
+// counts reach past two 16-column blocks so full blocks, column tails and
+// odd-row tails all occur; (4) is skipped where Blocked() is nil.
 func FuzzBatchedMVM(f *testing.F) {
 	f.Add(uint8(8), uint8(3), uint8(4), uint8(30), []byte{1, 255, 0, 127, 128, 5}, []byte{9, 0, 255})
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), []byte{0, 1, 2}, []byte{7})
@@ -106,9 +108,15 @@ func FuzzBatchedMVM(f *testing.F) {
 		allOnes[i] = 0xff
 	}
 	f.Add(uint8(8), uint8(1), uint8(32), uint8(64), allOnes, allOnes)
+	// 21 columns × 7 rows: one full block, a column tail and an odd row.
+	ramp := make([]byte, 147)
+	for i := range ramp {
+		ramp[i] = byte(i * 37)
+	}
+	f.Add(uint8(8), uint8(20), uint8(5), uint8(3), ramp, []byte{200, 0, 17, 255, 3})
 	f.Fuzz(func(t *testing.T, bitsRaw, colsRaw, batchRaw, splitRaw uint8, wdata, xdata []byte) {
 		bits := int(bitsRaw)%8 + 1
-		cols := int(colsRaw)%8 + 1
+		cols := int(colsRaw)%40 + 1
 		B := int(batchRaw)%33 + 1
 		rows := len(wdata) / cols
 		if rows == 0 {
@@ -154,12 +162,16 @@ func FuzzBatchedMVM(f *testing.F) {
 
 		out := make([]int64, B*cols)
 		pm.MulBatch(pb, out)
-		pw := m.Pairs()
-		pout := make([]int64, B*cols)
-		pw.MulBatch(pb, pout, make([]uint64, B*pw.Pairs))
-		for i := range out {
-			if pout[i] != out[i] {
-				t.Fatalf("flat index %d: pair kernel %d, popcount kernel %d", i, pout[i], out[i])
+		if bw := m.Blocked(); bw != nil {
+			bout := make([]float64, B*cols)
+			bw.MulBatch(pb, bout, make([]uint16, B*rows))
+			for k := 0; k < B; k++ {
+				corr := int64(off) * int64(pb.USums[k])
+				for j := 0; j < cols; j++ {
+					if got, want := int64(bout[k*cols+j]), out[k*cols+j]-corr; got != want {
+						t.Fatalf("member %d col %d: blocked %d, popcount − offset·Σu %d", k, j, got, want)
+					}
+				}
 			}
 		}
 		split := int(splitRaw) % (rows + 1)

@@ -38,14 +38,14 @@ type Matrix struct {
 	ColScales []float64
 	Q         []int8 // row-major, len Rows*Cols
 
-	// memo caches the bit-plane stack and its packed form (Planes/Packed).
-	// Matrices are shared by pointer; the memo makes re-slicing per MVM —
-	// once per sliding-window patch — a one-time cost per matrix instead.
+	// memo caches the bit-plane stack, its packed form and the AVX2 blocked
+	// packing (Planes/Packed/Blocked). Matrices are shared by pointer; the
+	// memo makes re-slicing per MVM — once per sliding-window patch — a
+	// one-time cost per matrix instead.
 	memo struct {
 		sync.Mutex
 		planes  []*BitPlane
 		packed  *PackedMatrix
-		pairs   *PairMatrix
 		blocked *BlockedMatrix
 	}
 }

@@ -71,18 +71,11 @@ func NewEngine(p *accel.Plan) *Engine {
 // sequential — tiny layers finish before a worker pool spins up.
 const minParallelPatches = 64
 
-// DefaultKernelBatch is the kernel batch size used when
-// InferenceOptions.KernelBatch is zero: big enough that the batched popcount
-// kernels amortize each weight-word load ~32×8 ways, small enough that every
-// AlexNet conv layer still splits into more chunks than typical core counts.
+// DefaultKernelBatch is the kernel batch size RunBatch uses: big enough that
+// the batched popcount kernels amortize each weight-word load ~32×8 ways,
+// small enough that every AlexNet conv layer still splits into more chunks
+// than typical core counts.
 const DefaultKernelBatch = 32
-
-// pairMinBatch is the kernel batch size at which modeFast switches from the
-// zero-skipping scalar integer kernel to the paired-column word-packed
-// kernel. Below it the pair matrix's 4-bytes-per-cell stream costs more than
-// the two-MACs-per-multiply saves; at and above it each packed weight word
-// amortizes across the batch.
-const pairMinBatch = 4
 
 // getScratch pops a warm batch scratch off the engine's free list (or
 // allocates the first time). putScratch returns it.
@@ -204,8 +197,7 @@ type layerExec struct {
 	w       *quant.Matrix
 	mode    execMode
 	pm      *quant.PackedMatrix  // planes served (ideal, faulted, or repaired)
-	pw      *quant.PairMatrix    // paired-column packing for the fast batched path (nil → scalar)
-	bw      *quant.BlockedMatrix // AVX2 blocked packing, preferred fast kernel (nil → pairs/scalar)
+	bw      *quant.BlockedMatrix // AVX2 blocked packing, preferred fast kernel (nil → scalar)
 	fm      *fault.Model
 	key     int64
 	fastADC int64 // analytic ADC conversions per MVM on the fast paths
@@ -246,7 +238,6 @@ func (e *Engine) prepareLayer(l *dnn.Layer, opts InferenceOptions) (*layerExec, 
 	default:
 		le.mode = modeFast
 		le.bw = blockedTimed(w)
-		le.pw = pairsTimed(w)
 	}
 	return le, nil
 }
@@ -261,15 +252,6 @@ func packedTimed(w *quant.Matrix) *quant.PackedMatrix {
 	return pm
 }
 
-// pairsTimed bills the paired-column packing (memoized on the matrix, may be
-// nil for oversized row counts) to the pack stage counter.
-func pairsTimed(w *quant.Matrix) *quant.PairMatrix {
-	start := time.Now()
-	pw := w.Pairs()
-	simStagePack.AddSince(start)
-	return pw
-}
-
 // blockedTimed bills the AVX2 blocked packing (memoized on the matrix; nil
 // when the CPU lacks AVX2 or the shape doesn't fit) to the pack stage.
 func blockedTimed(w *quant.Matrix) *quant.BlockedMatrix {
@@ -277,76 +259,6 @@ func blockedTimed(w *quant.Matrix) *quant.BlockedMatrix {
 	bw := w.Blocked()
 	simStagePack.AddSince(start)
 	return bw
-}
-
-// mvmScratch is one worker's reusable buffers: the quantized input (U +
-// digit bytes + digit words), the extracted patch, and the integer/float
-// output accumulators. With it, a sliding-window MVM allocates nothing.
-type mvmScratch struct {
-	in    *quant.Input
-	patch []float64
-	out   []float64
-	acc   []int64
-}
-
-func (s *mvmScratch) patchFor(n int) []float64 {
-	if cap(s.patch) < n {
-		s.patch = make([]float64, n)
-	}
-	s.patch = s.patch[:n]
-	return s.patch
-}
-
-func (s *mvmScratch) outFor(n int) []float64 {
-	if cap(s.out) < n {
-		s.out = make([]float64, n)
-	}
-	s.out = s.out[:n]
-	clear(s.out)
-	return s.out
-}
-
-func (s *mvmScratch) accFor(n int) []int64 {
-	if cap(s.acc) < n {
-		s.acc = make([]int64, n)
-	}
-	s.acc = s.acc[:n]
-	clear(s.acc)
-	return s.acc
-}
-
-// apply runs one MVM for the prepared layer on one input patch, returning
-// the dequantized outputs in s.out (valid until the next apply on s).
-func (le *layerExec) apply(s *mvmScratch, patch []float64, stats *InferenceStats) ([]float64, error) {
-	in := quant.QuantizeInputInto(s.in, patch)
-	s.in = in
-	if in.N != le.w.Rows {
-		return nil, lengthErr(in.N, le.w.Rows)
-	}
-	out := s.outFor(le.w.Cols)
-	switch le.mode {
-	case modeFast:
-		integerMVMInto(out, s.accFor(le.w.Cols), le.w, in.U)
-		stats.ADCConversions += le.fastADC
-	case modeAggregate:
-		packedAggregateMVM(le.cfg, le.pm, le.w, in, le.fm, le.fm.Noise(le.key), out)
-		stats.ADCConversions += le.fastADC
-	case modeBitExact:
-		var es ExecStats
-		execPackedGrid(le.cfg, le.la, le.pm, in, nil, out, &es)
-		applyCorrection(out, le.w, in)
-		stats.ADCConversions += es.ADCConversions
-	case modeBitExactNoisy:
-		var es ExecStats
-		execPackedGrid(le.cfg, le.la, le.pm, in, le.fm.Noise(le.key), out, &es)
-		applyCorrection(out, le.w, in)
-		stats.ADCConversions += es.ADCConversions
-	}
-	stats.MVMs++
-	for j := range out {
-		out[j] = le.w.ScaleFor(j) * in.Scale * out[j]
-	}
-	return out, nil
 }
 
 // batchScratch is one worker's reusable batched buffers: the member-major
@@ -358,7 +270,6 @@ type batchScratch struct {
 	pb    *quant.PackedBatch
 	out   []float64
 	acc   []int64
-	pacc  []uint64
 	u16   []uint16
 	noise []func() float64
 }
@@ -386,13 +297,6 @@ func (s *batchScratch) accFor(n int) []int64 {
 	return s.acc[:n]
 }
 
-func (s *batchScratch) paccFor(n int) []uint64 {
-	if cap(s.pacc) < n {
-		s.pacc = make([]uint64, n)
-	}
-	return s.pacc[:n]
-}
-
 func (s *batchScratch) u16For(n int) []uint16 {
 	if cap(s.u16) < n {
 		s.u16 = make([]uint16, n)
@@ -400,9 +304,9 @@ func (s *batchScratch) u16For(n int) []uint16 {
 	return s.u16[:n]
 }
 
-// noiseFor returns b per-member read-noise streams, each freshly keyed
-// exactly like the single-vector path keys its per-MVM stream — so member
-// k's draws are bit-identical to running its MVM alone.
+// noiseFor returns b per-member read-noise streams, each a fresh stream
+// keyed by the layer — so member k's draws are bit-identical to running its
+// MVM alone.
 func (s *batchScratch) noiseFor(fm *fault.Model, key int64, b int) []func() float64 {
 	if cap(s.noise) < b {
 		s.noise = make([]func() float64, b)
@@ -415,7 +319,7 @@ func (s *batchScratch) noiseFor(fm *fault.Model, key int64, b int) []func() floa
 }
 
 // quantizeBatch packs one kernel batch for the layer's kernel. The fast
-// mode's byte-code kernels (blocked/pair/scalar) never read the bit-serial
+// mode's byte-code kernels (blocked/scalar) never read the bit-serial
 // digit slab, so packing it — the single largest non-kernel cost per batch
 // — is skipped there; every bit-serial mode gets the full slab.
 func (le *layerExec) quantizeBatch(pb *quant.PackedBatch, flat []float64, n, b int) *quant.PackedBatch {
@@ -436,15 +340,11 @@ func (le *layerExec) applyBatch(s *batchScratch, out []float64, stats *Inference
 	clear(out)
 	switch le.mode {
 	case modeFast:
-		switch {
-		case le.bw != nil:
+		if le.bw != nil {
 			// Signed product directly — no offset correction term.
 			le.bw.MulBatch(pb, out, s.u16For(B*pb.N))
-		case le.pw != nil && B >= pairMinBatch:
-			le.pw.MulBatchFloat(pb, out, s.paccFor(B*le.pw.Pairs))
-			applyCorrectionBatch(out, le.w, pb)
-		default:
-			integerMVMBatch(out, s.accFor(max(cols, B)), le.w, pb)
+		} else {
+			integerMVMBatch(out, s.accFor(cols), le.w, pb)
 		}
 		stats.ADCConversions += le.fastADC * int64(B)
 	case modeAggregate:
@@ -490,12 +390,19 @@ func (e *Engine) Run(input *dnn.Tensor, opts InferenceOptions) ([]float64, Infer
 // RunBatch executes a batch of inputs through the plan's model, returning
 // one output vector per input. Conv layers flatten (input, position) into
 // one global MVM index space chunked into kernel batches of
-// opts.KernelBatch patches; FC layers batch across the inputs themselves —
+// DefaultKernelBatch patches; FC layers batch across the inputs themselves —
 // so serving-side batches map directly onto kernel batches. Outputs are
 // bit-identical to running each input alone: members of a batch never mix,
 // and each member's noise stream is keyed per (layer, MVM) exactly as in
 // the single-input path.
 func (e *Engine) RunBatch(inputs []*dnn.Tensor, opts InferenceOptions) ([][]float64, InferenceStats, error) {
+	return e.runBatch(inputs, opts, DefaultKernelBatch)
+}
+
+// runBatch is RunBatch with the kernel batch cap kb. The cap never changes
+// results — batch members are independent and bit-exact — only how far
+// each packed weight-word load amortizes; tests sweep it.
+func (e *Engine) runBatch(inputs []*dnn.Tensor, opts InferenceOptions, kb int) ([][]float64, InferenceStats, error) {
 	m := e.p.Model
 	if len(inputs) == 0 {
 		return nil, InferenceStats{}, fmt.Errorf("sim: empty inference batch")
@@ -513,10 +420,6 @@ func (e *Engine) RunBatch(inputs []*dnn.Tensor, opts InferenceOptions) ([][]floa
 		}
 	}
 	simInferences.Add(int64(len(inputs)))
-	kb := opts.KernelBatch
-	if kb <= 0 {
-		kb = DefaultKernelBatch
-	}
 	mappables := m.Mappable()
 	last := mappables[len(mappables)-1]
 	curs := make([]*dnn.Tensor, len(inputs))
@@ -592,7 +495,7 @@ func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*d
 	}
 	cols := le.w.Cols
 	n := len(curs) * positions
-	if per := n / runtime.NumCPU(); per < kb {
+	if per := n / runtime.GOMAXPROCS(0); per < kb {
 		kb = max(per, 1)
 	}
 	chunks := (n + kb - 1) / kb
@@ -666,7 +569,7 @@ func (e *Engine) runFCBatches(le *layerExec, flats [][]float64, kb int, stats *I
 // stats privately; the merge after the barrier is order-independent, so
 // aggregated stats are schedule-independent too.
 func (e *Engine) runChunks(chunks, totalMVMs int, stats *InferenceStats, runChunk func(s *batchScratch, c int, st *InferenceStats)) {
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > chunks {
 		workers = chunks
 	}

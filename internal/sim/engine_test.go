@@ -230,35 +230,6 @@ func TestEngineMemoizesDerivations(t *testing.T) {
 	}
 }
 
-// With warm scratch, one sliding-window MVM allocates nothing on either the
-// fast integer path or the packed bit-serial path — the O(1)-allocations
-// invariant behind the allocs/patch budget in BENCH_mvm.json.
-func TestApplyZeroAllocsWarm(t *testing.T) {
-	p := singleLayerPlan(t, 3, 12, 128, xbar.Square(64))
-	l := p.Model.Mappable()[0]
-	patch := dnn.SyntheticInput(l, 5)
-	eng := NewEngine(p)
-	for _, opts := range []InferenceOptions{{Seed: 1}, {Seed: 1, BitExact: true}} {
-		le, err := eng.prepareLayer(l, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := &mvmScratch{}
-		var stats InferenceStats
-		if _, err := le.apply(s, patch, &stats); err != nil { // warm the buffers
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := le.apply(s, patch, &stats); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("BitExact=%v: %v allocs per warm MVM, want 0", opts.BitExact, allocs)
-		}
-	}
-}
-
 // An engine held across inferences reuses its caches: the second run of the
 // same options must not re-quantize, re-slice, or re-pack anything, so its
 // allocation count stays far below the first run's.

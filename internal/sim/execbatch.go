@@ -23,7 +23,7 @@ import (
 // Noise ordering: the noisy paths draw each member's read-noise samples from
 // that member's own stream in the exact (band, grid-col, cycle, plane,
 // column) order the single-vector kernel uses, so faulted/repaired batched
-// results stay bit-identical to the unbatched engine too. The ideal kernels
+// results stay bit-identical to one MVM run alone too. The ideal kernels
 // are free to fuse all InputBits cycles per weight word because exact
 // integer accumulation is order-independent.
 
@@ -119,11 +119,14 @@ func execPackedGridBatchNoisy(cfg hw.Config, la *accel.LayerAlloc, pm *quant.Pac
 	})
 }
 
-// packedAggregateMVMBatch is the batched form of packedAggregateMVM: the
-// fast noisy path with read noise folded into one distribution-equivalent
-// aggregate sample per (plane, column) per member, drawn from each member's
-// own stream in the (plane, column) order the single-vector path uses. acc
-// is kernel scratch of length ≥ pb.B; out is member-major and zeroed.
+// packedAggregateMVMBatch is the fast path of the faulty and repaired
+// engines: full-height packed popcounts per (plane, column) over the planes
+// served (faulted or repaired), with read noise folded into one
+// distribution-equivalent aggregate sample per (plane, column) per member,
+// drawn from each member's own stream in (plane, column) order. With
+// ReadNoiseSigma 0 it is bit-identical to the bit-serial pipeline
+// (ExecuteMVMFaulty / ExecuteMVMRepaired). acc is kernel scratch of length
+// ≥ pb.B; out is member-major and zeroed.
 func packedAggregateMVMBatch(cfg hw.Config, pm *quant.PackedMatrix, w *quant.Matrix, pb *quant.PackedBatch, fm *fault.Model, noise []func() float64, acc []int64, out []float64) {
 	noisy := fm != nil && fm.ReadNoiseSigma > 0
 	aggSigma := math.Sqrt(aggregateNoiseVar(cfg))

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"autohet/internal/dnn"
 	"autohet/internal/fault"
+	"autohet/internal/hw"
 	"autohet/internal/quant"
 	"autohet/internal/repair"
 	"autohet/internal/xbar"
@@ -49,9 +51,65 @@ func TestExecuteMVMBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// runScalarRef replays the pre-batching engine loop — one apply per sliding
-// window, sequentially — as the bit-exact oracle for the batched engine.
-// apply is the original per-patch kernel dispatcher, unchanged.
+// aggregateMVMRef is the single-vector form of packedAggregateMVMBatch:
+// full-height popcounts per (plane, cycle, column) from the input's own
+// digit words, with one aggregate read-noise sample per (plane, column).
+func aggregateMVMRef(cfg hw.Config, pm *quant.PackedMatrix, w *quant.Matrix, in *quant.Input, fm *fault.Model, noise func() float64, out []float64) {
+	noisy := fm != nil && fm.ReadNoiseSigma > 0
+	aggSigma := math.Sqrt(aggregateNoiseVar(cfg))
+	for _, p := range pm.Planes {
+		shift := float64(int64(1) << uint(p.Bit))
+		for j := range out {
+			var sum int64
+			for ib := 0; ib < cfg.InputBits; ib++ {
+				sum += int64(p.ColSum(j, in.DigitWords[ib])) << uint(ib)
+			}
+			out[j] += shift * float64(sum)
+			if noisy {
+				out[j] += shift * aggSigma * noise()
+			}
+		}
+	}
+	applyCorrection(out, w, in)
+}
+
+// refMVM runs one patch through the prepared layer with the single-vector
+// reference kernel of its mode — integerMVM, the aggregate sum above, or
+// execPackedGrid + applyCorrection, each MVM keying its own noise stream —
+// and dequantizes the result.
+func refMVM(t *testing.T, le *layerExec, patch []float64, stats *InferenceStats) []float64 {
+	t.Helper()
+	in := quant.QuantizeInput(patch)
+	if in.N != le.w.Rows {
+		t.Fatal(lengthErr(in.N, le.w.Rows))
+	}
+	out := make([]float64, le.w.Cols)
+	switch le.mode {
+	case modeFast:
+		out = integerMVM(le.w, in)
+		stats.ADCConversions += le.fastADC
+	case modeAggregate:
+		aggregateMVMRef(le.cfg, le.pm, le.w, in, le.fm, le.fm.Noise(le.key), out)
+		stats.ADCConversions += le.fastADC
+	case modeBitExact, modeBitExactNoisy:
+		var noise func() float64
+		if le.mode == modeBitExactNoisy {
+			noise = le.fm.Noise(le.key)
+		}
+		var es ExecStats
+		execPackedGrid(le.cfg, le.la, le.pm, in, noise, out, &es)
+		applyCorrection(out, le.w, in)
+		stats.ADCConversions += es.ADCConversions
+	}
+	stats.MVMs++
+	for j := range out {
+		out[j] = le.w.ScaleFor(j) * in.Scale * out[j]
+	}
+	return out
+}
+
+// runScalarRef is the bit-exact oracle for the batched engine: the network
+// run one sliding window at a time, sequentially, through refMVM.
 func runScalarRef(t *testing.T, e *Engine, input *dnn.Tensor, opts InferenceOptions) ([]float64, InferenceStats) {
 	t.Helper()
 	m := e.p.Model
@@ -60,7 +118,6 @@ func runScalarRef(t *testing.T, e *Engine, input *dnn.Tensor, opts InferenceOpti
 	last := mappables[len(mappables)-1]
 	cur := input
 	var flat []float64
-	s := &mvmScratch{}
 	for _, l := range m.Layers {
 		switch l.Kind {
 		case dnn.Conv:
@@ -69,15 +126,11 @@ func runScalarRef(t *testing.T, e *Engine, input *dnn.Tensor, opts InferenceOpti
 				t.Fatal(err)
 			}
 			out := dnn.NewTensor(l.OutC, l.OutH, l.OutW)
-			patchLen := cur.C * l.K * l.K
+			patch := make([]float64, cur.C*l.K*l.K)
 			for idx := 0; idx < l.OutH*l.OutW; idx++ {
 				oy, ox := idx/l.OutW, idx%l.OutW
-				patch := cur.PatchInto(s.patchFor(patchLen), l, oy, ox)
-				y, err := le.apply(s, patch, &stats)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for c, v := range y {
+				cur.PatchInto(patch, l, oy, ox)
+				for c, v := range refMVM(t, le, patch, &stats) {
 					out.Set(c, oy, ox, v)
 				}
 			}
@@ -95,11 +148,7 @@ func runScalarRef(t *testing.T, e *Engine, input *dnn.Tensor, opts InferenceOpti
 			if err != nil {
 				t.Fatal(err)
 			}
-			y, err := le.apply(s, flat, &stats)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat = append(flat[:0:0], y...)
+			flat = refMVM(t, le, flat, &stats)
 			if l != last {
 				dnn.ReLU(flat)
 			}
@@ -136,12 +185,12 @@ func TestEngineBatchedMatchesScalarReference(t *testing.T) {
 	for _, opts := range batchedOptSets() {
 		eng := NewEngine(p)
 		want, wantStats := runScalarRef(t, eng, input, opts)
-		for _, kb := range []int{1, 8, 32, 0} {
-			opts.KernelBatch = kb
-			got, gotStats, err := eng.Run(input, opts)
+		for _, kb := range []int{1, 8, 32, DefaultKernelBatch} {
+			outs, gotStats, err := eng.runBatch([]*dnn.Tensor{input}, opts, kb)
 			if err != nil {
 				t.Fatalf("%+v: %v", opts, err)
 			}
+			got := outs[0]
 			eqF64(t, "batched vs scalar", got, want)
 			if gotStats.MVMs != wantStats.MVMs || gotStats.ADCConversions != wantStats.ADCConversions {
 				t.Fatalf("%+v: batched stats %+v, scalar %+v", opts, gotStats, wantStats)
@@ -149,7 +198,7 @@ func TestEngineBatchedMatchesScalarReference(t *testing.T) {
 			if gotStats.KernelBatches == 0 || gotStats.MaxKernelBatch < 1 {
 				t.Fatalf("%+v: no kernel batches recorded: %+v", opts, gotStats)
 			}
-			if kb > 0 && gotStats.MaxKernelBatch > kb {
+			if gotStats.MaxKernelBatch > kb {
 				t.Fatalf("%+v: kernel batch %d exceeds cap %d", opts, gotStats.MaxKernelBatch, kb)
 			}
 		}

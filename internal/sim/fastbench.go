@@ -4,19 +4,19 @@ import (
 	"autohet/internal/quant"
 )
 
-// FastKernels exposes the engine's two fast-path MVM pipelines for one
-// weight matrix as standalone calls, for benchmarks and cross-checks.
+// FastKernels exposes the engine's fast-path MVM pipeline for one weight
+// matrix as standalone calls, for benchmarks and cross-checks.
 //
-// Single is the unbatched per-patch pipeline — layerExec.apply's modeFast
-// arm: per-patch quantization (including the bit-serial digit slab the
-// single-vector path packs) followed by the single-vector integer kernel.
-// This was the serving engine's only fast path before kernel batching, so
-// it is the baseline batched legs are compared against.
+// Single is the unbatched per-patch baseline: per-patch quantization
+// (including the bit-serial digit slab a single quant.Input packs)
+// followed by the single-vector integer kernel. This was the serving
+// engine's only fast path before kernel batching, so it is the baseline
+// batched legs are compared against.
 //
-// Batch is the batched pipeline — layerExec.applyBatch's modeFast arm:
-// one-pass codes-only batch quantization followed by the blocked/pair/
-// scalar batched kernel hierarchy, with the same dispatch rules the engine
-// uses.
+// Batch is the engine's own fast-mode layerExec.quantizeBatch +
+// applyBatch: one-pass codes-only batch quantization followed by the AVX2
+// blocked kernel, or the scalar batch kernel where the blocked one is
+// unavailable.
 //
 // Both return dequantized outputs bit-identical to the bit-serial crossbar
 // reference followed by the engine's dequantization (asserted in tests and
@@ -24,57 +24,42 @@ import (
 // warm calls allocate nothing; a FastKernels is not safe for concurrent
 // use.
 type FastKernels struct {
-	w  *quant.Matrix
-	bw *quant.BlockedMatrix
-	pw *quant.PairMatrix
-	ss mvmScratch
+	le *layerExec // a fast-mode layer with no crossbar plan
 	bs batchScratch
+
+	// Single's buffers: the quantized input and the output accumulators.
+	in  *quant.Input
+	out []float64
+	acc []int64
 }
 
 // NewFastKernels prepares the fast pipelines for w, building the same
-// kernel representations the engine's prepareLayer builds.
+// kernel representation the engine's prepareLayer builds.
 func NewFastKernels(w *quant.Matrix) *FastKernels {
-	return &FastKernels{w: w, bw: w.Blocked(), pw: w.Pairs()}
+	return &FastKernels{le: &layerExec{w: w, mode: modeFast, bw: w.Blocked()},
+		out: make([]float64, w.Cols), acc: make([]int64, w.Cols)}
 }
 
 // Single runs one patch through the unbatched per-patch pipeline and
 // returns its dequantized outputs (valid until the next call).
 func (fk *FastKernels) Single(patch []float64) []float64 {
-	in := quant.QuantizeInputInto(fk.ss.in, patch)
-	fk.ss.in = in
-	out := fk.ss.outFor(fk.w.Cols)
-	integerMVMInto(out, fk.ss.accFor(fk.w.Cols), fk.w, in.U)
-	for j := range out {
-		out[j] = fk.w.ScaleFor(j) * in.Scale * out[j]
+	w := fk.le.w
+	fk.in = quant.QuantizeInputInto(fk.in, patch)
+	clear(fk.acc)
+	integerMVMInto(fk.out, fk.acc, w, fk.in.U)
+	for j := range fk.out {
+		fk.out[j] = w.ScaleFor(j) * fk.in.Scale * fk.out[j]
 	}
-	return out
+	return fk.out
 }
 
 // Batch runs b member-major patches of length n (flat, like the engine's
 // patch slab) through the batched pipeline and returns member-major
 // dequantized outputs (valid until the next call).
 func (fk *FastKernels) Batch(flat []float64, n, b int) []float64 {
-	pb := quant.QuantizeBatchFlatCodesInto(fk.bs.pb, flat, n, b)
-	fk.bs.pb = pb
-	cols := fk.w.Cols
-	out := fk.bs.outFor(b * cols)
-	clear(out)
-	switch {
-	case fk.bw != nil:
-		// Signed product directly — no offset correction term.
-		fk.bw.MulBatch(pb, out, fk.bs.u16For(b*pb.N))
-	case fk.pw != nil && b >= pairMinBatch:
-		fk.pw.MulBatchFloat(pb, out, fk.bs.paccFor(b*fk.pw.Pairs))
-		applyCorrectionBatch(out, fk.w, pb)
-	default:
-		integerMVMBatch(out, fk.bs.accFor(max(cols, b)), fk.w, pb)
-	}
-	for k := 0; k < b; k++ {
-		f := pb.Scales[k]
-		o := out[k*cols : (k+1)*cols]
-		for j := range o {
-			o[j] = fk.w.ScaleFor(j) * f * o[j]
-		}
-	}
+	fk.bs.pb = fk.le.quantizeBatch(fk.bs.pb, flat, n, b)
+	out := fk.bs.outFor(b * fk.le.w.Cols)
+	var stats InferenceStats
+	fk.le.applyBatch(&fk.bs, out, &stats)
 	return out
 }

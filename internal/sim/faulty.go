@@ -99,44 +99,3 @@ func aggregateNoiseVar(cfg hw.Config) float64 {
 	}
 	return v
 }
-
-// packedAggregateMVM is the fast noisy path shared by the faulty and
-// repaired integer engines: full-height packed popcounts per (plane, cycle,
-// column) with read noise folded in as one aggregate sample per
-// (plane, column), in the same order the byte-loop version drew them —
-// bit-identical to the full bit-serial pipeline when ReadNoiseSigma is 0.
-func packedAggregateMVM(cfg hw.Config, pm *quant.PackedMatrix, w *quant.Matrix, in *quant.Input, fm *fault.Model, noise func() float64, out []float64) {
-	noisy := fm != nil && fm.ReadNoiseSigma > 0
-	aggSigma := math.Sqrt(aggregateNoiseVar(cfg))
-	for _, p := range pm.Planes {
-		shift := float64(int64(1) << uint(p.Bit))
-		noiseScale := shift * aggSigma
-		for j := range out {
-			var sum int64
-			for ib := 0; ib < cfg.InputBits; ib++ {
-				sum += int64(p.ColSum(j, in.DigitWords[ib])) << uint(ib)
-			}
-			out[j] += shift * float64(sum)
-			if noisy {
-				out[j] += noiseScale * noise()
-			}
-		}
-	}
-	applyCorrection(out, w, in)
-}
-
-// faultyIntegerMVM is the fast fault path: stuck-at faults applied exactly
-// via the packed faulted planes, read noise folded in as one distribution-
-// equivalent aggregate sample per (plane, column) — bit-identical to
-// ExecuteMVMFaulty when ReadNoiseSigma is 0.
-func faultyIntegerMVM(cfg hw.Config, layerKey int64, w *quant.Matrix, in *quant.Input, fm *fault.Model) []float64 {
-	return faultyIntegerMVMPacked(cfg, faultedPacked(w, fm, layerKey), layerKey, w, in, fm)
-}
-
-// faultyIntegerMVMPacked is faultyIntegerMVM on an already-packed (and
-// already-faulted) plane stack — the form Engine serves from its cache.
-func faultyIntegerMVMPacked(cfg hw.Config, pm *quant.PackedMatrix, layerKey int64, w *quant.Matrix, in *quant.Input, fm *fault.Model) []float64 {
-	out := make([]float64, w.Cols)
-	packedAggregateMVM(cfg, pm, w, in, fm, fm.Noise(layerKey), out)
-	return out
-}

@@ -77,22 +77,42 @@ func TestStuckAtFaultsPerturbOutputs(t *testing.T) {
 	}
 }
 
+// aggregateBatch runs the engine's fast faulty/repaired kernel,
+// packedAggregateMVMBatch, over one batch of B synthetic patches of la's
+// layer (seeds seed, seed+1, …) on the plane stack pm, and returns the
+// quantized inputs with the member-major outputs.
+func aggregateBatch(la *accel.LayerAlloc, pm *quant.PackedMatrix, w *quant.Matrix, fm *fault.Model, B int, seed int64) ([]*quant.Input, []float64) {
+	ins := make([]*quant.Input, B)
+	noise := make([]func() float64, B)
+	for k := range ins {
+		ins[k] = quant.QuantizeInput(dnn.SyntheticInput(la.Layer, seed+int64(k)))
+		noise[k] = fm.Noise(int64(la.Layer.Index + 1))
+	}
+	out := make([]float64, B*w.Cols)
+	packedAggregateMVMBatch(cfg(), pm, w, quant.PackInputs(ins), fm, noise, make([]int64, B), out)
+	return ins, out
+}
+
 // The fast path's stuck-at handling is bit-identical to the bit-serial
-// engine when read noise is off.
+// engine when read noise is off, for a lone patch and for a batch.
 func TestFaultyFastPathMatchesBitExact(t *testing.T) {
 	p := singleLayerPlan(t, 3, 7, 24, xbar.Square(32))
 	la := p.Layers[0]
 	w := quant.QuantizeWeights(dnn.SyntheticWeights(la.Layer, 5))
-	in := quant.QuantizeInput(dnn.SyntheticInput(la.Layer, 6))
 	fm := &fault.Model{StuckAtZero: 0.05, StuckAtOne: 0.02, Seed: 11}
-	exact, _, err := ExecuteMVMFaulty(cfg(), la, w, in, fm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := faultyIntegerMVM(cfg(), int64(la.Layer.Index+1), w, in, fm)
-	for j := range exact {
-		if math.Abs(exact[j]-fast[j]) > 1e-9 {
-			t.Fatalf("col %d: exact %v fast %v", j, exact[j], fast[j])
+	pm := faultedPacked(w, fm, int64(la.Layer.Index+1))
+	for _, B := range []int{1, 5} {
+		ins, fast := aggregateBatch(la, pm, w, fm, B, 6)
+		for k, in := range ins {
+			exact, _, err := ExecuteMVMFaulty(cfg(), la, w, in, fm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range exact {
+				if got := fast[k*w.Cols+j]; got != exact[j] {
+					t.Fatalf("B=%d member %d col %d: exact %v fast %v", B, k, j, exact[j], got)
+				}
+			}
 		}
 	}
 }

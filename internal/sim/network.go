@@ -48,12 +48,6 @@ type InferenceOptions struct {
 	// (accel.Plan.Spares) instead. Ignored when Faults injects no stuck-at
 	// cells.
 	Repair *repair.Policy
-	// KernelBatch caps how many MVMs (conv patches, or FC members across a
-	// RunBatch) are quantized, packed, and executed per batched-kernel call.
-	// Zero selects DefaultKernelBatch. The choice never changes results —
-	// batch members are independent and bit-exact — only how far each packed
-	// weight-word load amortizes.
-	KernelBatch int
 }
 
 // InferenceStats aggregates the work one inference (or RunBatch) performed.

@@ -89,13 +89,3 @@ func execRepairedBitSerial(cfg hw.Config, la *accel.LayerAlloc, rl *RepairedLaye
 	applyCorrection(out, w, in)
 	return out, stats
 }
-
-// repairedIntegerMVM is the fast repaired path: the repaired planes served
-// through the packed integer engine, read noise folded in as one aggregate
-// sample per (plane, column) — bit-identical to ExecuteMVMRepaired when
-// ReadNoiseSigma is 0.
-func repairedIntegerMVM(cfg hw.Config, layerKey int64, rl *RepairedLayer, w *quant.Matrix, in *quant.Input, fm *fault.Model) []float64 {
-	out := make([]float64, w.Cols)
-	packedAggregateMVM(cfg, rl.Packed, w, in, fm, fm.Noise(layerKey), out)
-	return out
-}

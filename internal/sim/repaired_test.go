@@ -125,28 +125,31 @@ func TestExecuteMVMRepairedFullCoverageBitExact(t *testing.T) {
 	}
 }
 
-// The fast repaired path is bit-identical to the bit-serial engine when
-// read noise is off, and the noisy variants agree in distribution (same
-// repaired planes, same correction).
+// The fast repaired path — the engine's packedAggregateMVMBatch over the
+// repaired planes — is bit-identical to the bit-serial engine when read
+// noise is off, for a lone patch and for a batch.
 func TestRepairedIntegerMVMMatchesBitSerial(t *testing.T) {
 	p := singleLayerPlan(t, 3, 6, 24, xbar.Square(32))
 	la := p.Layers[0]
 	w := quant.QuantizeWeights(dnn.SyntheticWeights(la.Layer, 3))
-	in := quant.QuantizeInput(dnn.SyntheticInput(la.Layer, 4))
 	fm := &fault.Model{StuckAtZero: 0.02, StuckAtOne: 0.02, Seed: 11}
 	pol := repair.Policy{Provision: repair.Provision{SpareCols: 2}}
-	bitSerial, _, _, err := ExecuteMVMRepaired(cfg(), la, w, in, fm, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rl, err := RepairLayer(la, w, fm, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := repairedIntegerMVM(cfg(), int64(la.Layer.Index+1), rl, w, in, fm)
-	for j := range bitSerial {
-		if fast[j] != bitSerial[j] {
-			t.Fatalf("fast path diverged at %d: %v vs %v", j, fast[j], bitSerial[j])
+	for _, B := range []int{1, 5} {
+		ins, fast := aggregateBatch(la, rl.Packed, w, fm, B, 4)
+		for k, in := range ins {
+			bitSerial, _, _, err := ExecuteMVMRepaired(cfg(), la, w, in, fm, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range bitSerial {
+				if got := fast[k*w.Cols+j]; got != bitSerial[j] {
+					t.Fatalf("B=%d member %d col %d: fast path %v, bit-serial %v", B, k, j, got, bitSerial[j])
+				}
+			}
 		}
 	}
 }

@@ -435,11 +435,11 @@ func BenchmarkServing(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetThroughput measures the concurrent serving runtime's request
-// throughput (goroutine dispatch + batching + accounting, not accelerator
-// time) across replica counts and dispatch policies. Fleets run free-running
-// (no wall-clock pacing) so the number reported is the runtime's own
-// overhead ceiling in requests/second.
+// BenchmarkFleetThroughput measures the paced serving runtime's request
+// throughput (dispatch + batching + accounting, not accelerator time)
+// across replica counts and dispatch policies. Fleets run at TimeScale 1e-9,
+// which never sleeps, so the number reported is the runtime's own overhead
+// ceiling in requests/second.
 func BenchmarkFleetThroughput(b *testing.B) {
 	pr := &sim.PipelineResult{FillNS: 1000, IntervalNS: 100}
 	for _, replicas := range []int{1, 4, 16} {
@@ -447,7 +447,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 			b.Run(fmt.Sprintf("replicas_%d/%s", replicas, policy), func(b *testing.B) {
 				cfg := fleet.DefaultConfig()
 				cfg.Policy = policy
-				cfg.TimeScale = 1e-9 // free-running
+				cfg.TimeScale = 1e-9 // never sleeps
 				cfg.QueueDepth = 4096
 				specs := make([]fleet.ReplicaSpec, replicas)
 				for i := range specs {
@@ -457,26 +457,20 @@ func BenchmarkFleetThroughput(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				done := make(chan fleet.Outcome, b.N)
 				b.ResetTimer()
 				start := time.Now()
-				accepted := 0
-				for i := 0; i < b.N; i++ {
-					if err := f.Submit(fleet.NewRequest(float64(i)*100, 0, done)); err == nil {
-						accepted++
-					}
-				}
-				for i := 0; i < accepted; i++ {
-					<-done
-				}
+				// One request per iteration, 100 ns apart on average.
+				res, err := fleet.Run(f, fleet.Workload{ArrivalRate: 1e7, Requests: b.N})
 				elapsed := time.Since(start).Seconds()
 				b.StopTimer()
-				f.Close()
-				if elapsed > 0 {
-					b.ReportMetric(float64(accepted)/elapsed, "req/s")
+				if err != nil {
+					b.Fatal(err)
 				}
-				if accepted == 0 {
-					b.Fatal("no requests accepted")
+				if elapsed > 0 {
+					b.ReportMetric(float64(res.Completed)/elapsed, "req/s")
+				}
+				if res.Completed == 0 {
+					b.Fatal("no requests completed")
 				}
 			})
 		}

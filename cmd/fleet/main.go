@@ -375,7 +375,6 @@ func run(modelName, specText, policyText string, load float64, requests, batch i
 	}
 	res, err := fleet.Run(f, w)
 	snap := f.Snapshot()
-	f.Close()
 	if err != nil {
 		return err
 	}

@@ -25,7 +25,7 @@ import (
 
 // timeScale paces runs at a fifth of real time, as a live deployment would
 // be; the mid-run fault below is a chaos event on the virtual clock, so it
-// lands at the same instant however the host schedules the pacer.
+// lands at the same virtual instant however fast the host runs.
 const timeScale = 0.2
 
 func build(name string, st accel.Strategy) fleet.ReplicaSpec {
@@ -74,7 +74,6 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := fleet.Run(f, fleet.Workload{ArrivalRate: 0.95 * aggregate, Requests: 3000})
-		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -99,7 +98,6 @@ func main() {
 	}
 	res, err := fleet.Run(f, w)
 	snap := f.Snapshot()
-	f.Close()
 	if err != nil {
 		log.Fatal(err)
 	}

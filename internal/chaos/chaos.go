@@ -39,8 +39,9 @@ const (
 	// Restart returns a crashed replica to service with an idle pipeline.
 	Restart Kind = "restart"
 	// Slow multiplies the target's service time (fill and initiation
-	// interval) by Value — a fail-slow straggler. Value 1 (or 0) restores
-	// full speed.
+	// interval) by Value — a fail-slow straggler. Value 1 restores full
+	// speed; the fleet rejects values below 1 (chaos degrades, it does not
+	// overclock).
 	Slow Kind = "slow"
 	// Link adds Value nanoseconds of degraded NoC/link transfer cost to
 	// every batch the target serves (added to the pipeline fill). Value 0
@@ -48,7 +49,8 @@ const (
 	Link Kind = "link"
 	// Faults injects a stuck-at cell fault storm of rate Value on the
 	// target through the fleet's fault ledger: its health score drops
-	// against DegradeThreshold and the online repair sweeps heal it.
+	// against the fleet's degrade threshold and the online repair sweeps
+	// heal it.
 	// Value 0 clears the target's faults.
 	Faults Kind = "faults"
 )

@@ -68,7 +68,7 @@ func (f *Fleet) applyChaos(ev chaos.Event) {
 		return
 	}
 	was := r.routable()
-	if !r.apply(ev, r.name, f.cfg.Seed, f.cfg.DegradeThreshold) {
+	if !r.apply(ev, r.name, f.cfg.Seed) {
 		return
 	}
 	switch ev.Kind {
@@ -152,7 +152,6 @@ func (f *Fleet) failCopy(rq simReq, r *simReplica, reason string) {
 		if f.logging {
 			f.logf("X t=%.3f id=%d r=%s reason=%s\n", now, rq.id, r.name, reason)
 		}
-		f.resolve(rq.id, r, ErrRetries, 0, rq.attempts)
 		return
 	}
 	if st.done || st.failed {
@@ -217,14 +216,12 @@ func (f *Fleet) settle(st *reqState) {
 		if f.logging {
 			f.logf("X t=%.3f id=%d reason=budget\n", now, st.id)
 		}
-		f.resolve(st.id, nil, ErrDeadline, 0, int32(st.attempts-1))
 	} else {
 		f.failed.Add(1)
 		f.window(now).Failed++
 		if f.logging {
 			f.logf("X t=%.3f id=%d reason=failed\n", now, st.id)
 		}
-		f.resolve(st.id, nil, ErrRetries, 0, int32(st.attempts-1))
 	}
 }
 
@@ -299,7 +296,6 @@ func (f *Fleet) resolveCopy(st *reqState, r *simReplica, completion float64) {
 	if f.logging {
 		f.logf("S t=%.3f id=%d r=%s c=%.3f\n", now, st.id, r.name, completion)
 	}
-	f.resolve(st.id, r, nil, latency, int32(st.attempts-1))
 }
 
 // window returns the stats bucket for virtual time t, or a discard sink

@@ -3,6 +3,7 @@ package des
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -323,5 +324,40 @@ func TestAdmissionShedPerClusterSums(t *testing.T) {
 	}
 	if sum != res.AdmissionShed {
 		t.Fatalf("per-cluster admission sheds sum %d != fleet total %d", sum, res.AdmissionShed)
+	}
+}
+
+// NewFleet rejects chaos events the core cannot apply: before, a NaN
+// fail-slow factor ran to completion reporting NaN latencies, and NaN
+// timestamps landed on the heap and counted as applied.
+func TestChaosScheduleValidation(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name string
+		ev   chaos.Event
+		ok   bool
+	}{
+		{"crash", chaos.Event{AtNS: 1e3, Kind: chaos.Crash, Target: "r0"}, true},
+		{"slow restore", chaos.Event{AtNS: 0, Kind: chaos.Slow, Target: "r0", Value: 1}, true},
+		{"link restore", chaos.Event{AtNS: 0, Kind: chaos.Link, Target: "r0"}, true},
+		{"fault clear", chaos.Event{AtNS: 0, Kind: chaos.Faults, Target: "r0"}, true},
+		{"NaN time", chaos.Event{AtNS: nan, Kind: chaos.Crash, Target: "r0"}, false},
+		{"+Inf time", chaos.Event{AtNS: inf, Kind: chaos.Restart, Target: "r0"}, false},
+		{"NaN slow factor", chaos.Event{AtNS: 0, Kind: chaos.Slow, Target: "r0", Value: nan}, false},
+		{"+Inf slow factor", chaos.Event{AtNS: 0, Kind: chaos.Slow, Target: "r0", Value: inf}, false},
+		{"slow factor below 1", chaos.Event{AtNS: 0, Kind: chaos.Slow, Target: "r0", Value: 0.5}, false},
+		{"negative link penalty", chaos.Event{AtNS: 0, Kind: chaos.Link, Target: "r0", Value: -1}, false},
+		{"+Inf link penalty", chaos.Event{AtNS: 0, Kind: chaos.Link, Target: "r0", Value: inf}, false},
+		{"negative fault rate", chaos.Event{AtNS: 0, Kind: chaos.Faults, Target: "r0", Value: -0.1}, false},
+		{"fault rate above 1", chaos.Event{AtNS: 0, Kind: chaos.Faults, Target: "r0", Value: 1.5}, false},
+		{"NaN fault rate", chaos.Event{AtNS: 0, Kind: chaos.Faults, Target: "r0", Value: nan}, false},
+	}
+	for _, c := range cases {
+		cfg := DefaultConfig()
+		cfg.Chaos = chaos.Scripted(c.ev)
+		_, err := NewFleet(cfg, homogeneous(2, 1000, 100)...)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: NewFleet error %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"autohet/internal/chaos"
@@ -95,8 +94,8 @@ func specs16() []fleet.ReplicaSpec {
 	return specs
 }
 
-// runBoth drives the paced runtime (free-running TimeScale) and the DES
-// fleet over the same workload and policy.
+// runBoth drives the paced runtime (at TimeScale 1e-9, effectively
+// unpaced) and the DES fleet over the same workload and policy.
 func runBoth(t *testing.T, policy fleet.Policy, specs []fleet.ReplicaSpec, w fleet.Workload) (*fleet.Result, *des.Result) {
 	t.Helper()
 	gcfg := fleet.DefaultConfig()
@@ -108,7 +107,6 @@ func runBoth(t *testing.T, policy fleet.Policy, specs []fleet.ReplicaSpec, w fle
 		t.Fatal(err)
 	}
 	want, err := fleet.Run(gf, w)
-	gf.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +202,6 @@ func TestCrossCheckBatchedService(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := fleet.Run(gf, w)
-	gf.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +280,6 @@ func TestShardCrossCheckGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := fleet.Run(gf, w)
-	gf.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +333,6 @@ func TestShedParityGoroutineVsDES(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := fleet.Run(gf, w)
-	gf.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +421,6 @@ func TestPacedDriverMatchesCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := fleet.Run(paced, w)
-	paced.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,15 +433,8 @@ func TestPacedDriverMatchesCore(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("paced result %v differs from the core's %v", got, want)
 	}
-	// The paced fleet outlives its run: its health loop keeps sweeping
-	// (logging "V" lines) until Close.
-	tail, ok := bytes.CutPrefix(pacedLog.Bytes(), coreLog.Bytes())
-	if !ok {
-		t.Fatalf("paced event log diverges from the core's (%d vs %d bytes)", pacedLog.Len(), coreLog.Len())
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(tail)), "\n") {
-		if line != "" && !strings.HasPrefix(line, "V t=") {
-			t.Fatalf("paced log continues past the run with %q", line)
-		}
+	// Nothing fires after the run: the logs are equal byte for byte.
+	if !bytes.Equal(pacedLog.Bytes(), coreLog.Bytes()) {
+		t.Fatalf("paced event log differs from the core's (%d vs %d bytes)", pacedLog.Len(), coreLog.Len())
 	}
 }

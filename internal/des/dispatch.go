@@ -76,14 +76,8 @@ func (f *Fleet) arrive(id int, arrival, budget float64) {
 		st.attempts = 1
 		st.live = 1
 	}
-	// A late online submission (arrival behind the clock) joins the queue
-	// now but keeps its arrival for latency and budget.
-	enqueued := arrival
-	if now := f.eng.Now(); now > enqueued {
-		enqueued = now
-	}
 	f.route(r)
-	f.enqueue(r, simReq{id: id, arrival: arrival, budget: budget, enqueued: enqueued, st: st})
+	f.enqueue(r, simReq{id: id, arrival: arrival, budget: budget, enqueued: arrival, st: st})
 	f.armHedge(st)
 }
 
@@ -235,10 +229,9 @@ func (f *Fleet) onStageHop(id int, attempts int32, s int, arrival float64) {
 		if f.logging {
 			f.logf("N t=%.3f id=%d s=%d reason=nostage\n", f.eng.Now(), id, s)
 		}
-		f.resolve(id, nil, ErrNoReplica, 0, attempts)
 		return
 	}
-	f.enqueue(r, simReq{id: id, arrival: arrival, budget: f.budgetOf(id), enqueued: f.eng.Now(), attempts: attempts})
+	f.enqueue(r, simReq{id: id, arrival: arrival, budget: f.budgetNS, enqueued: f.eng.Now(), attempts: attempts})
 }
 
 // repick places a copy re-entering dispatch after it left a queue (stage
@@ -277,7 +270,6 @@ func (f *Fleet) bounce(rq simReq, from *simReplica) {
 		if f.logging {
 			f.logf("X t=%.3f id=%d r=%s reason=noreplica\n", now, rq.id, from.name)
 		}
-		f.resolve(rq.id, from, ErrNoReplica, 0, rq.attempts)
 		return
 	}
 	rq.enqueued = now

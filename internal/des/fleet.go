@@ -11,6 +11,7 @@ import (
 
 	"autohet/internal/chaos"
 	"autohet/internal/des/trace"
+	"autohet/internal/fault"
 	"autohet/internal/obs"
 )
 
@@ -25,10 +26,9 @@ import (
 //     completes in seconds of wall time, and the parallel lanes
 //     (parallel.go) split eligible configurations across cores.
 //   - internal/fleet's runtime holds one Fleet built with NewOnline behind a
-//     mutex, accepts requests one at a time through Submit, and pops each
-//     event when the wall clock reaches virtual time × TimeScale. Its
-//     Run feeds a trace exactly as RunTrace does, so a paced run returns the
-//     unpaced Result.
+//     mutex, starts each trace with Begin and pops each event when the wall
+//     clock reaches virtual time × TimeScale. Its Run feeds the trace
+//     exactly as RunTrace does, so a paced run returns the unpaced Result.
 //
 // Queue depths are virtual under both drivers: a request occupies its
 // admission queue from its arrival until the batch containing it enters the
@@ -61,12 +61,6 @@ type Config struct {
 	// fails). The resilience stack's Retry policy governs resilient
 	// requests instead.
 	MaxRetries int
-	// DegradeThreshold is the uncovered stuck-at cell fault rate at which a
-	// replica's health score reaches zero and it stops taking traffic
-	// (default 0.01). Below the threshold, health falls linearly —
-	// health = 1 − uncoveredRate/DegradeThreshold — and the queue-aware
-	// policies shift traffic away proportionally.
-	DegradeThreshold float64
 	// HealthSweepNS is the virtual-time period of the online health loop:
 	// while any replica has undetected faults, every period each replica
 	// runs one detection/repair sweep (default 1 ms). Negative disables the
@@ -144,15 +138,14 @@ type Config struct {
 // DefaultConfig returns the documented defaults.
 func DefaultConfig() Config {
 	return Config{
-		Policy:           RoundRobin,
-		Clusters:         1,
-		MaxBatch:         1,
-		BatchTimeoutNS:   100_000,
-		QueueDepth:       256,
-		DegradeThreshold: 0.01,
-		HealthSweepNS:    1e6,
-		Seed:             1,
-		ControlPeriodNS:  10e6,
+		Policy:          RoundRobin,
+		Clusters:        1,
+		MaxBatch:        1,
+		BatchTimeoutNS:  100_000,
+		QueueDepth:      256,
+		HealthSweepNS:   1e6,
+		Seed:            1,
+		ControlPeriodNS: 10e6,
 	}
 }
 
@@ -199,12 +192,6 @@ func (c *Config) normalize() error {
 	// Stage hops carry the attempt count in 8 payload bits.
 	if c.MaxRetries < 0 || c.MaxRetries > 255 {
 		return fmt.Errorf("des: max retries %d (want 0..255)", c.MaxRetries)
-	}
-	if c.DegradeThreshold == 0 {
-		c.DegradeThreshold = 0.01
-	}
-	if !(c.DegradeThreshold > 0) || !finite(c.DegradeThreshold) {
-		return fmt.Errorf("des: degrade threshold %v", c.DegradeThreshold)
 	}
 	if c.HealthSweepNS == 0 {
 		c.HealthSweepNS = 1e6
@@ -255,6 +242,13 @@ func (c *Config) normalize() error {
 			return fmt.Errorf("des: stage %d transfer %v ns", i, t)
 		}
 	}
+	if c.Chaos != nil {
+		for i, ev := range c.Chaos.Events {
+			if err := validChaos(ev); err != nil {
+				return fmt.Errorf("des: chaos event %d (%v): %w", i, ev, err)
+			}
+		}
+	}
 	if p := c.Resilience.Retry; p != nil {
 		d := p.WithDefaults()
 		c.Resilience.Retry = &d
@@ -266,6 +260,29 @@ func (c *Config) normalize() error {
 	if p := c.Resilience.Brownout; p != nil {
 		d := p.WithDefaults()
 		c.Resilience.Brownout = &d
+	}
+	return nil
+}
+
+// validChaos rejects a chaos event the core cannot apply: a non-finite
+// timestamp or value, a fail-slow factor below 1 (chaos degrades, it does
+// not overclock), a negative link penalty, or a fault-storm rate no
+// fault.Model accepts.
+func validChaos(ev chaos.Event) error {
+	if !finite(ev.AtNS) || !finite(ev.Value) {
+		return fmt.Errorf("non-finite time or value")
+	}
+	switch ev.Kind {
+	case chaos.Slow:
+		if ev.Value < 1 {
+			return fmt.Errorf("slow factor %v (want >= 1)", ev.Value)
+		}
+	case chaos.Link:
+		if ev.Value < 0 {
+			return fmt.Errorf("link penalty %v ns", ev.Value)
+		}
+	case chaos.Faults:
+		return (&fault.Model{StuckAtZero: ev.Value}).Validate()
 	}
 	return nil
 }
@@ -317,10 +334,9 @@ func (f *Fleet) handle(kind uint16, i int64, x float64, p any) {
 
 // simReq is one queued request copy. enqueued is the virtual time it joined
 // its current queue (== arrival for trace arrivals; stage hops, bounces,
-// retries, hedges and late online submissions carry their re-dispatch
-// time). attempts counts bounces off crashed or degraded replicas. st is nil
-// on the plain path; resilient requests share one reqState across all their
-// copies (see chaos.go).
+// retries and hedges carry their re-dispatch time). attempts counts bounces
+// off crashed or degraded replicas. st is nil on the plain path; resilient
+// requests share one reqState across all their copies (see chaos.go).
 type simReq struct {
 	id       int
 	arrival  float64
@@ -450,7 +466,7 @@ func (c *simCluster) loadScore() float64 {
 // Fleet is the fleet simulator. Build with NewFleet, run one workload with
 // RunTrace (or Run), then read the Result; such a Fleet is single-use and
 // single-goroutine. NewOnline builds the long-lived variant the paced
-// runtime drives (online.go).
+// runtime runs trace after trace on (online.go).
 type Fleet struct {
 	cfg      Config
 	eng      *Engine
@@ -508,15 +524,13 @@ type Fleet struct {
 	totalRequests int
 	nextArrivalAt float64
 
-	// sched is every chaos event the heap can fire: Config.Chaos first,
-	// then events added by ScheduleChaos. sweepArmed marks a pending health
-	// sweep (at most one is ever scheduled).
+	// sched is the Config.Chaos events the heap fires. sweepArmed marks a
+	// pending health sweep (at most one is ever scheduled).
 	sched      []chaos.Event
 	sweepArmed bool
 
-	// Online-driver state (online.go); zero for trace-fed fleets.
-	online  *onlineState
-	budgets map[int]float64 // per-request budgets of online submissions, by id
+	// Online-driver state (online.go); nil for trace-fed fleets.
+	online *onlineState
 
 	// Parallel-lane state (see parallel.go). specs is retained on parent
 	// fleets so the coordinator can build lane sub-fleets; the lane* fields
@@ -561,7 +575,7 @@ type runBase struct {
 }
 
 // NewFleet builds the simulator. ReplicaSpec.Faults sets the starting
-// fault ledger (health 1 − uncoveredRate/DegradeThreshold after one
+// fault ledger (health 1 − uncoveredRate/degradeThreshold after one
 // immediate sweep); ReplicaSpec.Repair arms the online repair loop.
 func NewFleet(cfg Config, specs ...ReplicaSpec) (*Fleet, error) {
 	if err := cfg.normalize(); err != nil {
@@ -616,7 +630,7 @@ func NewFleet(cfg Config, specs ...ReplicaSpec) (*Fleet, error) {
 			rs := *spec.Repair
 			r.ledger = &faultLedger{repair: &rs}
 		}
-		r.inject(spec.Faults, name, cfg.DegradeThreshold)
+		r.inject(spec.Faults, name)
 		// A batch service holds the engine for BaseNS + kept·PerInputNS, a
 		// pipeline overlaps drain with the next batch (occBase 0).
 		if s := spec.Service; s != nil {
@@ -787,8 +801,8 @@ func (f *Fleet) fireArrival(id int) {
 type Result struct {
 	Offered    int
 	Completed  int
-	Shed       int // refused at admission: every healthy queue full (ErrShed)
-	Unroutable int // refused at admission: no healthy replica (ErrNoReplica)
+	Shed       int // refused at admission: every healthy queue full
+	Unroutable int // refused at admission: no healthy replica
 	Expired    int // accepted but dropped for missing their budget
 	Failed     int // accepted but undeliverable (retries exhausted)
 	Retried    int // re-dispatches after a lost copy (bounces and retries)

@@ -9,15 +9,20 @@ import (
 )
 
 // Replica health: fault injection, the online detect/repair loop, and the
-// one switch that applies a chaos event. The core's replicas and the
-// parallel coordinator's shadow both hold a replicaHealth, so a chaos
-// event's effect on routing is written once.
+// one switch that applies a chaos event, so a chaos event's effect on
+// routing is written once.
+
+// degradeThreshold is the uncovered stuck-at cell fault rate at which a
+// replica's health score reaches zero and it stops taking traffic. Below
+// it, health falls linearly — 1 − uncoveredRate/degradeThreshold — and the
+// queue-aware policies shift traffic away proportionally.
+const degradeThreshold = 0.01
 
 // replicaHealth is everything chaos events, fault injection and repair
 // sweeps change on one replica. Fault rates are stuck-at cell fractions.
 type replicaHealth struct {
 	crashed bool // fail-stopped: takes no traffic until restarted
-	// health is 1 − (pending+uncovered)/DegradeThreshold clamped to [0,1]:
+	// health is 1 − (pending+uncovered)/degradeThreshold clamped to [0,1]:
 	// 1 pristine, 0 degraded (takes no traffic). Queue-aware policies
 	// divide by it, so a half-healthy replica looks twice as loaded.
 	health float64
@@ -61,7 +66,7 @@ func replicaSeed(name string, seed int64) int64 {
 // everything and repairs nothing, so health lands at 1 − rate/threshold at
 // once; with one, the first sweep repairs what it detects and the health
 // loop keeps sweeping the missed residue.
-func (h *replicaHealth) inject(m *fault.Model, name string, threshold float64) {
+func (h *replicaHealth) inject(m *fault.Model, name string) {
 	old := h.ledger
 	if old == nil && m == nil {
 		h.health = 1
@@ -80,14 +85,14 @@ func (h *replicaHealth) inject(m *fault.Model, name string, threshold float64) {
 		l.spareLeft = l.repair.Capacity
 	}
 	h.ledger = l
-	h.sweep(threshold)
+	h.sweep()
 }
 
 // sweep runs one detection/repair pass: detect (1−miss) of the pending
 // faults, repair them from the remaining spare capacity, mask the overflow
 // into the uncovered residue, and refresh the health score. A sweep never
 // lowers health. It reports whether it detected anything.
-func (h *replicaHealth) sweep(threshold float64) bool {
+func (h *replicaHealth) sweep() bool {
 	l := h.ledger
 	if l == nil {
 		return false
@@ -103,7 +108,7 @@ func (h *replicaHealth) sweep(threshold float64) bool {
 		l.uncovered += detected - repaired
 		l.repairs++
 	}
-	h.health = math.Min(1, math.Max(0, 1-(l.pending+l.uncovered)/threshold))
+	h.health = math.Min(1, math.Max(0, 1-(l.pending+l.uncovered)/degradeThreshold))
 	return detected > 0
 }
 
@@ -114,7 +119,7 @@ func (h *replicaHealth) pending() bool { return h.ledger != nil && h.ledger.pend
 // effect (crashing a crashed replica or restarting a running one does
 // not). A fault storm lands as an injected stuck-at-0 model seeded with the
 // fleet seed, healed by the repair loop like any other injection.
-func (h *replicaHealth) apply(ev chaos.Event, name string, seed int64, threshold float64) bool {
+func (h *replicaHealth) apply(ev chaos.Event, name string, seed int64) bool {
 	switch ev.Kind {
 	case chaos.Crash:
 		if h.crashed {
@@ -127,15 +132,15 @@ func (h *replicaHealth) apply(ev chaos.Event, name string, seed int64, threshold
 		}
 		h.crashed = false
 	case chaos.Slow:
-		h.slow = math.Max(1, ev.Value)
+		h.slow = ev.Value
 	case chaos.Link:
-		h.link = math.Max(0, ev.Value)
+		h.link = ev.Value
 	case chaos.Faults:
 		var m *fault.Model
 		if ev.Value > 0 {
 			m = &fault.Model{StuckAtZero: ev.Value, Seed: seed}
 		}
-		h.inject(m, name, threshold)
+		h.inject(m, name)
 	default:
 		return false
 	}
@@ -156,7 +161,7 @@ func (f *Fleet) InjectFault(name string, m *fault.Model) error {
 		return fmt.Errorf("fleet: no replica %q", name)
 	}
 	was := r.routable()
-	r.inject(m, r.name, f.cfg.DegradeThreshold)
+	r.inject(m, r.name)
 	if f.logging {
 		f.logf("I t=%.3f r=%s rate=%g h=%.6f\n", f.eng.Now(), r.name, m.CellFaultRate(), r.health)
 	}
@@ -183,7 +188,7 @@ func (f *Fleet) Sweep() { f.sweepAll() }
 // sweepAll is Sweep, reporting whether any replica detected faults.
 func (f *Fleet) sweepAll() (detected bool) {
 	for _, r := range f.replicas {
-		if r.sweep(f.cfg.DegradeThreshold) {
+		if r.sweep() {
 			detected = true
 		}
 	}

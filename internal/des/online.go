@@ -11,108 +11,45 @@ import (
 	"autohet/internal/obs"
 )
 
-// Online mode: the same state machine driven request by request. A driver
+// Online mode: the same state machine on a long-lived fleet. A driver
 // (internal/fleet's wall-clock pacer) builds the fleet with NewOnline,
-// submits requests as they come, pops events as its clock reaches them,
-// and may inject faults, apply chaos events and run whole traces (Begin /
-// Finished) on one long-lived fleet. The driver serializes every call; the
-// core never blocks or sleeps.
+// starts each trace run with Begin, pops its events with Next and Step as
+// its clock reaches them until Finished hands back the Result, and may
+// inject faults or sweep between and during runs. The driver serializes
+// every call; the core never blocks or sleeps.
 
 // onlineState is what only an online fleet carries.
 type onlineState struct {
-	lock   sync.Locker             // the driver's lock; metric gauges read replica state under it
-	notify func(id int, o Outcome) // resolution callback for every accepted request
-	hist   obs.Histogram           // fleet-wide served latency over the fleet's life
-	rhist  []obs.Histogram         // the same per replica
+	lock  sync.Locker     // the driver's lock; metric gauges read replica state under it
+	hist  obs.Histogram   // fleet-wide served latency over the fleet's life
+	rhist []obs.Histogram // the same per replica
 
-	run     bool      // a Begin'd trace is in flight (its exact latencies are kept)
+	run     bool      // a Begin'd trace is in flight
 	runN    int       // its request count
 	runWall time.Time // its wall-clock start
 }
 
-// NewOnline builds a fleet for a request-at-a-time driver. notify receives
-// every accepted request's outcome the moment the core decides it; lock is
-// the driver's lock, taken by the autohet_fleet_* gauges while they read
-// replica state. All other calls must hold lock.
-func NewOnline(cfg Config, lock sync.Locker, notify func(id int, o Outcome), specs ...ReplicaSpec) (*Fleet, error) {
+// NewOnline builds a fleet for a driver that runs traces on it one after
+// another. lock is the driver's lock, taken by the autohet_fleet_* gauges
+// while they read replica state. All other calls must hold lock.
+func NewOnline(cfg Config, lock sync.Locker, specs ...ReplicaSpec) (*Fleet, error) {
 	f, err := NewFleet(cfg, specs...)
 	if err != nil {
 		return nil, err
 	}
-	f.online = &onlineState{lock: lock, notify: notify, rhist: make([]obs.Histogram, len(f.replicas))}
-	if f.cfg.Shards > 1 {
-		f.budgets = map[int]float64{}
-	}
+	f.online = &onlineState{lock: lock, rhist: make([]obs.Histogram, len(f.replicas))}
 	f.registerFleetMetrics()
-	f.armSweep()
 	return f, nil
 }
 
-// record keeps one served latency: in the run's exact list for trace
-// runs, in the lifetime histograms for online fleets.
+// record keeps one served latency: in the run's exact list, and for online
+// fleets in the lifetime histograms too.
 func (f *Fleet) record(r *simReplica, latency float64) {
 	if o := f.online; o != nil {
 		o.hist.Observe(latency)
 		o.rhist[r.id].Observe(latency)
-		if !o.run {
-			return
-		}
 	}
 	f.latencies = append(f.latencies, latency)
-}
-
-// resolve reports an accepted request's outcome to an online driver.
-func (f *Fleet) resolve(id int, r *simReplica, err error, latency float64, attempts int32) {
-	if o := f.online; o != nil {
-		o.resolve(f, id, r, err, latency, attempts)
-	}
-}
-
-func (o *onlineState) resolve(f *Fleet, id int, r *simReplica, err error, latency float64, attempts int32) {
-	if f.budgets != nil {
-		delete(f.budgets, id)
-	}
-	out := Outcome{Err: err, LatencyNS: latency, Retries: int(attempts)}
-	if r != nil {
-		out.Replica = r.name
-	}
-	o.notify(id, out)
-}
-
-// budgetOf is the latency budget of request id (online submissions carry
-// their own; trace requests share the run's).
-func (f *Fleet) budgetOf(id int) float64 {
-	if b, ok := f.budgets[id]; ok {
-		return b
-	}
-	return f.budgetNS
-}
-
-// Submit admits one request with driver-chosen id (unique among accepted
-// requests and negative, so it never collides with trace ids). The core
-// first fires every event up to arrivalNS; a request whose arrival is
-// already behind the clock joins its queue now but keeps arrivalNS for
-// latency and budget. It returns ErrShed or ErrNoReplica for a refused
-// request; an accepted one resolves later through notify (possibly before
-// Submit returns).
-func (f *Fleet) Submit(id int, arrivalNS, budgetNS float64) error {
-	if arrivalNS > f.eng.Now() {
-		f.eng.RunUntil(arrivalNS)
-	}
-	if f.budgets != nil {
-		f.budgets[id] = budgetNS
-	}
-	shed, unroutable := f.shed.Load(), f.unroutable.Load()
-	f.arrive(id, arrivalNS, budgetNS)
-	switch {
-	case f.unroutable.Load() != unroutable:
-		delete(f.budgets, id)
-		return ErrNoReplica
-	case f.shed.Load() != shed:
-		delete(f.budgets, id)
-		return ErrShed
-	}
-	return nil
 }
 
 // Next reports the virtual time of the earliest pending event.
@@ -121,26 +58,19 @@ func (f *Fleet) Next() (at float64, ok bool) { return f.eng.PeekAt() }
 // Step fires the earliest pending event.
 func (f *Fleet) Step() bool { return f.eng.Step() }
 
-// Outstanding counts accepted requests not yet resolved.
-func (f *Fleet) Outstanding() int64 {
-	return f.submitted.Load() - f.shed.Load() - f.unroutable.Load() -
-		f.completed.Load() - f.expired.Load() - f.failed.Load()
-}
-
 // Begin starts a trace run on a fresh timeline: virtual time restarts at
 // 0, pipelines are free, the dispatch sampler and round-robin cursors
 // return to their seeds and the client-side resilience state (breakers,
 // retry budget, hedge latency history) to new — so back-to-back runs on one
-// fleet replay identically — while health, faults and crashes carry over. Pending
-// ScheduleChaos events stay with the old timeline. The fleet must have no
-// outstanding requests.
+// fleet replay identically — while health, faults and crashes carry over.
+// One run is in flight at a time.
 func (f *Fleet) Begin(gen trace.Generator, requests int, budgetNS float64) error {
 	o := f.online
 	if requests <= 0 {
 		return fmt.Errorf("des: request count %d", requests)
 	}
-	if n := f.Outstanding(); n != 0 {
-		return fmt.Errorf("des: %d requests still outstanding", n)
+	if o.run {
+		return fmt.Errorf("des: a run is already in flight")
 	}
 	f.eng = New()
 	f.eng.SetHandler(f.handle)
@@ -189,46 +119,6 @@ func (f *Fleet) Finished() (*Result, error) {
 	res := f.compileResult(o.runN, f.eng.Events(), time.Since(o.runWall))
 	f.latencies = nil
 	return res, res.Check()
-}
-
-// ScheduleChaos replays a schedule on the heap from now on: each event
-// fires at its virtual timestamp on the current timeline (Begin starts a
-// new one, leaving unfired events behind). Events naming unknown replicas
-// are skipped when they fire. The returned cancel drops the events not yet
-// fired; call it under the driver's lock.
-func (f *Fleet) ScheduleChaos(sched *chaos.Schedule) (cancel func()) {
-	eng := f.eng
-	var pending []Handle
-	if sched != nil {
-		for _, ev := range sched.Events {
-			f.sched = append(f.sched, ev)
-			pending = append(pending, eng.AtEvent(ev.AtNS, evChaos, int64(len(f.sched)-1), 0, nil))
-		}
-	}
-	return func() {
-		for _, h := range pending {
-			eng.Cancel(h)
-		}
-	}
-}
-
-// Apply executes one chaos event now. Unlike scheduled events it rejects a
-// target the fleet does not have.
-func (f *Fleet) Apply(ev chaos.Event) error {
-	if f.replicaByName(ev.Target) == nil {
-		return fmt.Errorf("fleet: no replica %q", ev.Target)
-	}
-	f.applyChaos(ev)
-	return nil
-}
-
-// ReplicaNames returns the replica names in construction order.
-func (f *Fleet) ReplicaNames() []string {
-	names := make([]string, len(f.replicas))
-	for i, r := range f.replicas {
-		names[i] = r.name
-	}
-	return names
 }
 
 // Snapshot returns a point-in-time view of the fleet and its replicas

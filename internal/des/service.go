@@ -105,7 +105,6 @@ func (f *Fleet) executeBatch(r *simReplica, take int, timedOut bool) {
 				if f.logging {
 					f.logf("X t=%.3f id=%d r=%s reason=budget\n", f.eng.Now(), rq.id, r.name)
 				}
-				f.resolve(rq.id, r, ErrDeadline, 0, rq.attempts)
 			}
 			continue
 		}
@@ -143,7 +142,6 @@ func (f *Fleet) executeBatch(r *simReplica, take int, timedOut bool) {
 			if f.logging {
 				f.logf("S t=%.3f id=%d r=%s e=%.3f c=%.3f\n", f.eng.Now(), rq.id, r.name, entry, completion)
 			}
-			f.resolve(rq.id, r, nil, latency, rq.attempts)
 		}
 		kept++
 	}

@@ -1,7 +1,6 @@
 package des
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -13,9 +12,9 @@ import (
 )
 
 // The fleet's vocabulary: dispatch policies, replica specs, workloads and
-// request outcomes. internal/fleet re-exports these as aliases, so both
-// drivers of the one core (the trace-fed RunTrace and the wall-clock paced
-// fleet runtime) speak the same types.
+// snapshots. internal/fleet re-exports these as aliases, so both drivers of
+// the one core (the trace-fed RunTrace and the wall-clock paced fleet
+// runtime) speak the same types.
 
 // Policy names a dispatcher load-balancing policy.
 type Policy string
@@ -50,35 +49,6 @@ func ParsePolicy(s string) (Policy, error) {
 		return PowerOfTwo, nil
 	}
 	return "", fmt.Errorf("fleet: unknown policy %q (have %v)", s, Policies)
-}
-
-// Request outcomes and admission errors.
-var (
-	// ErrShed rejects a submission when every healthy admission queue is
-	// full (backpressure).
-	ErrShed = errors.New("fleet: shed, all admission queues full")
-	// ErrNoReplica means no healthy replica exists (all degraded).
-	ErrNoReplica = errors.New("fleet: no healthy replica")
-	// ErrDeadline resolves an accepted request whose completion would
-	// overshoot its latency budget.
-	ErrDeadline = errors.New("fleet: latency budget exceeded")
-	// ErrRetries resolves a request bounced off degraded replicas more than
-	// Config.MaxRetries times.
-	ErrRetries = errors.New("fleet: retries exhausted")
-)
-
-// Outcome resolves one accepted request.
-type Outcome struct {
-	// Err is nil for a served request, ErrDeadline for a dropped one, and
-	// ErrRetries/ErrNoReplica when retry routing ran out of replicas.
-	Err error
-	// LatencyNS is the virtual end-to-end latency (arrival → completion)
-	// of a served request.
-	LatencyNS float64
-	// Replica names the replica that resolved the request.
-	Replica string
-	// Retries counts re-dispatches off degraded replicas.
-	Retries int
 }
 
 // RepairSpec configures a replica's online self-repair: how much stuck-cell
@@ -160,7 +130,7 @@ type ReplicaSpec struct {
 	Plan *accel.Plan
 	// Faults optionally injects device non-idealities from the start; the
 	// stuck-at cell rate left uncovered after repair, measured against
-	// Config.DegradeThreshold, sets the replica's health score.
+	// the degrade threshold (1%), sets the replica's health score.
 	Faults *fault.Model
 	// Repair enables online self-repair: detection sweeps (every
 	// Config.HealthSweepNS of virtual time, or Fleet.Sweep) move pending
@@ -202,7 +172,7 @@ type ReplicaSnapshot struct {
 	// Stage is the pipeline stage the replica serves (0 without sharding).
 	Stage int
 	// Health is the continuous health score in [0,1]: 1 − uncovered fault
-	// rate over Config.DegradeThreshold. Queue-aware dispatch weights by
+	// rate over the 1% degrade threshold. Queue-aware dispatch weights by
 	// it; Degraded reports the score having reached zero (or a crash).
 	Health   float64
 	Degraded bool

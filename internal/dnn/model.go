@@ -171,15 +171,6 @@ func (m *Model) TotalWeights() int64 {
 	return total
 }
 
-// TotalMACs returns the model's per-inference MAC count.
-func (m *Model) TotalMACs() int64 {
-	var total int64
-	for _, l := range m.mappable {
-		total += l.MACs()
-	}
-	return total
-}
-
 // String summarizes the model.
 func (m *Model) String() string {
 	return fmt.Sprintf("%s: %d layers (%d mappable), %d weights, input %dx%dx%d",

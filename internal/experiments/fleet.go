@@ -115,7 +115,6 @@ func (s *Suite) fleetPolicies(homo, het fleetDesign) (*report.Table, error) {
 			Requests:    4000,
 			Seed:        s.Seed,
 		})
-		f.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +157,6 @@ func (s *Suite) fleetEqualArea(homo, het fleetDesign) (*report.Table, error) {
 		}
 		res, err := fleet.Run(f, fleet.Workload{ArrivalRate: rate, Requests: 4000, Seed: s.Seed})
 		snap := f.Snapshot()
-		f.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +203,6 @@ func (s *Suite) fleetFaults(homo fleetDesign) (*report.Table, error) {
 	}
 	res, err := fleet.Run(f, w)
 	snap := f.Snapshot()
-	f.Close()
 	if err != nil {
 		return nil, err
 	}

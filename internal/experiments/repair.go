@@ -128,7 +128,6 @@ func (s *Suite) repairStorm() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 
 	t := &report.Table{
 		Title: "Extension — fleet fault storm with online self-repair (3 replicas, 90% load)",

@@ -112,9 +112,9 @@ func (s *Suite) Shard() (*report.Table, error) {
 	return t, nil
 }
 
-// runShardedFleet runs one free-running workload on the paced runtime
-// (fleet.Run returns the unpaced core's Result, so a free clock only keeps
-// the sweep fast).
+// runShardedFleet runs one workload on the paced runtime at a tiny time
+// scale (fleet.Run returns the unpaced core's Result, so the scale only
+// keeps the sweep fast).
 func runShardedFleet(w fleet.Workload, shards int, transfers []float64, seed int64, specs ...fleet.ReplicaSpec) (*fleet.Result, error) {
 	cfg := fleet.DefaultConfig()
 	cfg.TimeScale = 1e-9
@@ -126,7 +126,6 @@ func runShardedFleet(w fleet.Workload, shards int, transfers []float64, seed int
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	return fleet.Run(f, w)
 }
 

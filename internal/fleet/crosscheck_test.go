@@ -16,7 +16,7 @@ import (
 // pipelined recurrence (entry = max(arrival, previous entry + interval),
 // completion = entry + fill), and fleet.Run replays serving's arrival trace
 // for the same seed. The distributions must therefore agree to floating-point
-// noise, independent of goroutine scheduling — the accounting is virtual-time.
+// noise, independent of wall-clock pacing — the accounting is virtual-time.
 func crossCheck(t *testing.T, pr *sim.PipelineResult, load float64, requests int, seed int64) {
 	t.Helper()
 	w := serving.Workload{ArrivalRate: load * 1e9 / pr.IntervalNS, Requests: requests, Seed: seed}
@@ -26,19 +26,12 @@ func crossCheck(t *testing.T, pr *sim.PipelineResult, load float64, requests int
 	}
 
 	cfg := DefaultConfig()
-	cfg.TimeScale = 1e-9 // free-running: pacing off, accounting unchanged
+	cfg.TimeScale = 1e-9 // never sleeps; the accounting is unchanged
 	// The admission queue holds the whole trace, as serving.Serve's
 	// unbounded queue does, to rule out shedding.
 	cfg.QueueDepth = requests
-	f, err := New(cfg, ReplicaSpec{Name: "solo", Pipeline: pr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(f, Workload{ArrivalRate: w.ArrivalRate, Requests: requests, Seed: seed})
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := mustNew(t, cfg, ReplicaSpec{Name: "solo", Pipeline: pr})
+	got := mustRun(t, f, Workload{ArrivalRate: w.ArrivalRate, Requests: requests, Seed: seed})
 
 	if got.Completed != want.Completed || got.Shed != 0 {
 		t.Fatalf("fleet completed %d (shed %d), serving completed %d",

@@ -12,7 +12,7 @@ import (
 // manualSweeps disables the background health loop so tests step repair
 // deterministically with Fleet.Sweep.
 func manualSweeps() Config {
-	cfg := freeRunning()
+	cfg := unpaced()
 	cfg.HealthSweepNS = -1
 	return cfg
 }
@@ -20,13 +20,9 @@ func manualSweeps() Config {
 // Replicas given the same fault model must fail on independent cells, as
 // real chips do: the replica identity is mixed into the model's seed.
 func TestReplicaFaultSeedsDecorrelated(t *testing.T) {
-	f, err := New(manualSweeps(),
+	f := mustNew(t, manualSweeps(),
 		ReplicaSpec{Name: "a", Pipeline: fastPipeline()},
 		ReplicaSpec{Name: "b", Pipeline: fastPipeline()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	m := &fault.Model{StuckAtZero: 0.05, Seed: 42}
 	for _, name := range []string{"a", "b"} {
 		if err := f.InjectFault(name, m); err != nil {
@@ -87,59 +83,43 @@ func TestHealthWeightedDispatch(t *testing.T) {
 	// health = 1 − rate/0.01, so these rates leave b at 0.4 and 0.5.
 	at04 := &fault.Model{StuckAtZero: 0.006}
 	at05 := &fault.Model{StuckAtZero: 0.005}
-	done := make(chan Outcome, 64)
 
-	// Empty queues (arrivals far apart on a free-running fleet): the sick
-	// replica scores 1/0.4 = 2.5 vs 1 — avoid it.
-	cfg := manualSweeps()
-	cfg.Policy = JoinShortestQueue
+	// Empty queues (arrivals far apart): the sick replica scores 1/0.4 =
+	// 2.5 vs 1 — avoid it.
+	cfg := frozen(JoinShortestQueue, 1)
 	jsq := mustNew(t, cfg, ab...)
 	if err := jsq.InjectFault("b", at04); err != nil {
 		t.Fatal(err)
 	}
-	submit(t, jsq, 0, done)
-	jsq.Close()
-	if got := (<-done).Replica; got != "a" {
+	runScript(t, jsq, 0, 0)
+	if got := outcomes(t, jsq)[0].replica; got != "a" {
 		t.Fatalf("jsq with sick b picked %q, want a", got)
 	}
 
 	// But pile 3 requests onto a (score 4) and the sick replica at 2.5
 	// takes traffic again: smooth shift, not a cliff.
-	jsq = mustNew(t, frozen(JoinShortestQueue, 64), ab...)
-	stageQueues(t, jsq, []int{3, 0}, done)
-	if err := jsq.InjectFault("b", at04); err != nil {
-		t.Fatal(err)
+	for _, policy := range []Policy{JoinShortestQueue, LeastOutstanding} {
+		f := mustNew(t, frozen(policy, 64), ab...)
+		s := stage(t, f, 4)
+		s.queues([]int{3, 0})
+		if err := f.InjectFault("b", at04); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.lastPick(); got != "b" {
+			t.Fatalf("%s with a loaded picked %q, want the half-healthy b (score 2.5 vs 4)", policy, got)
+		}
 	}
-	if got := lastPick(t, jsq, done); got != "b" {
-		t.Fatalf("jsq with a loaded picked %q, want the half-healthy b", got)
-	}
-	release(t, jsq)
-
-	lo := mustNew(t, frozen(LeastOutstanding, 64), ab...)
-	stageQueues(t, lo, []int{3, 0}, done)
-	if err := lo.InjectFault("b", at04); err != nil {
-		t.Fatal(err)
-	}
-	if got := lastPick(t, lo, done); got != "b" {
-		t.Fatalf("least-outstanding picked %q, want b (score 2.5 vs 4)", got)
-	}
-	release(t, lo)
 
 	// Two replicas: p2c always samples both; equal (empty) queues, so
 	// health decides every draw.
-	cfg.Policy = PowerOfTwo
-	p2c := mustNew(t, cfg, ab...)
+	p2c := mustNew(t, frozen(PowerOfTwo, 1), ab...)
 	if err := p2c.InjectFault("b", at05); err != nil {
 		t.Fatal(err)
 	}
-	draws := make(chan Outcome, 16)
-	for i := 0; i < 16; i++ {
-		submit(t, p2c, float64(i)*1e6, draws)
-	}
-	p2c.Close()
-	for i := 0; i < 16; i++ {
-		if got := (<-draws).Replica; got != "a" {
-			t.Fatalf("p2c draw %d picked %q, want a", i, got)
+	runScript(t, p2c, 0, ramp(16, 0, 1e6)...)
+	for id, o := range outcomes(t, p2c) {
+		if o.replica != "a" {
+			t.Fatalf("p2c draw %d picked %q, want a", id, o.replica)
 		}
 	}
 }
@@ -149,15 +129,11 @@ func TestHealthWeightedDispatch(t *testing.T) {
 // half (health 0), then each manual sweep halves the pending residue:
 // health 0.5, 0.75, 0.875, ... → recovered without clearing the fault.
 func TestSelfHealingSweepRecurrence(t *testing.T) {
-	f, err := New(manualSweeps(), ReplicaSpec{
+	f := mustNew(t, manualSweeps(), ReplicaSpec{
 		Name:     "a",
 		Pipeline: fastPipeline(),
 		Repair:   &RepairSpec{Capacity: 0.05, MissRate: 0.5},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	if err := f.InjectFault("a", &fault.Model{StuckAtZero: 0.02, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -182,15 +158,11 @@ func TestSelfHealingSweepRecurrence(t *testing.T) {
 
 	// Exhausted capacity: the overflow is masked into a permanent
 	// uncovered residue that sweeps cannot clear.
-	f2, err := New(manualSweeps(), ReplicaSpec{
+	f2 := mustNew(t, manualSweeps(), ReplicaSpec{
 		Name:     "a",
 		Pipeline: fastPipeline(),
 		Repair:   &RepairSpec{Capacity: 0.004},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
 	if err := f2.InjectFault("a", &fault.Model{StuckAtOne: 0.02}); err != nil {
 		t.Fatal(err)
 	}
@@ -203,24 +175,19 @@ func TestSelfHealingSweepRecurrence(t *testing.T) {
 
 	// Partial residue: capacity absorbs all but 0.5× threshold → health
 	// settles at 0.5, and the replica keeps taking (reduced) traffic.
-	f3, err := New(manualSweeps(), ReplicaSpec{
+	f3 := mustNew(t, manualSweeps(), ReplicaSpec{
 		Name:     "a",
 		Pipeline: fastPipeline(),
 		Repair:   &RepairSpec{Capacity: 0.015},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f3.Close()
 	if err := f3.InjectFault("a", &fault.Model{StuckAtZero: 0.02}); err != nil {
 		t.Fatal(err)
 	}
 	if h := f3.Snapshot().Replicas[0].Health; math.Abs(h-0.5) > 1e-12 {
 		t.Fatalf("health %v, want 0.5 (0.5%% masked residue)", h)
 	}
-	done := make(chan Outcome, 1)
-	if err := f3.Submit(NewRequest(0, 0, done)); err != nil {
-		t.Fatalf("half-healthy replica must stay in rotation: %v", err)
+	if res := mustRun(t, f3, Workload{ArrivalRate: 1e6, Requests: 1}); res.Completed != 1 {
+		t.Fatalf("half-healthy replica must stay in rotation: %v", res)
 	}
 
 	// Invalid repair specs are rejected at construction.
@@ -237,38 +204,31 @@ func TestSelfHealingSweepRecurrence(t *testing.T) {
 }
 
 // The background health loop heals without manual stepping: after a storm,
-// health climbs back above 0.9 within a few sweep periods of virtual time
-// while the fleet keeps serving. A free-running fleet's sweeps fire as the
-// submitter's arrival stamps pass them.
+// health climbs back above 0.9 within ten sweep periods of virtual time
+// while the fleet keeps serving every request.
 func TestOnlineHealthLoopHealsUnderTraffic(t *testing.T) {
-	cfg := freeRunning()
+	cfg := unpaced()
 	cfg.Policy = JoinShortestQueue
-	f, err := New(cfg,
+	f := mustNew(t, cfg,
 		ReplicaSpec{Name: "a", Pipeline: fastPipeline(), Repair: &RepairSpec{Capacity: 0.05, MissRate: 0.3}},
 		ReplicaSpec{Name: "b", Pipeline: fastPipeline(), Repair: &RepairSpec{Capacity: 0.05, MissRate: 0.3}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := f.InjectFault("b", &fault.Model{StuckAtZero: 0.03, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	// 100k rps against 20M rps of capacity, for at most ten sweep periods.
-	const gap = 1e4
-	limit := 10 * cfg.HealthSweepNS
-	done := make(chan Outcome, int(limit/gap)+1)
-	n := 0
-	for at := 0.0; f.Snapshot().Replicas[1].Health <= 0.9; at += gap {
-		if at > limit {
-			t.Fatalf("health loop did not heal b by %v ns: %v", limit, f.Snapshot().Replicas[1].Health)
-		}
-		if err := f.Submit(NewRequest(at, 0, done)); err != nil {
-			t.Fatal(err)
-		}
-		n++
+	if h := f.Snapshot().Replicas[1].Health; h > 0.9 {
+		t.Fatalf("storm left b at health %v", h)
 	}
-	f.Close()
-	if s := f.Snapshot(); s.Submitted != int64(n) || s.Completed != int64(n) {
-		t.Fatalf("requests lost during healing: %d submitted, %v", n, s)
+	// 100k rps against 20M rps of capacity for about ten sweep periods.
+	const n = 1000
+	res := mustRun(t, f, Workload{ArrivalRate: 1e5, Requests: n})
+	if h := f.Snapshot().Replicas[1].Health; h <= 0.9 {
+		t.Fatalf("health loop did not heal b over %.3g ns: health %v", res.VirtualNS, h)
+	}
+	if res.VirtualNS > 10*cfg.HealthSweepNS*1.5 {
+		t.Fatalf("run spanned %v ns, not about ten sweep periods", res.VirtualNS)
+	}
+	if res.Completed != n {
+		t.Fatalf("requests lost during healing: %v", res)
 	}
 }
 
@@ -276,27 +236,19 @@ func TestOnlineHealthLoopHealsUnderTraffic(t *testing.T) {
 // fault storm mid-life, self-repairs over sweeps, and post-repair
 // throughput recovers to ≥90% of the pre-fault steady state.
 func TestFaultStormThroughputRecovers(t *testing.T) {
-	// Paced in real time so queueing dynamics are genuine: free running
-	// would deliver every arrival in one wall instant and turn the run into
-	// a pure queue-capacity test. The 200 µs service interval dwarfs
-	// per-request scheduling overhead (which the race detector inflates to
-	// tens of µs), so wall noise cannot masquerade as lost capacity.
-	cfg := DefaultConfig()
+	// Queueing is virtual-time, so the run is unpaced: Run returns the same
+	// Result at any time scale.
+	cfg := unpaced()
 	cfg.HealthSweepNS = -1
 	cfg.Policy = JoinShortestQueue
-	cfg.TimeScale = 1
 	pr := func() *sim.PipelineResult {
 		return &sim.PipelineResult{FillNS: 1e6, IntervalNS: 200_000}
 	}
 	rs := func() *RepairSpec { return &RepairSpec{Capacity: 0.05, MissRate: 0.5} }
-	f, err := New(cfg,
+	f := mustNew(t, cfg,
 		ReplicaSpec{Name: "a", Pipeline: pr(), Repair: rs()},
 		ReplicaSpec{Name: "b", Pipeline: pr(), Repair: rs()},
 		ReplicaSpec{Name: "c", Pipeline: pr(), Repair: rs()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	// Aggregate capacity 3×5k rps; offer 13.5k (90%) for ~90 ms per phase.
 	w := Workload{ArrivalRate: 13.5e3, Requests: 1200, Seed: 9}
 

@@ -1,16 +1,18 @@
 package fleet
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"autohet/internal/sim"
 )
 
-// shardedConfig is a free-running two-stage pipeline config with a priced
-// transfer between the stages.
+// shardedConfig is an unpaced k-stage pipeline config with priced
+// transfers between the stages; it logs to a buffer for outcomes.
 func shardedConfig(k int, transfers ...float64) Config {
-	cfg := freeRunning()
+	cfg := unpaced()
+	cfg.Log = &bytes.Buffer{}
 	cfg.Shards = k
 	cfg.StageTransferNS = transfers
 	return cfg
@@ -22,23 +24,13 @@ func shardedConfig(k int, transfers ...float64) Config {
 // stage 1 after the transfer, and resolves with latency measured from its
 // original arrival.
 func TestShardedChainRecurrence(t *testing.T) {
-	f, err := New(shardedConfig(2, 10),
+	f := mustNew(t, shardedConfig(2, 10),
 		ReplicaSpec{Pipeline: &sim.PipelineResult{FillNS: 1000, IntervalNS: 100}},
 		ReplicaSpec{Pipeline: &sim.PipelineResult{FillNS: 600, IntervalNS: 200}},
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 40
-	done := make(chan Outcome, n)
-	arrivals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		arrivals[i] = float64(i) * 50
-		if err := f.Submit(NewRequest(arrivals[i], 0, done)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.Close()
+	arrivals := ramp(n, 0, 50)
+	res := runScript(t, f, 0, arrivals...)
 
 	// Model the chain: stage 0 (fill 1000, interval 100), transfer 10,
 	// stage 1 (fill 600, interval 200). Requests traverse in FIFO order.
@@ -55,15 +47,13 @@ func TestShardedChainRecurrence(t *testing.T) {
 		want[c1-a]++
 	}
 	got := map[float64]int{}
-	for i := 0; i < n; i++ {
-		out := <-done
-		if out.Err != nil {
-			t.Fatal(out.Err)
+	for _, l := range res.LatenciesNS {
+		got[l]++
+	}
+	for id, o := range outcomes(t, f) {
+		if o.end != "served" || o.replica != "r1" {
+			t.Fatalf("request %d: %+v, want served by the stage-1 replica", id, o)
 		}
-		if out.Replica != "r1" {
-			t.Fatalf("resolved by %q, want the stage-1 replica", out.Replica)
-		}
-		got[out.LatencyNS]++
 	}
 	for l, c := range want {
 		if got[l] != c {
@@ -87,23 +77,15 @@ func TestShardedChainRecurrence(t *testing.T) {
 // Budgets are measured from the original arrival, so a request can expire
 // at a later stage even though stage 0 served it comfortably.
 func TestShardedBudgetSpansStages(t *testing.T) {
-	f, err := New(shardedConfig(2, 0),
+	f := mustNew(t, shardedConfig(2, 0),
 		ReplicaSpec{Pipeline: &sim.PipelineResult{FillNS: 1000, IntervalNS: 100}},
 		ReplicaSpec{Pipeline: &sim.PipelineResult{FillNS: 1000, IntervalNS: 100}},
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan Outcome, 1)
 	// Chain completion is 2000; a 1500 budget clears stage 0 (1000) but
 	// expires at stage 1.
-	if err := f.Submit(NewRequest(0, 1500, done)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	out := <-done
-	if out.Err != ErrDeadline {
-		t.Fatalf("outcome %+v, want deadline expiry", out)
+	runScript(t, f, 1500, 0)
+	if o := outcomes(t, f)[0]; o.end != "budget" || o.replica != "r1" {
+		t.Fatalf("outcome %+v, want deadline expiry at stage 1", o)
 	}
 	s := f.Snapshot()
 	if s.Expired != 1 || s.Completed != 0 {
@@ -122,15 +104,7 @@ func TestShardedRunBubbleFraction(t *testing.T) {
 		{Pipeline: &sim.PipelineResult{FillNS: 900, IntervalNS: 300}},
 		{Pipeline: &sim.PipelineResult{FillNS: 900, IntervalNS: 300}},
 	}
-	f, err := New(cfg, specs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	res, err := Run(f, Workload{ArrivalRate: 5e6, Requests: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, mustNew(t, cfg, specs...), Workload{ArrivalRate: 5e6, Requests: 2000})
 	if res.Completed != 2000 {
 		t.Fatalf("completed %d: %v", res.Completed, res)
 	}
@@ -149,7 +123,7 @@ func TestShardValidation(t *testing.T) {
 	if _, err := New(shardedConfig(2, -1), ReplicaSpec{Pipeline: fastPipeline()}, ReplicaSpec{Pipeline: fastPipeline()}); err == nil {
 		t.Fatal("negative transfer must error")
 	}
-	cfg := freeRunning()
+	cfg := unpaced()
 	cfg.Shards = -2
 	if _, err := New(cfg, ReplicaSpec{Pipeline: fastPipeline()}); err == nil {
 		t.Fatal("negative shards must error")

@@ -1,28 +1,25 @@
 package fleet
 
 import (
-	"errors"
+	"bytes"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"autohet/internal/des"
 	"autohet/internal/fault"
+	"autohet/internal/obs"
 	"autohet/internal/sim"
 )
 
-// TestStressConcurrentFleet hammers one fleet from many producers while
-// faults are injected and cleared mid-run, snapshots are read concurrently,
-// and Close races the last submissions. Run under -race this exercises every
-// cross-goroutine edge; afterwards the books must balance exactly:
-// every accepted request resolves exactly once, and the fleet counters
-// partition the accepted set into completed/expired/failed.
+// TestStressConcurrentFleet races a paced Run against a fault injector that
+// degrades and recovers two replicas, manual sweeps and a snapshot reader.
+// Run under -race this exercises every cross-goroutine edge the driver
+// keeps; afterwards the books must balance exactly: the run's outcome
+// counts partition the offered requests and agree with the live counters
+// and the per-replica tallies.
 func TestStressConcurrentFleet(t *testing.T) {
-	const (
-		producers   = 8
-		perProducer = 300
-	)
 	cfg := Config{
 		Config: des.Config{
 			Policy:         PowerOfTwo,
@@ -32,7 +29,7 @@ func TestStressConcurrentFleet(t *testing.T) {
 			MaxRetries:     2,
 			Seed:           5,
 		},
-		TimeScale: 1e-4, // ~0.1 µs wall per 1 ms virtual: real contention, fast test
+		TimeScale: 0.5, // ~15 ms of wall for the 30 ms virtual run
 	}
 	specs := []ReplicaSpec{
 		{Name: "a", Pipeline: &sim.PipelineResult{FillNS: 2e6, IntervalNS: 1e6}},
@@ -40,45 +37,12 @@ func TestStressConcurrentFleet(t *testing.T) {
 		{Name: "c", Pipeline: &sim.PipelineResult{FillNS: 4e6, IntervalNS: 2e6}},
 		{Name: "d", Pipeline: &sim.PipelineResult{FillNS: 4e6, IntervalNS: 2e6}},
 	}
-	f, err := New(cfg, specs...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := mustNew(t, cfg, specs...)
 
-	done := make(chan Outcome, producers*perProducer)
-	var accepted, shed, unroutable, rejected atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				arrival := float64(i)*1e5 + float64(p)
-				budget := 0.0
-				if i%8 == 0 {
-					budget = 1 // unservable: fill alone exceeds it
-				}
-				err := f.Submit(NewRequest(arrival, budget, done))
-				switch {
-				case err == nil:
-					accepted.Add(1)
-				case errors.Is(err, ErrShed):
-					shed.Add(1)
-				case errors.Is(err, ErrNoReplica):
-					unroutable.Add(1)
-				case errors.Is(err, ErrClosed):
-					rejected.Add(1)
-				default:
-					t.Errorf("submit: %v", err)
-				}
-			}
-		}(p)
-	}
-
-	// Fault injector: degrade and recover two replicas repeatedly mid-run.
 	stop := make(chan struct{})
 	var aux sync.WaitGroup
-	aux.Add(1)
+	aux.Add(2)
+	// Fault injector: degrade and recover two replicas repeatedly mid-run.
 	go func() {
 		defer aux.Done()
 		stuck := &fault.Model{StuckAtZero: 0.05, Seed: 1}
@@ -96,10 +60,10 @@ func TestStressConcurrentFleet(t *testing.T) {
 			if err := f.InjectFault(name, nil); err != nil {
 				t.Errorf("recover: %v", err)
 			}
+			f.Sweep()
 		}
 	}()
-	// Snapshot reader racing the writers.
-	aux.Add(1)
+	// Snapshot reader racing the run.
 	go func() {
 		defer aux.Done()
 		for {
@@ -117,129 +81,93 @@ func TestStressConcurrentFleet(t *testing.T) {
 		}
 	}()
 
-	wg.Wait()
+	// 80k req/s for 30 ms of virtual time against 3k req/s of capacity:
+	// deep queues, shedding and budget misses.
+	const n = 2400
+	res, err := Run(f, Workload{ArrivalRate: 8e4, Requests: n, BudgetNS: 2e7})
 	close(stop)
 	aux.Wait()
-	// Recover everything so drain cannot dead-end on an all-degraded fleet.
-	for _, spec := range specs {
-		if err := f.InjectFault(spec.Name, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.Close()
-
-	// Every accepted request must have delivered exactly one outcome.
-	var completed, expired, failed int64
-	for i := int64(0); i < accepted.Load(); i++ {
-		select {
-		case out := <-done:
-			switch {
-			case out.Err == nil:
-				completed++
-				if out.LatencyNS <= 0 {
-					t.Errorf("non-positive latency %v", out.LatencyNS)
-				}
-			case errors.Is(out.Err, ErrDeadline):
-				expired++
-			default:
-				failed++
-			}
-		default:
-			t.Fatalf("only %d of %d outcomes delivered", i, accepted.Load())
-		}
-	}
-	select {
-	case out := <-done:
-		t.Fatalf("stray outcome %+v beyond the accepted count", out)
-	default:
-	}
-
-	s := f.Snapshot()
-	if total := accepted.Load() + shed.Load() + unroutable.Load(); s.Submitted != total {
-		t.Errorf("submitted %d, producers saw %d", s.Submitted, total)
-	}
-	if s.Shed != shed.Load() {
-		t.Errorf("shed counter %d, producers saw %d", s.Shed, shed.Load())
-	}
-	if s.Unroutable != unroutable.Load() {
-		t.Errorf("unroutable counter %d, producers saw %d", s.Unroutable, unroutable.Load())
-	}
-	if s.Completed != completed || s.Expired != expired || s.Failed != failed {
-		t.Errorf("counters (%d,%d,%d) disagree with outcomes (%d,%d,%d)",
-			s.Completed, s.Expired, s.Failed, completed, expired, failed)
-	}
-	if completed+expired+failed != accepted.Load() {
-		t.Errorf("outcomes %d do not partition accepted %d",
-			completed+expired+failed, accepted.Load())
-	}
-	var served, rexpired int64
-	for _, r := range s.Replicas {
-		served += r.Served
-		rexpired += r.Expired
-		if r.Queued != 0 || r.Outstanding != 0 {
-			t.Errorf("replica %s not drained: queued %d outstanding %d",
-				r.Name, r.Queued, r.Outstanding)
-		}
-	}
-	if served != s.Completed || rexpired != s.Expired {
-		t.Errorf("per-replica served/expired %d/%d vs fleet %d/%d",
-			served, rexpired, s.Completed, s.Expired)
-	}
-	if rejected.Load() > 0 {
-		t.Errorf("submissions rejected with ErrClosed before Close: %d", rejected.Load())
-	}
-	t.Logf("accepted %d, shed %d; completed %d, expired %d, failed %d, retried %d",
-		accepted.Load(), shed.Load(), completed, expired, failed, s.Retried)
-}
-
-// TestStressCloseRacesSubmit drives producers that keep submitting while a
-// consumer drains outcomes and Close runs: post-close submissions must get
-// ErrClosed, never panic, and everything accepted must still resolve.
-func TestStressCloseRacesSubmit(t *testing.T) {
-	cfg := freeRunning()
-	cfg.QueueDepth = 1024
-	f, err := New(cfg,
-		ReplicaSpec{Name: "a", Pipeline: fastPipeline()},
-		ReplicaSpec{Name: "b", Pipeline: fastPipeline()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan Outcome, 1024)
-	var accepted, received atomic.Int64
-	drained := make(chan struct{})
+
+	if got := res.Completed + res.Expired + res.Failed + res.Shed + res.Unroutable; got != n {
+		t.Fatalf("outcomes %d do not partition the %d offered: %v", got, n, res)
+	}
+	s := f.Snapshot()
+	if s.Submitted != n || s.Completed != int64(res.Completed) || s.Expired != int64(res.Expired) ||
+		s.Failed != int64(res.Failed) || s.Shed != int64(res.Shed) || s.Unroutable != int64(res.Unroutable) {
+		t.Errorf("counters %v disagree with the run %v", s, res)
+	}
+	var served, expired int64
+	for _, r := range s.Replicas {
+		served += r.Served
+		expired += r.Expired
+		if r.Queued != 0 || r.Outstanding != 0 {
+			t.Errorf("replica %s not drained: queued %d outstanding %d", r.Name, r.Queued, r.Outstanding)
+		}
+	}
+	if served != s.Completed || expired != s.Expired {
+		t.Errorf("per-replica served/expired %d/%d vs fleet %d/%d", served, expired, s.Completed, s.Expired)
+	}
+	t.Logf("%v; %d failed, %d retried", res, res.Failed, res.Retried)
+}
+
+// TestScrapeDuringRunConcurrent scrapes the Prometheus exposition in a loop
+// while a paced Run is in flight — the one concurrency the driver keeps:
+// the autohet_fleet_* gauges read replica state under the fleet's lock,
+// which Run releases while it sleeps and between events.
+func TestScrapeDuringRunConcurrent(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Policy = JoinShortestQueue
+	cfg.TimeScale = 0.5
+	rs := &RepairSpec{Capacity: 0.05, MissRate: 0.5}
+	f := mustNew(t, cfg,
+		ReplicaSpec{Name: "a", Pipeline: fastPipeline(), Repair: rs},
+		ReplicaSpec{Name: "b", Pipeline: slowPipeline(), Repair: rs})
+	if err := f.InjectFault("b", &fault.Model{StuckAtZero: 0.02, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	families := []string{"autohet_fleet_requests_total", "autohet_fleet_latency_ns",
+		"autohet_fleet_queue_depth", "autohet_fleet_replica_health"}
+	scrape := func() string {
+		var b bytes.Buffer
+		obs.Default.WritePrometheus(&b)
+		return b.String()
+	}
+
+	stop := make(chan struct{})
+	scrapes := make(chan int)
 	go func() {
-		defer close(drained)
-		for range done {
-			received.Add(1)
+		n := 0
+		for {
+			select {
+			case <-stop:
+				scrapes <- n
+				return
+			default:
+			}
+			if text := scrape(); !strings.Contains(text, "autohet_fleet_queue_depth") {
+				t.Errorf("scrape %d lacks the queue-depth family", n)
+			}
+			n++
 		}
 	}()
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				err := f.Submit(NewRequest(float64(i), 0, done))
-				if errors.Is(err, ErrClosed) {
-					return
-				}
-				if err == nil {
-					accepted.Add(1)
-				}
-			}
-		}(p)
+	// ~10 ms of virtual time, paced to ~5 ms of wall.
+	res, err := Run(f, Workload{ArrivalRate: 2e5, Requests: 2000})
+	close(stop)
+	n := <-scrapes
+	if err != nil {
+		t.Fatal(err)
 	}
-	time.Sleep(2 * time.Millisecond)
-	f.Close()
-	wg.Wait()
-	// Close returned, so every accepted request has already sent its
-	// outcome; closing done lets the drainer finish counting them.
-	close(done)
-	<-drained
-	if received.Load() != accepted.Load() {
-		t.Fatalf("accepted %d but drained %d outcomes", accepted.Load(), received.Load())
+	if n == 0 {
+		t.Fatal("no scrape completed while the run was in flight")
 	}
-	if accepted.Load() == 0 {
-		t.Fatal("stress run accepted nothing")
+	text := scrape()
+	for _, family := range families {
+		if !strings.Contains(text, family) {
+			t.Errorf("exposition lacks %s", family)
+		}
 	}
+	t.Logf("%d scrapes during %v", n, res)
 }

@@ -181,25 +181,6 @@ func quantizeBatchFlat(pb *PackedBatch, xs []float64, n, b int, digits bool) *Pa
 	return pb
 }
 
-// QuantizeBatchInto is QuantizeBatchFlatInto over per-member slices (all
-// the same length).
-func QuantizeBatchInto(pb *PackedBatch, xs [][]float64) *PackedBatch {
-	if len(xs) == 0 {
-		panic("quant: empty batch")
-	}
-	if pb == nil {
-		pb = &PackedBatch{}
-	}
-	pb.resize(len(xs[0]), len(xs), true)
-	for k, x := range xs {
-		if len(x) != pb.N {
-			panic(fmt.Sprintf("quant: batch member %d has %d rows, member 0 has %d", k, len(x), pb.N))
-		}
-		pb.quantizeMember(k, x, true)
-	}
-	return pb
-}
-
 // PackInputs packs already-quantized Inputs (which must share N) into a
 // batch, preserving their codes and scales exactly.
 func PackInputs(ins []*Input) *PackedBatch {
@@ -243,44 +224,6 @@ func (p *PackedPlane) ColSumCycles(j int, pb *PackedBatch, acc []int64) {
 	col := p.Col(j)
 	B := pb.B
 	for w, cw := range col {
-		if cw == 0 {
-			continue
-		}
-		d := pb.Digits[w*B*InputBits:]
-		for k := 0; k < B; k++ {
-			dk := d[k*InputBits : k*InputBits+8 : k*InputBits+8]
-			s := bits.OnesCount64(cw & dk[0])
-			s += bits.OnesCount64(cw&dk[1]) << 1
-			s += bits.OnesCount64(cw&dk[2]) << 2
-			s += bits.OnesCount64(cw&dk[3]) << 3
-			s += bits.OnesCount64(cw&dk[4]) << 4
-			s += bits.OnesCount64(cw&dk[5]) << 5
-			s += bits.OnesCount64(cw&dk[6]) << 6
-			s += bits.OnesCount64(cw&dk[7]) << 7
-			acc[k] += int64(s)
-		}
-	}
-}
-
-// ColRangeSumCycles is ColSumCycles restricted to rows [r0, r1) — the
-// batched read of a crossbar band.
-func (p *PackedPlane) ColRangeSumCycles(j, r0, r1 int, pb *PackedBatch, acc []int64) {
-	if r0 >= r1 {
-		return
-	}
-	col := p.Col(j)
-	w0, w1 := r0>>6, (r1-1)>>6
-	first := ^uint64(0) << uint(r0&63)
-	last := ^uint64(0) >> uint(63-(r1-1)&63)
-	B := pb.B
-	for w := w0; w <= w1; w++ {
-		cw := col[w]
-		if w == w0 {
-			cw &= first
-		}
-		if w == w1 {
-			cw &= last
-		}
 		if cw == 0 {
 			continue
 		}

@@ -92,8 +92,9 @@ func FuzzPackedMVM(f *testing.F) {
 // and any input codes: MulBatch must equal (1) B independent single-vector
 // packed MVMs (ColSum reconstruction) and (2) the scalar integer reference
 // Σ_i (q_i+offset)·u_i, `==` for every member — never a tolerance —
-// (3) splitting the batch sweep over an arbitrary row band must not change
-// any member's sums (the crossbar-banded form the sim engine executes), and
+// (3) the per-cycle band reads (ColRangeSumBatch, the crossbar-banded form
+// the sim engine executes) split at an arbitrary row must sum to the
+// full-height sweep, and
 // (4) the AVX2 blocked kernel (BlockedMatrix.MulBatch, the fast path) must
 // produce the identical signed integers: popcount sums − offset·Σu. Column
 // counts reach past two 16-column blocks so full blocks, column tails and
@@ -175,7 +176,7 @@ func FuzzBatchedMVM(f *testing.F) {
 			}
 		}
 		split := int(splitRaw) % (rows + 1)
-		banded := make([]int64, B)
+		banded, lo, hi := make([]int64, B), make([]int64, B), make([]int64, B)
 		for j := 0; j < cols; j++ {
 			for k, in := range ins {
 				// (1) B independent single-vector packed MVMs.
@@ -197,11 +198,17 @@ func FuzzBatchedMVM(f *testing.F) {
 					t.Fatalf("member %d col %d: batched %d, integer reference %d", k, j, out[k*cols+j], want)
 				}
 			}
-			// (3) band-split batch sweep equals the full-height sweep.
+			// (3) per-cycle band reads split at a row boundary sum to the
+			// full-height sweep.
 			for _, p := range pm.Planes {
 				clear(banded)
-				p.ColRangeSumCycles(j, 0, split, pb, banded)
-				p.ColRangeSumCycles(j, split, rows, pb, banded)
+				for b := 0; b < InputBits; b++ {
+					p.ColRangeSumBatch(j, 0, split, b, pb, lo)
+					p.ColRangeSumBatch(j, split, rows, b, pb, hi)
+					for k := range banded {
+						banded[k] += (lo[k] + hi[k]) << uint(b)
+					}
+				}
 				full := make([]int64, B)
 				p.ColSumCycles(j, pb, full)
 				for k := range banded {

@@ -108,15 +108,6 @@ func (f *FaultMap) Count() int { return len(f.Cells) }
 // Empty reports whether the map holds no faults.
 func (f *FaultMap) Empty() bool { return f == nil || len(f.Cells) == 0 }
 
-// CellRate returns the stuck-cell fraction of the map.
-func (f *FaultMap) CellRate() float64 {
-	n := f.Rows * f.Cols * f.Planes
-	if n == 0 {
-		return 0
-	}
-	return float64(len(f.Cells)) / float64(n)
-}
-
 // Region is one crossbar's window of the unfolded weight matrix: rows
 // [R0,R1) × columns [C0,C1). Regions passed to Apply must partition the
 // matrix (every cell in exactly one region), which the band/column-group

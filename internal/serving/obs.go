@@ -10,9 +10,6 @@ var (
 	servingRunsOpen = obs.Default.Counter(
 		`autohet_serving_runs_total{mode="open"}`,
 		"serving simulations run, by workload mode")
-	servingRunsClosed = obs.Default.Counter(
-		`autohet_serving_runs_total{mode="closed"}`,
-		"serving simulations run, by workload mode")
 	servingRequests = obs.Default.Counter(
 		"autohet_serving_requests_total",
 		"requests completed across all serving simulations")

@@ -18,8 +18,8 @@ import (
 
 // DefaultSeed seeds the arrival process when a workload leaves Seed at 0,
 // so the zero value drives a fixed, documented stream instead of silently
-// using rand.NewSource(0). Every arrival-process consumer (Serve,
-// ServeClosed, the fleet runtime's load generator) shares this contract.
+// using rand.NewSource(0). Every arrival-process consumer (Serve and the
+// fleet's Workload.Trace) shares this contract.
 const DefaultSeed int64 = 42
 
 // Workload describes an open-loop request stream.

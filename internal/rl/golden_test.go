@@ -1,0 +1,97 @@
+package rl
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"math/rand"
+	"testing"
+
+	"autohet/internal/nn"
+)
+
+// Golden trajectories: SHA-256 digests over the float64 bits of every
+// network's parameters (and every Update's returned TD error) after a fixed
+// seeded run. Any change to the arithmetic of Update — a reordered sum, a
+// fused multiply-add, a different RNG draw order — changes a digest. The
+// digests were recorded on the per-sample implementation the batched one
+// replaced, so they pin bit-identity across that rewrite.
+
+func hashFloats(h hash.Hash, xs []float64) {
+	var b [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
+	}
+}
+
+func hashNetwork(h hash.Hash, n *nn.Network) {
+	if n == nil {
+		return
+	}
+	for _, l := range n.Layers {
+		hashFloats(h, l.W.Data)
+		hashFloats(h, l.B)
+	}
+}
+
+// goldenRun fills the pool with seeded transitions (every doneEvery-th one
+// terminal), runs updates minibatch updates and returns the digest of all
+// six networks plus every returned TD error.
+func goldenRun(cfg AgentConfig, transitions, updates, doneEvery int) string {
+	a := NewAgent(cfg)
+	rng := rand.New(rand.NewSource(cfg.Seed + 100))
+	state := func() []float64 {
+		s := make([]float64, cfg.StateDim)
+		for i := range s {
+			s[i] = rng.Float64()
+		}
+		return s
+	}
+	for i := 0; i < transitions; i++ {
+		a.Remember(Transition{
+			State:     state(),
+			Action:    rng.Float64(),
+			Reward:    rng.Float64()*2 - 1,
+			NextState: state(),
+			Done:      i%doneEvery == doneEvery-1,
+		})
+	}
+	h := sha256.New()
+	tds := make([]float64, updates)
+	for i := range tds {
+		tds[i] = a.Update()
+	}
+	hashFloats(h, tds)
+	for _, n := range []*nn.Network{a.Actor, a.ActorTarget, a.Critic, a.CriticTarget, a.Critic2, a.Critic2Target} {
+		hashNetwork(h, n)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestGoldenTrajectoryDDPG(t *testing.T) {
+	cfg := DefaultAgentConfig(5)
+	cfg.Seed = 7
+	got := goldenRun(cfg, 300, 30, 7)
+	const want = "11eee1fe1deaa3eeb3535fb0b9dd1d9432685ce406eb088799d54485d1b5edb0"
+	if got != want {
+		t.Fatalf("DDPG trajectory digest %s, want %s", got, want)
+	}
+}
+
+// TD3 with target-policy smoothing draws one Gaussian per non-terminal
+// sample, so mixed Done samples pin the draw order too. The batch and hidden
+// widths are odd on purpose: no size is a multiple of a blocking factor.
+func TestGoldenTrajectoryTD3(t *testing.T) {
+	cfg := td3Config(5)
+	cfg.Seed = 11
+	cfg.Hidden = 37
+	cfg.Batch = 23
+	got := goldenRun(cfg, 200, 30, 3)
+	const want = "8e5756d0eed72df391cc5f1be8f252d08b13e3cee39e043750d730e973796ef8"
+	if got != want {
+		t.Fatalf("TD3 trajectory digest %s, want %s", got, want)
+	}
+}

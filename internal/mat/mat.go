@@ -95,61 +95,6 @@ func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	m.Randomize(rng, limit)
 }
 
-// MulVec computes dst = m · x where x has length m.Cols and dst has length
-// m.Rows. dst may not alias x.
-func (m *Matrix) MulVec(dst, x []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("mat: MulVec shapes %dx%d · %d -> %d", m.Rows, m.Cols, len(x), len(dst)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var sum float64
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		dst[i] = sum
-	}
-}
-
-// MulVecT computes dst = mᵀ · x where x has length m.Rows and dst has length
-// m.Cols (used for backpropagating gradients without materializing mᵀ).
-func (m *Matrix) MulVecT(dst, x []float64) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVecT shapes %dx%d ᵀ· %d -> %d", m.Rows, m.Cols, len(x), len(dst)))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, v := range row {
-			dst[j] += v * xi
-		}
-	}
-}
-
-// AddOuterScaled adds scale · (x ⊗ y) to m, where x has length m.Rows and y
-// has length m.Cols. It accumulates weight gradients during backprop.
-func (m *Matrix) AddOuterScaled(x, y []float64, scale float64) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic(fmt.Sprintf("mat: AddOuterScaled shapes %d ⊗ %d vs %dx%d", len(x), len(y), m.Rows, m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := x[i] * scale
-		if s == 0 {
-			continue
-		}
-		for j := range row {
-			row[j] += s * y[j]
-		}
-	}
-}
-
 // AddScaled adds scale·other to m element-wise.
 func (m *Matrix) AddScaled(other *Matrix, scale float64) {
 	if m.Rows != other.Rows || m.Cols != other.Cols {

@@ -65,6 +65,6 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 		n.Layers = append(n.Layers, l)
 		in = ld.Rows
 	}
-	n.allocScratch(dto.Inputs)
+	n.one = NewBatch(n, 1)
 	return n, nil
 }

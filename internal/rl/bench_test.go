@@ -1,0 +1,44 @@
+package rl
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// benchAgent returns an agent at the search's default sizes (10-wide state,
+// 64-wide hidden layers, minibatch 64) with a pool of seeded transitions,
+// every fifth one terminal.
+func benchAgent(cfg AgentConfig) *Agent {
+	a := NewAgent(cfg)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	state := func() []float64 {
+		s := make([]float64, cfg.StateDim)
+		for i := range s {
+			s[i] = rng.Float64()
+		}
+		return s
+	}
+	for i := 0; i < 1024; i++ {
+		a.Remember(Transition{State: state(), Action: rng.Float64(), Reward: rng.Float64(), NextState: state(), Done: i%5 == 4})
+	}
+	return a
+}
+
+func BenchmarkAgentUpdate(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  AgentConfig
+	}{
+		{"DDPG", DefaultAgentConfig(10)},
+		{"TD3", td3Config(10)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			a := benchAgent(bc.cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Update()
+			}
+		})
+	}
+}

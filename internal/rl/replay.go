@@ -53,15 +53,13 @@ func (r *Replay) Len() int { return len(r.buf) }
 // Cap returns the pool capacity.
 func (r *Replay) Cap() int { return cap(r.buf) }
 
-// Sample draws n transitions uniformly with replacement. It panics if the
-// pool is empty.
-func (r *Replay) Sample(rng *rand.Rand, n int) []Transition {
+// Sample fills dst with transitions drawn uniformly with replacement, one
+// rng draw per element in order. It panics if the pool is empty.
+func (r *Replay) Sample(rng *rand.Rand, dst []Transition) {
 	if len(r.buf) == 0 {
 		panic("rl: sampling from empty replay")
 	}
-	out := make([]Transition, n)
-	for i := range out {
-		out[i] = r.buf[rng.Intn(len(r.buf))]
+	for i := range dst {
+		dst[i] = r.buf[rng.Intn(len(r.buf))]
 	}
-	return out
 }

@@ -33,10 +33,8 @@ func TestReplaySample(t *testing.T) {
 	r := NewReplay(4)
 	r.Add(Transition{Reward: 7})
 	rng := rand.New(rand.NewSource(1))
-	s := r.Sample(rng, 10)
-	if len(s) != 10 {
-		t.Fatalf("sample len %d", len(s))
-	}
+	s := make([]Transition, 10)
+	r.Sample(rng, s)
 	for _, tr := range s {
 		if tr.Reward != 7 {
 			t.Fatal("sample returned foreign transition")
@@ -59,7 +57,7 @@ func TestReplayPanics(t *testing.T) {
 				t.Error("empty sample did not panic")
 			}
 		}()
-		NewReplay(1).Sample(rand.New(rand.NewSource(1)), 1)
+		NewReplay(1).Sample(rand.New(rand.NewSource(1)), make([]Transition, 1))
 	}()
 }
 

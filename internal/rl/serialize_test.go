@@ -2,8 +2,12 @@ package rl
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
+
+	"autohet/internal/nn"
 )
 
 func TestAgentSaveLoadRoundTrip(t *testing.T) {
@@ -60,5 +64,71 @@ func TestLoadAgentRejectsGarbage(t *testing.T) {
 	truncated := buf.Bytes()[:buf.Len()/4]
 	if _, err := LoadAgent(bytes.NewReader(truncated)); err == nil {
 		t.Fatal("truncated agent must not decode")
+	}
+}
+
+// badConfigs are configs Validate must reject, each of which NewAgent or the
+// first Update would otherwise panic on or train into NaNs with.
+var badConfigs = []struct {
+	name string
+	edit func(*AgentConfig)
+}{
+	{"state dim 0", func(c *AgentConfig) { c.StateDim = 0 }},
+	{"hidden 0", func(c *AgentConfig) { c.Hidden = 0 }},
+	{"hidden -3", func(c *AgentConfig) { c.Hidden = -3 }},
+	{"capacity 0", func(c *AgentConfig) { c.Capacity = 0 }},
+	{"batch 0", func(c *AgentConfig) { c.Batch = 0 }},
+	{"batch -1", func(c *AgentConfig) { c.Batch = -1 }},
+	{"actor lr NaN", func(c *AgentConfig) { c.ActorLR = math.NaN() }},
+	{"critic lr +Inf", func(c *AgentConfig) { c.CriticLR = math.Inf(1) }},
+	{"gamma NaN", func(c *AgentConfig) { c.Gamma = math.NaN() }},
+	{"tau -Inf", func(c *AgentConfig) { c.Tau = math.Inf(-1) }},
+}
+
+func TestAgentConfigValidate(t *testing.T) {
+	if err := DefaultAgentConfig(3).Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	for _, tc := range badConfigs {
+		cfg := DefaultAgentConfig(3)
+		tc.edit(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, cfg)
+		}
+	}
+}
+
+// A saved header with a bad config is an error from LoadAgent, not a panic.
+func TestLoadAgentRejectsBadConfig(t *testing.T) {
+	for _, tc := range badConfigs {
+		cfg := DefaultAgentConfig(3)
+		tc.edit(&cfg)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(agentHeader{Cfg: cfg, Sigma: 0.4}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadAgent(&buf); err == nil {
+			t.Errorf("%s: LoadAgent accepted the header", tc.name)
+		}
+	}
+}
+
+// Networks whose hidden width differs from the header's are rejected: the
+// agent's batch scratch is sized from the header.
+func TestLoadAgentRejectsShapeMismatch(t *testing.T) {
+	a := NewAgent(DefaultAgentConfig(3))
+	cfg := DefaultAgentConfig(3)
+	cfg.Hidden = 32
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(agentHeader{Cfg: cfg, Sigma: 0.4}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*nn.Network{a.Actor, a.Critic, a.ActorTarget, a.CriticTarget} {
+		if err := n.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := LoadAgent(&buf); err == nil {
+		t.Fatal("64-wide networks under a 32-wide header must not load")
 	}
 }

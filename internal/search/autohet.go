@@ -102,6 +102,9 @@ func AutoHet(env *Env, opts Options) (*Result, error) {
 		if opts.Agent.StateDim != StateDim {
 			return nil, fmt.Errorf("search: agent state dim %d, want %d", opts.Agent.StateDim, StateDim)
 		}
+		if err := opts.Agent.Validate(); err != nil {
+			return nil, fmt.Errorf("search: agent config: %w", err)
+		}
 		agent = rl.NewAgent(opts.Agent)
 	}
 	n := env.NumLayers()

@@ -239,15 +239,25 @@ func TestAutoHetBeatsBestHomogeneousOnVGG16(t *testing.T) {
 
 func TestAutoHetOptionsValidation(t *testing.T) {
 	env := testEnv(t, tinyModel(t), xbar.DefaultCandidates(), false)
-	opts := DefaultOptions()
-	opts.Rounds = 0
-	if _, err := AutoHet(env, opts); err == nil {
-		t.Fatal("zero rounds must error")
-	}
-	opts = DefaultOptions()
-	opts.Agent = rl.DefaultAgentConfig(3)
-	if _, err := AutoHet(env, opts); err == nil {
-		t.Fatal("wrong state dim must error")
+	for _, tc := range []struct {
+		name string
+		edit func(*Options)
+	}{
+		{"zero rounds", func(o *Options) { o.Rounds = 0 }},
+		{"wrong state dim", func(o *Options) { o.Agent = rl.DefaultAgentConfig(3) }},
+		{"hidden 0", func(o *Options) { o.Agent.Hidden = 0 }},
+		{"capacity 0", func(o *Options) { o.Agent.Capacity = 0 }},
+		{"batch 0", func(o *Options) { o.Agent.Batch = 0 }},
+		{"actor lr NaN", func(o *Options) { o.Agent.ActorLR = math.NaN() }},
+		{"critic lr +Inf", func(o *Options) { o.Agent.CriticLR = math.Inf(1) }},
+		{"gamma NaN", func(o *Options) { o.Agent.Gamma = math.NaN() }},
+		{"tau -Inf", func(o *Options) { o.Agent.Tau = math.Inf(-1) }},
+	} {
+		opts := DefaultOptions()
+		tc.edit(&opts)
+		if _, err := AutoHet(env, opts); err == nil {
+			t.Errorf("%s must error", tc.name)
+		}
 	}
 }
 

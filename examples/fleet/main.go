@@ -88,6 +88,7 @@ func main() {
 	cfg.Policy = fleet.JoinShortestQueue
 	cfg.MaxBatch = 16
 	cfg.BatchTimeoutNS = 2e6
+	cfg.MaxRetries = 3
 	cfg.TimeScale = timeScale
 	w := fleet.Workload{ArrivalRate: 0.6 * aggregate, Requests: 3000}
 	spanNS := float64(w.Requests) / w.ArrivalRate * 1e9

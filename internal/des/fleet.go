@@ -27,8 +27,9 @@ import (
 //     (parallel.go) split eligible configurations across cores.
 //   - internal/fleet's runtime holds one Fleet built with NewOnline behind a
 //     mutex, starts each trace with Begin and pops each event when the wall
-//     clock reaches virtual time × TimeScale. Its Run feeds the trace
-//     exactly as RunTrace does, so a paced run returns the unpaced Result.
+//     clock reaches virtual time × TimeScale. Its RunTrace feeds the trace
+//     exactly as Fleet.RunTrace does, so a paced run returns the unpaced
+//     Result.
 //
 // Queue depths are virtual under both drivers: a request occupies its
 // admission queue from its arrival until the batch containing it enters the
@@ -711,8 +712,8 @@ func (f *Fleet) Run(w Workload) (*Result, error) {
 // to completion. One call per Fleet. A run whose request accounting does
 // not balance (Result.Check) returns the Result with an error.
 func (f *Fleet) RunTrace(gen trace.Generator, requests int, budgetNS float64) (*Result, error) {
-	if requests <= 0 {
-		return nil, fmt.Errorf("des: request count %d", requests)
+	if err := checkRun(requests, budgetNS); err != nil {
+		return nil, err
 	}
 	if f.ran {
 		return nil, fmt.Errorf("des: fleet already ran; build a new one per workload")
@@ -726,6 +727,18 @@ func (f *Fleet) RunTrace(gen trace.Generator, requests int, budgetNS float64) (*
 		res = f.runSerial(gen, requests, budgetNS, wallStart)
 	}
 	return res, res.Check()
+}
+
+// checkRun validates a trace run's request count and per-request latency
+// budget (0 = no budget) before anything is scheduled.
+func checkRun(requests int, budgetNS float64) error {
+	if requests <= 0 {
+		return fmt.Errorf("des: request count %d", requests)
+	}
+	if budgetNS < 0 || !finite(budgetNS) {
+		return fmt.Errorf("des: latency budget %v ns", budgetNS)
+	}
+	return nil
 }
 
 // runSerial is the classic single-engine run: the reference semantics every

@@ -2,6 +2,8 @@ package des
 
 import (
 	"bytes"
+	"math"
+	"sync"
 	"testing"
 
 	"autohet/internal/des/trace"
@@ -245,6 +247,50 @@ func TestFleetSingleUse(t *testing.T) {
 	}
 	if _, err := f.RunTrace(trace.Poisson(1e6, 1), 10, 0); err == nil {
 		t.Fatal("second RunTrace accepted")
+	}
+}
+
+// A negative or non-finite latency budget is a config error at both run
+// entry points, checked before the run starts; 0 means no budget.
+func TestRunRejectsBadBudget(t *testing.T) {
+	var mu sync.Mutex
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		ok     bool
+	}{
+		{"none", 0, true},
+		{"positive", 5000, true},
+		{"negative", -5, false},
+		{"NaN", math.NaN(), false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := NewFleet(DefaultConfig(), homogeneous(1, 1000, 100)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.RunTrace(trace.Poisson(1e6, 1), 10, tc.budget); (err == nil) != tc.ok {
+				t.Errorf("RunTrace budget %v: err %v, want ok=%t", tc.budget, err, tc.ok)
+			}
+			o, err := NewOnline(DefaultConfig(), &mu, homogeneous(1, 1000, 100)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := o.Begin(trace.Poisson(1e6, 1), 10, tc.budget); (err == nil) != tc.ok {
+				t.Errorf("Begin budget %v: err %v, want ok=%t", tc.budget, err, tc.ok)
+			}
+			if !tc.ok {
+				// The rejection left both fleets unused.
+				if _, err := f.RunTrace(trace.Poisson(1e6, 1), 10, 0); err != nil {
+					t.Errorf("RunTrace after a rejected budget: %v", err)
+				}
+				if err := o.Begin(trace.Poisson(1e6, 1), 10, 0); err != nil {
+					t.Errorf("Begin after a rejected budget: %v", err)
+				}
+			}
+		})
 	}
 }
 

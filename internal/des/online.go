@@ -66,8 +66,8 @@ func (f *Fleet) Step() bool { return f.eng.Step() }
 // One run is in flight at a time.
 func (f *Fleet) Begin(gen trace.Generator, requests int, budgetNS float64) error {
 	o := f.online
-	if requests <= 0 {
-		return fmt.Errorf("des: request count %d", requests)
+	if err := checkRun(requests, budgetNS); err != nil {
+		return err
 	}
 	if o.run {
 		return fmt.Errorf("des: a run is already in flight")

@@ -146,8 +146,12 @@ func TestParseRejects(t *testing.T) {
 	if _, err := Parse("uniform", 1e6, 1); err == nil {
 		t.Fatal("unknown generator accepted")
 	}
-	if _, err := Parse("poisson", 0, 1); err == nil {
-		t.Fatal("zero rate accepted")
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		for _, name := range Names {
+			if _, err := Parse(name, rate, 1); err == nil {
+				t.Errorf("Parse(%q) accepted rate %v", name, rate)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"autohet/internal/accel"
 	"autohet/internal/chaos"
+	"autohet/internal/des"
 	"autohet/internal/dnn"
 	"autohet/internal/fleet"
 	"autohet/internal/report"
@@ -12,16 +13,13 @@ import (
 	"autohet/internal/xbar"
 )
 
-// Fleet experiments — the serving runtime at deployment scale. Replicas wrap
+// Fleet experiments — fleet serving at deployment scale. Replicas wrap
 // mapped VGG16 designs (the paper's Table 3 search result next to its
 // homogeneous baselines), so the single-chip RUE story becomes a fleet
 // provisioning story: dispatch policy, equal-area replica choice, and fault
-// tolerance via retry routing.
-
-// fleetTimeScale runs fleet experiments free: the runtime routes on the
-// core's virtual queue depths and fleet.Run returns the unpaced core's
-// Result, so pacing would change only the wall time.
-const fleetTimeScale = 1e-9
+// tolerance via retry routing. Tables that read only the Result run on the
+// fleet core (des.Fleet); the fault table reads the serving runtime's
+// per-replica latency histograms.
 
 // fleetDesign is one mapped design replicas are cloned from.
 type fleetDesign struct {
@@ -57,8 +55,8 @@ func (s *Suite) fleetDesigns() (homo, het fleetDesign, err error) {
 	return
 }
 
-func (d fleetDesign) spec(suffix string) fleet.ReplicaSpec {
-	return fleet.ReplicaSpec{Name: d.name + suffix, Pipeline: d.pr, Plan: d.plan}
+func (d fleetDesign) spec(suffix string) des.ReplicaSpec {
+	return des.ReplicaSpec{Name: d.name + suffix, Pipeline: d.pr, Plan: d.plan}
 }
 
 // Fleet generates the fleet-serving extension tables: dispatch-policy
@@ -91,7 +89,7 @@ func (s *Suite) Fleet() ([]*report.Table, error) {
 // lower-capacity AutoHet replicas; queue-aware policies shift the excess to
 // the faster replicas and keep the tail flat.
 func (s *Suite) fleetPolicies(homo, het fleetDesign) (*report.Table, error) {
-	specs := []fleet.ReplicaSpec{
+	specs := []des.ReplicaSpec{
 		homo.spec("-1"), homo.spec("-2"), het.spec("-1"), het.spec("-2"),
 	}
 	aggregate := 2*(1e9/homo.pr.IntervalNS) + 2*(1e9/het.pr.IntervalNS)
@@ -101,16 +99,15 @@ func (s *Suite) fleetPolicies(homo, het fleetDesign) (*report.Table, error) {
 			"overloads the slower replicas while queue-aware policies stay stable.", aggregate),
 		Header: []string{"Policy", "Completed", "Shed", "p50 (µs)", "p99 (µs)", "Throughput (req/s)"},
 	}
-	for _, policy := range fleet.Policies {
-		cfg := fleet.DefaultConfig()
+	for _, policy := range des.Policies {
+		cfg := des.DefaultConfig()
 		cfg.Policy = policy
-		cfg.TimeScale = fleetTimeScale
 		cfg.Seed = s.Seed
-		f, err := fleet.New(cfg, specs...)
+		f, err := des.NewFleet(cfg, specs...)
 		if err != nil {
 			return nil, err
 		}
-		res, err := fleet.Run(f, fleet.Workload{
+		res, err := f.Run(des.Workload{
 			ArrivalRate: 0.98 * aggregate,
 			Requests:    4000,
 			Seed:        s.Seed,
@@ -141,27 +138,25 @@ func (s *Suite) fleetEqualArea(homo, het fleetDesign) (*report.Table, error) {
 	}
 	cases := []struct {
 		name  string
-		specs []fleet.ReplicaSpec
+		specs []des.ReplicaSpec
 	}{
-		{"1x homo-128", []fleet.ReplicaSpec{homo.spec("")}},
-		{"4x AutoHet", []fleet.ReplicaSpec{het.spec("-1"), het.spec("-2"), het.spec("-3"), het.spec("-4")}},
+		{"1x homo-128", []des.ReplicaSpec{homo.spec("")}},
+		{"4x AutoHet", []des.ReplicaSpec{het.spec("-1"), het.spec("-2"), het.spec("-3"), het.spec("-4")}},
 	}
 	for _, c := range cases {
-		cfg := fleet.DefaultConfig()
-		cfg.Policy = fleet.JoinShortestQueue
-		cfg.TimeScale = fleetTimeScale
+		cfg := des.DefaultConfig()
+		cfg.Policy = des.JoinShortestQueue
 		cfg.Seed = s.Seed
-		f, err := fleet.New(cfg, c.specs...)
+		f, err := des.NewFleet(cfg, c.specs...)
 		if err != nil {
 			return nil, err
 		}
-		res, err := fleet.Run(f, fleet.Workload{ArrivalRate: rate, Requests: 4000, Seed: s.Seed})
-		snap := f.Snapshot()
+		res, err := f.Run(des.Workload{ArrivalRate: rate, Requests: 4000, Seed: s.Seed})
 		if err != nil {
 			return nil, err
 		}
 		var area, capacity float64
-		for _, r := range snap.Replicas {
+		for _, r := range f.Snapshot().Replicas {
 			area += r.AreaUM2
 			capacity += r.CapacityRPS
 		}
@@ -178,7 +173,7 @@ func (s *Suite) fleetEqualArea(homo, het fleetDesign) (*report.Table, error) {
 // routing), which have the headroom to absorb the re-offered traffic:
 // every admitted request still completes.
 func (s *Suite) fleetFaults(homo fleetDesign) (*report.Table, error) {
-	specs := []fleet.ReplicaSpec{homo.spec("-1"), homo.spec("-2"), homo.spec("-3")}
+	specs := []des.ReplicaSpec{homo.spec("-1"), homo.spec("-2"), homo.spec("-3")}
 	aggregate := 3 * (1e9 / homo.pr.IntervalNS)
 	const requests = 4000
 	// 60% aggregate load: the two survivors absorb 90% load after the
@@ -192,7 +187,8 @@ func (s *Suite) fleetFaults(homo fleetDesign) (*report.Table, error) {
 	cfg.Policy = fleet.RoundRobin
 	cfg.MaxBatch = 16
 	cfg.BatchTimeoutNS = 2e6
-	cfg.TimeScale = fleetTimeScale
+	cfg.MaxRetries = 3
+	cfg.TimeScale = 1e-9 // never sleeps; the Result is the unpaced core's
 	cfg.Seed = s.Seed
 	spanNS := float64(requests) / w.ArrivalRate * 1e9
 	const stuck = 0.05

@@ -116,6 +116,7 @@ func (s *Suite) repairStorm() (*report.Table, error) {
 	cfg.Policy = fleet.JoinShortestQueue
 	cfg.TimeScale = 1
 	cfg.HealthSweepNS = -1 // sweeps stepped explicitly between phases
+	cfg.MaxRetries = 3
 	cfg.Seed = s.Seed
 	pr := func() *sim.PipelineResult {
 		return &sim.PipelineResult{FillNS: 1e6, IntervalNS: 200_000}

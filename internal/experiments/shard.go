@@ -7,7 +7,6 @@ import (
 	"autohet/internal/accel"
 	"autohet/internal/des"
 	"autohet/internal/dnn"
-	"autohet/internal/fleet"
 	"autohet/internal/noc"
 	"autohet/internal/report"
 	"autohet/internal/sim"
@@ -31,8 +30,7 @@ const shardStages = 4
 // shardLoad offers this fraction of the chain's steady-state capacity.
 const shardLoad = 0.8
 
-// Shard generates the sharded-vs-replicated serving table and cross-checks
-// every sharded paced run against the trace driver.
+// Shard generates the sharded-vs-replicated serving table.
 func (s *Suite) Shard() (*report.Table, error) {
 	mesh, err := noc.NewMeshFor(s.Cfg.TilesPerBank)
 	if err != nil {
@@ -44,7 +42,6 @@ func (s *Suite) Shard() (*report.Table, error) {
 		Header: []string{"Model", "Serving", "Replicas", "Total (mm²)", "Max chip (mm²)",
 			"Transfer (µs)", "Throughput (req/s)", "p50 (µs)", "p99 (µs)", "Bubble"},
 	}
-	maxDev := 0.0
 	for _, m := range []*dnn.Model{dnn.AlexNet(), dnn.VGG11(), dnn.VGG16()} {
 		p, err := accel.BuildPlan(s.Cfg, m, accel.Homogeneous(m.NumMappable(), xbar.Square(128)), true)
 		if err != nil {
@@ -54,7 +51,7 @@ func (s *Suite) Shard() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := fleet.Workload{
+		w := des.Workload{
 			ArrivalRate: shardLoad * 1e9 / sr.IntervalNS(),
 			Requests:    3000,
 			Seed:        s.Seed,
@@ -63,7 +60,7 @@ func (s *Suite) Shard() (*report.Table, error) {
 		// Replicated baseline: one whole-model replica at the mesh-priced
 		// latencies the cuts were balanced on.
 		rep, err := runShardedFleet(w, 1, nil, s.Seed,
-			fleet.ReplicaSpec{Name: m.Name, Pipeline: sim.PipelineFromResult(sr.Result, 1)})
+			des.ReplicaSpec{Name: m.Name, Pipeline: sim.PipelineFromResult(sr.Result, 1)})
 		if err != nil {
 			return nil, err
 		}
@@ -74,12 +71,12 @@ func (s *Suite) Shard() (*report.Table, error) {
 			fmt.Sprintf("%.3f", rep.BubbleFraction))
 
 		// Sharded chain: one replica per stage, transfers priced on the mesh.
-		specs := make([]fleet.ReplicaSpec, len(sr.Stages))
+		specs := make([]des.ReplicaSpec, len(sr.Stages))
 		transfers := make([]float64, len(sr.Stages)-1)
 		var total, maxChip float64
 		for i := range sr.Stages {
 			st := &sr.Stages[i]
-			specs[i] = fleet.ReplicaSpec{
+			specs[i] = des.ReplicaSpec{
 				Name:     fmt.Sprintf("%s-s%d", m.Name, i),
 				Pipeline: &sim.PipelineResult{FillNS: st.FillNS, IntervalNS: st.IntervalNS},
 			}
@@ -93,11 +90,6 @@ func (s *Suite) Shard() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dev, err := desShardCheck(w, transfers, sh, specs...)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m.Name, err)
-		}
-		maxDev = math.Max(maxDev, dev)
 		t.AddRow(m.Name, "sharded", report.I(len(sr.Stages)),
 			fmt.Sprintf("%.1f", total/1e6), fmt.Sprintf("%.1f", maxChip/1e6),
 			fmt.Sprintf("%.2f", sr.TransferNS/1000),
@@ -105,60 +97,23 @@ func (s *Suite) Shard() (*report.Table, error) {
 			fmt.Sprintf("%.1f", sh.P50NS/1000), fmt.Sprintf("%.1f", sh.P99NS/1000),
 			fmt.Sprintf("%.3f", sh.BubbleFraction))
 	}
-	t.Note = fmt.Sprintf("Equal capacity by construction (the bottleneck layer bounds both intervals); "+
-		"sharding pays transfer latency, per-stage queueing, and the stage-imbalance bubble for a smaller "+
-		"largest chip — modest here, because latency-balanced cuts leave the area-heavy FC layers in one "+
-		"stage. Paced-vs-trace driver crosscheck max relative deviation %.2g (tolerance 1e-6).", maxDev)
+	t.Note = "Equal capacity by construction (the bottleneck layer bounds both intervals); " +
+		"sharding pays transfer latency, per-stage queueing, and the stage-imbalance bubble for a smaller " +
+		"largest chip — modest here, because latency-balanced cuts leave the area-heavy FC layers in one " +
+		"stage."
 	return t, nil
 }
 
-// runShardedFleet runs one workload on the paced runtime at a tiny time
-// scale (fleet.Run returns the unpaced core's Result, so the scale only
-// keeps the sweep fast).
-func runShardedFleet(w fleet.Workload, shards int, transfers []float64, seed int64, specs ...fleet.ReplicaSpec) (*fleet.Result, error) {
-	cfg := fleet.DefaultConfig()
-	cfg.TimeScale = 1e-9
+// runShardedFleet runs one workload on the fleet core.
+func runShardedFleet(w des.Workload, shards int, transfers []float64, seed int64, specs ...des.ReplicaSpec) (*des.Result, error) {
+	cfg := des.DefaultConfig()
 	cfg.QueueDepth = w.Requests
 	cfg.Seed = seed
 	cfg.Shards = shards
 	cfg.StageTransferNS = transfers
-	f, err := fleet.New(cfg, specs...)
+	f, err := des.NewFleet(cfg, specs...)
 	if err != nil {
 		return nil, err
 	}
-	return fleet.Run(f, w)
-}
-
-// desShardCheck replays the sharded workload on the discrete-event engine and
-// returns the worst relative deviation across the latency statistics. One
-// replica per stage makes every dispatch decision forced, so the two engines
-// must agree to float noise; a deviation beyond 1e-6 fails the experiment.
-func desShardCheck(w fleet.Workload, transfers []float64, want *fleet.Result, specs ...fleet.ReplicaSpec) (float64, error) {
-	cfg := des.DefaultConfig()
-	cfg.QueueDepth = w.Requests
-	cfg.Shards = len(specs)
-	cfg.StageTransferNS = transfers
-	f, err := des.NewFleet(cfg, specs...)
-	if err != nil {
-		return 0, err
-	}
-	got, err := f.Run(w)
-	if err != nil {
-		return 0, err
-	}
-	if got.Completed != want.Completed || got.Shed != want.Shed || got.Failed != want.Failed {
-		return 0, fmt.Errorf("des crosscheck: %d/%d/%d completed/shed/failed, paced %d/%d/%d",
-			got.Completed, got.Shed, got.Failed, want.Completed, want.Shed, want.Failed)
-	}
-	dev := 0.0
-	for _, p := range [][2]float64{
-		{got.MeanNS, want.MeanNS}, {got.P50NS, want.P50NS},
-		{got.P95NS, want.P95NS}, {got.P99NS, want.P99NS}, {got.MaxNS, want.MaxNS},
-	} {
-		dev = math.Max(dev, math.Abs(p[0]-p[1])/math.Max(1, p[1]))
-	}
-	if dev > 1e-6 {
-		return dev, fmt.Errorf("des crosscheck deviation %v exceeds 1e-6", dev)
-	}
-	return dev, nil
+	return f.Run(w)
 }

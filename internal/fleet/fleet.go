@@ -8,13 +8,14 @@
 // des.Fleet — the state machine that owns dispatch policies, dynamic
 // batching, bounded admission queues with shedding, latency budgets, stage
 // chaining, chaos, fault injection with online self-repair, and retry
-// routing — behind a mutex. Run feeds it a whole Poisson trace and pops
-// each event in the caller's goroutine once the wall clock reaches virtual
-// time × Config.TimeScale, so it returns exactly the Result
-// des.Fleet.RunTrace returns for the same config and trace, only paced.
-// The lock is released while Run sleeps and between events, so the live
-// autohet_fleet_* gauges, Snapshot, InjectFault and Sweep interleave with a
-// run in flight. Nothing fires between runs.
+// routing — behind a mutex. RunTrace feeds it a whole arrival trace and
+// pops each event in the caller's goroutine once the wall clock reaches
+// virtual time × Config.TimeScale, so it returns exactly the Result
+// des.Fleet.RunTrace returns for the same config and trace, only paced; Run
+// is its Poisson-workload wrapper. The lock is released while a run sleeps
+// and between events, so the live autohet_fleet_* gauges, Snapshot,
+// InjectFault and Sweep interleave with a run in flight. Nothing fires
+// between runs.
 package fleet
 
 import (
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"autohet/internal/des"
+	"autohet/internal/des/trace"
 	"autohet/internal/fault"
 )
 
@@ -54,10 +56,9 @@ var Policies = des.Policies
 // ParsePolicy resolves a policy name (accepting a few aliases).
 func ParsePolicy(s string) (Policy, error) { return des.ParsePolicy(s) }
 
-// Config tunes the runtime: the core's des.Config plus the wall-clock
-// pacing factor. The zero value of each field selects the documented
-// default; the runtime's MaxRetries defaults to 3 (the core's to 0).
-// Workers has no effect: Run steps one engine.
+// Config tunes the runtime: the core's des.Config, defaults included, plus
+// the wall-clock pacing factor. Workers has no effect: a run steps one
+// engine.
 type Config struct {
 	des.Config
 	// TimeScale is the wall-clock pacing factor: the core's event at
@@ -69,13 +70,11 @@ type Config struct {
 
 // DefaultConfig returns the documented defaults.
 func DefaultConfig() Config {
-	c := Config{Config: des.DefaultConfig(), TimeScale: 1}
-	c.MaxRetries = 3
-	return c
+	return Config{Config: des.DefaultConfig(), TimeScale: 1}
 }
 
 // Fleet paces one des.Fleet on the wall clock. Create with New; its
-// methods are safe for concurrent use, and one Run is in flight at a time.
+// methods are safe for concurrent use, and one run is in flight at a time.
 type Fleet struct {
 	cfg Config
 	// mu guards the core; the autohet_fleet_* gauges take it too.
@@ -83,11 +82,8 @@ type Fleet struct {
 	core *des.Fleet
 }
 
-// New builds the fleet. It starts nothing: events fire only inside Run.
+// New builds the fleet. It starts nothing: events fire only inside a run.
 func New(cfg Config, specs ...ReplicaSpec) (*Fleet, error) {
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 3
-	}
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1
 	}
@@ -103,21 +99,27 @@ func New(cfg Config, specs ...ReplicaSpec) (*Fleet, error) {
 	return f, nil
 }
 
-// Run offers the workload to the fleet and blocks until it completes. The
-// trace is serving.Serve's (same seed → same arrivals) on a fresh virtual
-// timeline: pipelines start free and the dispatch sampler and round-robin
-// cursors restart from the seed, so back-to-back runs on one fleet replay
-// identically, while faults, health and crashes carry over. Each event
-// fires once the wall clock, measured from the start of the run, reaches
-// its virtual time × TimeScale (absolute deadlines, so sleep overshoot
-// never accumulates).
+// Run offers the Poisson workload to the fleet (serving.Serve's trace:
+// same seed → same arrivals) and blocks until it completes.
 func Run(f *Fleet, w Workload) (*Result, error) {
 	if !(w.ArrivalRate > 0) || math.IsInf(w.ArrivalRate, 0) {
 		return nil, fmt.Errorf("fleet: arrival rate %v", w.ArrivalRate)
 	}
+	return RunTrace(f, w.Trace(), w.Requests, w.BudgetNS)
+}
+
+// RunTrace offers requests arrivals drawn from gen, each with the latency
+// budget budgetNS (0 = none), and blocks until the run completes. The run
+// starts on a fresh virtual timeline: pipelines start free and the
+// dispatch sampler and round-robin cursors restart from the seed, so
+// back-to-back runs on one fleet replay identically, while faults, health
+// and crashes carry over. Each event fires once the wall clock, measured
+// from the start of the run, reaches its virtual time × TimeScale
+// (absolute deadlines, so sleep overshoot never accumulates).
+func RunTrace(f *Fleet, gen trace.Generator, requests int, budgetNS float64) (*Result, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.core.Begin(w.Trace(), w.Requests, w.BudgetNS); err != nil {
+	if err := f.core.Begin(gen, requests, budgetNS); err != nil {
 		return nil, err
 	}
 	start := time.Now()

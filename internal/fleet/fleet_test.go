@@ -29,13 +29,15 @@ func unpaced() Config {
 // frozen is an unpaced config whose batch collect window outlasts any
 // test's arrivals: batches close only by count until the end of the run,
 // so requests stay queued where dispatch put them while a test steps
-// through its script. The core's event log records every dispatch
-// (lastPick) and every request's fate (outcomes).
+// through its script; a bounced request re-dispatches up to 3 times. The
+// core's event log records every dispatch (lastPick) and every request's
+// fate (outcomes).
 func frozen(policy Policy, maxBatch int) Config {
 	cfg := unpaced()
 	cfg.Policy = policy
 	cfg.MaxBatch = maxBatch
 	cfg.BatchTimeoutNS = 1e12
+	cfg.MaxRetries = 3
 	cfg.Log = &bytes.Buffer{}
 	return cfg
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // ParallelFor runs fn(0) … fn(n-1) across a bounded worker pool of
-// min(runtime.NumCPU(), n) goroutines. Callers get deterministic results by
-// writing into index-addressed slots from fn; the pool imposes no ordering
-// of its own. The returned error is the lowest-index one, regardless of
+// min(runtime.GOMAXPROCS(0), n) goroutines: the CPUs the scheduler may
+// run Go code on, sized the way sim.Engine sizes its pool. Callers get
+// deterministic results by writing into index-addressed slots from fn; the
+// pool imposes no ordering of its own. The returned error is the lowest-index one, regardless of
 // which worker hit it first, so error reporting is schedule-independent.
 // Unlike a sequential loop, fn may still be called for indices after a
 // failing one (workers drain the index stream independently).
@@ -17,7 +18,7 @@ func ParallelFor(n int, fn func(int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

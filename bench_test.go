@@ -330,19 +330,6 @@ func BenchmarkSearchers(b *testing.B) {
 		return env
 	}
 	b.Run("ddpg", func(b *testing.B) { benchSearchRounds(b, m, xbar.DefaultCandidates(), true) })
-	b.Run("td3", func(b *testing.B) {
-		env := newEnv(b)
-		opts := search.DefaultOptions()
-		opts.Rounds = b.N
-		opts.Agent = rl.DefaultAgentConfig(search.StateDim)
-		opts.Agent.TwinCritics = true
-		opts.Agent.TargetNoise = 0.05
-		res, err := search.AutoHet(env, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.BestResult.RUE(), "finalRUE/op")
-	})
 	b.Run("random", func(b *testing.B) {
 		ev, err := search.RandomSearch(newEnv(b), b.N, 1)
 		if err != nil {

@@ -389,10 +389,10 @@ func (o *options) fleetConfig(specs []fleet.ReplicaSpec, sr *sim.ShardResult) (d
 		return cfg, nil, nil, err
 	}
 
-	if o.scaleTarget > 0 {
+	if o.scaleTarget != 0 {
 		cfg.Scaler = des.TargetUtilization{Target: o.scaleTarget, Min: 1}
 	}
-	if o.admitCap > 0 {
+	if o.admitCap != 0 {
 		cfg.Admit = des.QueueCap{MaxQueuedPerActive: o.admitCap}
 	}
 	if o.chaos.resilience {

@@ -57,10 +57,13 @@ func TestPacedMatchesUnpaced(t *testing.T) {
 	}
 }
 
-// An infinite load or a negative or NaN budget is an error on either path.
+// An infinite load, a negative or NaN budget, a scale target outside (0,1]
+// and a negative or NaN queue cap are errors on either path.
 func TestRunRejectsBadFlags(t *testing.T) {
 	base := []string{"-model", "AlexNet", "-spec", "2*128x128", "-requests", "100"}
-	for _, bad := range [][]string{{"-load", "Inf"}, {"-budget", "-5"}, {"-budget", "NaN"}} {
+	for _, bad := range [][]string{{"-load", "Inf"}, {"-budget", "-5"}, {"-budget", "NaN"},
+		{"-scale-target", "2"}, {"-scale-target", "NaN"}, {"-scale-target", "-0.5"},
+		{"-admit-queue-cap", "-1"}, {"-admit-queue-cap", "NaN"}} {
 		for _, ts := range []string{"1e-9", "0"} {
 			args := slices.Concat(base, bad, []string{"-timescale", ts})
 			if _, err := runArgs(args...); err == nil {

@@ -250,6 +250,14 @@ func (c *Config) normalize() error {
 			}
 		}
 	}
+	// The built-in scaler and admitter reject parameters they cannot act on.
+	for _, hook := range []any{c.Scaler, c.Admit} {
+		if v, ok := hook.(interface{ validate() error }); ok {
+			if err := v.validate(); err != nil {
+				return err
+			}
+		}
+	}
 	if p := c.Resilience.Retry; p != nil {
 		d := p.WithDefaults()
 		c.Resilience.Retry = &d

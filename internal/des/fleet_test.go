@@ -355,3 +355,34 @@ func TestClusterScaleSmoke(t *testing.T) {
 		t.Fatalf("%d events for %d requests", res.Events, res.Offered)
 	}
 }
+
+// NewFleet rejects scaler and admitter parameters they cannot act on:
+// before, a target outside (0,1] silently became 0.7 and a negative or NaN
+// queue cap silently admitted everything.
+func TestScaleAdmitValidation(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name   string
+		scaler Scaler
+		admit  Admitter
+		ok     bool
+	}{
+		{"target 0.7", TargetUtilization{Target: 0.7}, nil, true},
+		{"target 1", TargetUtilization{Target: 1}, nil, true},
+		{"target 0", TargetUtilization{}, nil, false},
+		{"target 2", TargetUtilization{Target: 2}, nil, false},
+		{"target -0.5", TargetUtilization{Target: -0.5}, nil, false},
+		{"target NaN", TargetUtilization{Target: nan}, nil, false},
+		{"target via pointer", &TargetUtilization{Target: 2}, nil, false},
+		{"queue cap 6", nil, QueueCap{MaxQueuedPerActive: 6}, true},
+		{"queue cap 0", nil, QueueCap{}, true},
+		{"queue cap -1", nil, QueueCap{MaxQueuedPerActive: -1}, false},
+		{"queue cap NaN", nil, QueueCap{MaxQueuedPerActive: nan}, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Scaler, cfg.Admit = tc.scaler, tc.admit
+		if _, err := NewFleet(cfg, homogeneous(2, 1000, 100)...); (err == nil) != tc.ok {
+			t.Errorf("%s: NewFleet error %v, want ok=%t", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package des
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Autoscaling and admission-control hooks. Both observe the same O(1)
 // Signal; the scaler runs on the virtual-time control loop (every
@@ -44,23 +47,26 @@ type Scaler interface {
 }
 
 // TargetUtilization scales the active set so measured utilization tracks
-// Target: desired = ceil(active · utilization / Target), clamped to
-// [Min, Max] (Max 0 means no cap). With Target 0.7, a burst that pushes
+// Target, in (0,1]: desired = ceil(active · utilization / Target), clamped
+// to [Min, Max] (Max 0 means no cap). With Target 0.7, a burst that pushes
 // utilization to 1.4 doubles the active set on the next tick.
 type TargetUtilization struct {
 	Target   float64
 	Min, Max int
 }
 
+func (t TargetUtilization) validate() error {
+	if !(t.Target > 0 && t.Target <= 1) {
+		return fmt.Errorf("des: target utilization %v outside (0,1]", t.Target)
+	}
+	return nil
+}
+
 // Decide implements Scaler.
 func (t TargetUtilization) Decide(sig Signal) int {
-	target := t.Target
-	if target <= 0 || target > 1 {
-		target = 0.7
-	}
 	desired := sig.Active
 	if u := sig.Utilization(); u > 0 {
-		desired = int(math.Ceil(float64(sig.Active) * u / target))
+		desired = int(math.Ceil(float64(sig.Active) * u / t.Target))
 	}
 	if t.Min > 0 && desired < t.Min {
 		desired = t.Min
@@ -79,9 +85,17 @@ type Admitter interface {
 
 // QueueCap admits while the fleet-wide backlog stays under
 // MaxQueuedPerActive waiting requests per active replica — a load-shedding
-// valve that keeps queue delay bounded under heavy-tail bursts.
+// valve that keeps queue delay bounded under heavy-tail bursts. Zero admits
+// everything.
 type QueueCap struct {
 	MaxQueuedPerActive float64
+}
+
+func (q QueueCap) validate() error {
+	if !(q.MaxQueuedPerActive >= 0) {
+		return fmt.Errorf("des: queue cap %v per active replica is negative or NaN", q.MaxQueuedPerActive)
+	}
+	return nil
 }
 
 // Admit implements Admitter.

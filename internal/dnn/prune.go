@@ -26,7 +26,7 @@ func PruneChannels(m *Model, keep []float64) (*Model, error) {
 		return nil, fmt.Errorf("dnn: keep covers %d layers, model %q has %d", len(keep), m.Name, m.NumMappable())
 	}
 	for i, k := range keep {
-		if k <= 0 || k > 1 {
+		if !(k > 0 && k <= 1) {
 			return nil, fmt.Errorf("dnn: layer %d keep ratio %v outside (0,1]", i, k)
 		}
 	}

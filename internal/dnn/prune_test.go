@@ -91,6 +91,10 @@ func TestPruneChannelsValidation(t *testing.T) {
 	if _, err := PruneChannels(m, keep); err == nil {
 		t.Error("ratio > 1 must error")
 	}
+	keep[2] = math.NaN()
+	if _, err := PruneChannels(m, keep); err == nil {
+		t.Error("NaN ratio must error")
+	}
 	// Pruned logits.
 	keep = uniformKeep(m, 0.5)
 	keep[len(keep)-1] = 0.5

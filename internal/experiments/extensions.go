@@ -199,8 +199,9 @@ func (s *Suite) Pipeline() (*report.Table, error) {
 
 // Stability quantifies the RL search's seed sensitivity: best RUE across
 // independent seeds on VGG16, relative to the best homogeneous accelerator.
-// The warm-started search can never fall below 1.00x; the spread above it
-// shows how reliably exploration finds the heterogeneous optimum.
+// The search's best-so-far starts at the best homogeneous strategy, so it
+// never falls below 1.00x; the spread above it shows how reliably
+// exploration finds the heterogeneous optimum.
 func (s *Suite) Stability() (*report.Table, error) {
 	m := dnn.VGG16()
 	t := &report.Table{

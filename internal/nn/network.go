@@ -93,7 +93,7 @@ func (n *Network) SameShape(o *Network) bool {
 // Batch is the scratch of batched passes: the activations and deltas at every
 // layer boundary for up to its capacity of samples, each boundary a sample-major block of
 // one flat buffer. It serves every network of the shape it was built for, so
-// an online network and its target (or twin critics) share one; a pass's
+// an online network and its target share one; a pass's
 // activations live until the next ForwardBatch through the same Batch.
 type Batch struct {
 	shape  *Network    // the network s was built for

@@ -25,20 +25,10 @@ func benchAgent(cfg AgentConfig) *Agent {
 }
 
 func BenchmarkAgentUpdate(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		cfg  AgentConfig
-	}{
-		{"DDPG", DefaultAgentConfig(10)},
-		{"TD3", td3Config(10)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			a := benchAgent(bc.cfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.Update()
-			}
-		})
+	a := benchAgent(DefaultAgentConfig(10))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Update()
 	}
 }

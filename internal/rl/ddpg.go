@@ -26,15 +26,6 @@ type AgentConfig struct {
 	Capacity   int // experience-pool capacity
 	Batch      int // minibatch size per update
 	Seed       int64
-
-	// TD3 extensions (Fujimoto et al., 2018), opt-in. TwinCritics enables
-	// clipped double-Q targets: two critics trained on the same batches,
-	// targets take min(Q1', Q2'); the actor updates only every PolicyDelay
-	// steps against Critic 1; target actions get clipped Gaussian noise of
-	// scale TargetNoise (smoothing). All zero values keep plain DDPG.
-	TwinCritics bool
-	PolicyDelay int
-	TargetNoise float64
 }
 
 // Validate reports a config NewAgent cannot build or Update cannot train
@@ -90,15 +81,11 @@ type Agent struct {
 	ActorTarget  *nn.Network
 	Critic       *nn.Network
 	CriticTarget *nn.Network
-	// Critic2/Critic2Target exist only with cfg.TwinCritics.
-	Critic2       *nn.Network
-	Critic2Target *nn.Network
 
-	actorOpt   *nn.Adam
-	criticOpt  *nn.Adam
-	critic2Opt *nn.Adam
-	Noise      *OUNoise
-	Pool       *Replay
+	actorOpt  *nn.Adam
+	criticOpt *nn.Adam
+	Noise     *OUNoise
+	Pool      *Replay
 
 	// Minibatch scratch, reused by every Update: the sampled transitions,
 	// one Batch for the actor-shaped networks and one for the critics, and
@@ -152,19 +139,6 @@ func NewAgent(cfg AgentConfig) *Agent {
 		target:       make([]float64, cfg.Batch),
 		grad:         make([]float64, cfg.Batch),
 	}
-	if cfg.TwinCritics {
-		critic2 := nn.NewNetwork(rng, cfg.StateDim+1,
-			nn.LayerSpec{Out: cfg.Hidden, Act: nn.ReLU},
-			nn.LayerSpec{Out: cfg.Hidden, Act: nn.ReLU},
-			nn.LayerSpec{Out: 1, Act: nn.Linear},
-		)
-		a.Critic2 = critic2
-		a.Critic2Target = critic2.Clone()
-		a.critic2Opt = nn.NewAdam(critic2, cfg.CriticLR)
-		if a.cfg.PolicyDelay < 1 {
-			a.cfg.PolicyDelay = 2
-		}
-	}
 	return a
 }
 
@@ -183,10 +157,8 @@ func (a *Agent) ActNoisy(state []float64) float64 {
 func (a *Agent) Remember(t Transition) { a.Pool.Add(t) }
 
 // targets fills a.target with y = r + γ(1−done)·Q'(s', μ'(s')) for every
-// sample. With twin critics Q' is the clipped-double-Q minimum over both
-// target critics, and the target action carries clipped smoothing noise,
-// drawn once per non-terminal sample in sample order. Terminal samples need
-// no target pass, so the live ones are packed in sample order.
+// sample. Terminal samples need no target pass, so the live ones are
+// packed in sample order.
 func (a *Agent) targets(batch []Transition) []float64 {
 	sd := a.cfg.StateDim
 	live := 0
@@ -202,21 +174,10 @@ func (a *Agent) targets(batch []Transition) []float64 {
 		na := a.ActorTarget.ForwardBatch(a.actorBatch, live)
 		cin := a.criticBatch.Input(live)
 		for k, act := range na {
-			if a.cfg.TwinCritics && a.cfg.TargetNoise > 0 {
-				noise := mat.Clamp(a.rng.NormFloat64()*a.cfg.TargetNoise, -2*a.cfg.TargetNoise, 2*a.cfg.TargetNoise)
-				act = mat.Clamp(act+noise, 0, 1)
-			}
 			copy(cin[k*(sd+1):], in[k*sd:(k+1)*sd])
 			cin[k*(sd+1)+sd] = act
 		}
 		copy(q, a.CriticTarget.ForwardBatch(a.criticBatch, live))
-		if a.cfg.TwinCritics {
-			for k, q2 := range a.Critic2Target.ForwardBatch(a.criticBatch, live) {
-				if q2 < q[k] {
-					q[k] = q2
-				}
-			}
-		}
 	}
 	y, k := a.target, 0
 	for i, t := range batch {
@@ -237,8 +198,8 @@ func (a *Agent) targets(batch []Transition) []float64 {
 //
 // Every network pass covers the whole minibatch at once (nn.ForwardBatch),
 // and every number equals that of passing the samples one at a time in
-// order: the passes are exact, gradients accumulate in sample order, and
-// TD3's target-noise draws follow the sample order (DESIGN.md §17).
+// order: the passes are exact and gradients accumulate in sample order
+// (DESIGN.md §17).
 func (a *Agent) Update() float64 {
 	if a.Pool.Len() < a.cfg.Batch {
 		return 0
@@ -247,7 +208,7 @@ func (a *Agent) Update() float64 {
 	a.Pool.Sample(a.rng, batch)
 	y := a.targets(batch)
 
-	// Critics: minimize (Q(s,a) − y)² (both critics see the same targets).
+	// Critic: minimize (Q(s,a) − y)².
 	cin := a.criticBatch.Input(len(batch))
 	for i, t := range batch {
 		copy(cin[i*(sd+1):], t.State)
@@ -262,47 +223,34 @@ func (a *Agent) Update() float64 {
 	}
 	a.Critic.BackwardBatch(a.criticBatch, a.grad)
 	a.criticOpt.Step(a.Critic, a.cfg.Batch)
-	if a.Critic2 != nil {
-		a.Critic2.ZeroGrad()
-		for i, q2 := range a.Critic2.ForwardBatch(a.criticBatch, len(batch)) {
-			a.grad[i] = q2 - y[i]
-		}
-		a.Critic2.BackwardBatch(a.criticBatch, a.grad)
-		a.critic2Opt.Step(a.Critic2, a.cfg.Batch)
-	}
 	a.updates++
 
-	// Actor (delayed with twin critics): ascend ∇_a Q1(s, μ(s))·∇_θ μ(s).
-	// The critic is only probed for dQ/da, so it accumulates no gradients.
-	if a.Critic2 == nil || a.updates%a.cfg.PolicyDelay == 0 {
-		in := a.actorBatch.Input(len(batch))
-		for i, t := range batch {
-			copy(in[i*sd:(i+1)*sd], t.State)
-		}
-		act := a.Actor.ForwardBatch(a.actorBatch, len(batch))
-		for i, t := range batch {
-			copy(cin[i*(sd+1):], t.State)
-			cin[i*(sd+1)+sd] = act[i]
-		}
-		a.Critic.ForwardBatch(a.criticBatch, len(batch))
-		for i := range a.grad {
-			a.grad[i] = 1
-		}
-		a.Critic.InputGradBatch(a.criticBatch, a.grad, sd, a.grad)
-		for i, dQda := range a.grad {
-			a.grad[i] = -dQda // minimize −Q
-		}
-		a.Actor.ZeroGrad()
-		a.Actor.BackwardBatch(a.actorBatch, a.grad)
-		a.actorOpt.Step(a.Actor, a.cfg.Batch)
-
-		// Soft target tracking, on the actor's cadence.
-		a.ActorTarget.SoftUpdate(a.Actor, a.cfg.Tau)
-		a.CriticTarget.SoftUpdate(a.Critic, a.cfg.Tau)
-		if a.Critic2 != nil {
-			a.Critic2Target.SoftUpdate(a.Critic2, a.cfg.Tau)
-		}
+	// Actor: ascend ∇_a Q(s, μ(s))·∇_θ μ(s). The critic is only probed for
+	// dQ/da, so it accumulates no gradients.
+	in := a.actorBatch.Input(len(batch))
+	for i, t := range batch {
+		copy(in[i*sd:(i+1)*sd], t.State)
 	}
+	act := a.Actor.ForwardBatch(a.actorBatch, len(batch))
+	for i, t := range batch {
+		copy(cin[i*(sd+1):], t.State)
+		cin[i*(sd+1)+sd] = act[i]
+	}
+	a.Critic.ForwardBatch(a.criticBatch, len(batch))
+	for i := range a.grad {
+		a.grad[i] = 1
+	}
+	a.Critic.InputGradBatch(a.criticBatch, a.grad, sd, a.grad)
+	for i, dQda := range a.grad {
+		a.grad[i] = -dQda // minimize −Q
+	}
+	a.Actor.ZeroGrad()
+	a.Actor.BackwardBatch(a.actorBatch, a.grad)
+	a.actorOpt.Step(a.Actor, a.cfg.Batch)
+
+	// Soft target tracking.
+	a.ActorTarget.SoftUpdate(a.Actor, a.cfg.Tau)
+	a.CriticTarget.SoftUpdate(a.Critic, a.cfg.Tau)
 	return tdSum / float64(a.cfg.Batch)
 }
 
@@ -311,7 +259,7 @@ func (a *Agent) Updates() int { return a.updates }
 
 // StartEpisode resets the exploration noise to its mean so the episode's
 // first action is not biased by residual state — from the previous episode
-// of this search, or from a warm-started agent's earlier life. Search loops
+// of this search, or from a loaded agent's earlier life. Search loops
 // call it at the top of every episode; it is idempotent.
 func (a *Agent) StartEpisode() { a.Noise.Reset() }
 

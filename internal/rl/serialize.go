@@ -10,7 +10,8 @@ import (
 
 // Agent persistence: the paper's workflow trains the RL agent once offline
 // and reuses the resulting strategy many times (§4.5); saving the agent
-// additionally allows warm-starting searches for related models.
+// keeps the trained policy (cmd/autohet -save-agent) for inspection or
+// further training.
 
 type agentHeader struct {
 	Cfg   AgentConfig
@@ -26,11 +27,7 @@ func (a *Agent) Save(w io.Writer) error {
 	if err := gob.NewEncoder(w).Encode(hdr); err != nil {
 		return fmt.Errorf("rl: encoding agent header: %w", err)
 	}
-	nets := []*nn.Network{a.Actor, a.Critic, a.ActorTarget, a.CriticTarget}
-	if a.cfg.TwinCritics {
-		nets = append(nets, a.Critic2, a.Critic2Target)
-	}
-	for _, net := range nets {
+	for _, net := range []*nn.Network{a.Actor, a.Critic, a.ActorTarget, a.CriticTarget} {
 		if err := net.Save(w); err != nil {
 			return fmt.Errorf("rl: encoding network: %w", err)
 		}
@@ -49,11 +46,7 @@ func LoadAgent(r io.Reader) (*Agent, error) {
 		return nil, fmt.Errorf("rl: corrupt agent header: %w", err)
 	}
 	a := NewAgent(hdr.Cfg)
-	nets := []**nn.Network{&a.Actor, &a.Critic, &a.ActorTarget, &a.CriticTarget}
-	if hdr.Cfg.TwinCritics {
-		nets = append(nets, &a.Critic2, &a.Critic2Target)
-	}
-	for i, slot := range nets {
+	for i, slot := range []**nn.Network{&a.Actor, &a.Critic, &a.ActorTarget, &a.CriticTarget} {
 		net, err := nn.LoadNetwork(r)
 		if err != nil {
 			return nil, fmt.Errorf("rl: decoding network %d: %w", i, err)
@@ -68,9 +61,6 @@ func LoadAgent(r io.Reader) (*Agent, error) {
 	// Rebind the optimizers to the loaded networks.
 	a.actorOpt = nn.NewAdam(a.Actor, hdr.Cfg.ActorLR)
 	a.criticOpt = nn.NewAdam(a.Critic, hdr.Cfg.CriticLR)
-	if hdr.Cfg.TwinCritics {
-		a.critic2Opt = nn.NewAdam(a.Critic2, hdr.Cfg.CriticLR)
-	}
 	a.Noise.Sigma = hdr.Sigma
 	a.updates = hdr.Steps
 	return a, nil

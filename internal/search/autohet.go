@@ -25,11 +25,6 @@ type Options struct {
 	// reward-shaping ablation (DESIGN.md §5) and custom deployments (e.g.
 	// latency- or area-aware objectives) reuse the same search.
 	Objective func(*sim.Result) float64
-	// WarmStart, when non-nil, continues from a previously trained agent
-	// (e.g. loaded with rl.LoadAgent) instead of a fresh one — useful for
-	// transferring a policy to a related model or resuming a search. The
-	// Agent config field is ignored in that case.
-	WarmStart *rl.Agent
 }
 
 // DefaultOptions returns the paper's search configuration (300 rounds) with
@@ -72,7 +67,7 @@ type Result struct {
 	// env's evaluator is shared across searches).
 	Stats EvalStats
 	// Agent is the trained DDPG agent, exposed so callers can persist it
-	// (rl.Agent.Save) or warm-start related searches.
+	// (rl.Agent.Save; rl.LoadAgent reads it back).
 	Agent *rl.Agent
 }
 
@@ -92,21 +87,13 @@ func AutoHet(env *Env, opts Options) (*Result, error) {
 	if score == nil {
 		score = func(r *sim.Result) float64 { return r.RUE() }
 	}
-	var agent *rl.Agent
-	if opts.WarmStart != nil {
-		if got := opts.WarmStart.Actor.InputSize(); got != StateDim {
-			return nil, fmt.Errorf("search: warm-start agent state dim %d, want %d", got, StateDim)
-		}
-		agent = opts.WarmStart
-	} else {
-		if opts.Agent.StateDim != StateDim {
-			return nil, fmt.Errorf("search: agent state dim %d, want %d", opts.Agent.StateDim, StateDim)
-		}
-		if err := opts.Agent.Validate(); err != nil {
-			return nil, fmt.Errorf("search: agent config: %w", err)
-		}
-		agent = rl.NewAgent(opts.Agent)
+	if opts.Agent.StateDim != StateDim {
+		return nil, fmt.Errorf("search: agent state dim %d, want %d", opts.Agent.StateDim, StateDim)
 	}
+	if err := opts.Agent.Validate(); err != nil {
+		return nil, fmt.Errorf("search: agent config: %w", err)
+	}
+	agent := rl.NewAgent(opts.Agent)
 	n := env.NumLayers()
 	ev := env.Evaluator()
 	startStats := ev.Stats()
@@ -115,63 +102,39 @@ func AutoHet(env *Env, opts Options) (*Result, error) {
 	// Reward normalization reference: the best homogeneous build over the
 	// env's own candidates. Homogeneous strategies are points of the C^N
 	// search space, so the best of them also seeds the best-so-far — the
-	// search can then only improve on it. The candidates are independent,
-	// so they evaluate in parallel; the selection scan below stays in
-	// candidate order, keeping the result deterministic.
+	// search can then only improve on it.
 	res := &Result{}
 	states := make([][]float64, n+1)
 	actions := make([]float64, n)
 	indices := make([]int, n)
 
-	type homoEval struct {
-		result *sim.Result
-		action float64
-	}
-	homos := make([]homoEval, len(env.Candidates))
-	if err := ParallelFor(len(env.Candidates), func(i int) error {
-		homoIdx := make([]int, n)
-		for j := range homoIdx {
-			homoIdx[j] = i
-		}
-		r, err := ev.EvalIndices(homoIdx)
-		if err != nil {
-			return fmt.Errorf("search: homogeneous reference %v: %w", env.Candidates[i], err)
-		}
-		homos[i] = homoEval{result: r, action: (float64(i) + 0.5) / float64(len(env.Candidates))}
-		return nil
-	}); err != nil {
+	homos, bestHomo, err := homogeneousSweep(n, env.Candidates, ev.EvalIndices, score)
+	if err != nil {
 		return nil, err
 	}
-	refRUE := 0.0
-	for i, h := range homos {
-		if score(h.result) > refRUE {
-			refRUE = score(h.result)
-			res.Best = accel.Homogeneous(n, env.Candidates[i])
-			res.BestResult = h.result
-		}
-	}
-	if refRUE == 0 {
-		return nil, fmt.Errorf("search: reference RUE is zero")
-	}
+	res.Best = accel.Homogeneous(n, env.Candidates[bestHomo])
+	res.BestResult = homos[bestHomo]
+	refRUE := score(homos[bestHomo])
 	res.RefRUE = refRUE
 
-	// Warm-start the experience pool with the homogeneous episodes so the
+	// Seed the experience pool with the homogeneous episodes so the
 	// critic sees the reward landscape's anchors before exploration
 	// begins. (Homogeneous strategies are points of the C^N space, so the
 	// best of them also seeded the best-so-far above.)
 	for i, h := range homos {
+		action := (float64(i) + 0.5) / float64(len(env.Candidates))
 		prevA, prevU := 0.0, 0.0
 		for k := 0; k < n; k++ {
 			states[k] = env.State(k, prevA, prevU)
-			prevA = h.action
+			prevA = action
 			prevU = env.LayerUtilization(k, i)
 		}
 		states[n] = states[n-1]
 		for k := 0; k < n; k++ {
 			agent.Remember(rl.Transition{
 				State:     states[k],
-				Action:    h.action,
-				Reward:    score(h.result) / refRUE,
+				Action:    action,
+				Reward:    score(h) / refRUE,
 				NextState: states[k+1],
 				Done:      k == n-1,
 			})
@@ -181,9 +144,7 @@ func AutoHet(env *Env, opts Options) (*Result, error) {
 	span := obs.StartSpan("search")
 	for round := 0; round < opts.Rounds; round++ {
 		// Decision stage: walk the layers. Episode hygiene: the OU noise
-		// must start each episode from its mean — EndEpisode resets it
-		// between rounds, but a warm-started agent can arrive carrying
-		// residual state from its previous life.
+		// starts each episode from its mean.
 		agent.StartEpisode()
 		stage := span.Child("decide")
 		prevA, prevU := 0.0, 0.0

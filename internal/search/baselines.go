@@ -27,26 +27,20 @@ func BestHomogeneous(env *Env, shapes []xbar.Shape) ([]Evaluation, int, error) {
 	}
 	n := env.NumLayers()
 	engine := env.Evaluator()
-	evals := make([]Evaluation, len(shapes))
-	if err := ParallelFor(len(shapes), func(i int) error {
-		st := accel.Homogeneous(n, shapes[i])
+	results, best, err := homogeneousSweep(n, shapes, func(indices []int) (*sim.Result, error) {
+		st := mustStrategy(shapes, indices)
 		r, err := engine.EvalStrategy(st)
-		if err == nil {
-			r, err = engine.Materialize(r, st, nil)
-		}
 		if err != nil {
-			return fmt.Errorf("search: homogeneous %v: %w", shapes[i], err)
+			return nil, err
 		}
-		evals[i] = Evaluation{Strategy: st, Result: r}
-		return nil
-	}); err != nil {
+		return engine.Materialize(r, st, nil)
+	}, (*sim.Result).RUE)
+	if err != nil {
 		return nil, -1, err
 	}
-	best := -1
-	for i := range evals {
-		if best == -1 || evals[i].Result.RUE() > evals[best].Result.RUE() {
-			best = i
-		}
+	evals := make([]Evaluation, len(shapes))
+	for i, r := range results {
+		evals[i] = Evaluation{Strategy: accel.Homogeneous(n, shapes[i]), Result: r}
 	}
 	return evals, best, nil
 }

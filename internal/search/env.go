@@ -154,8 +154,8 @@ func (e *Env) evalDirect(st accel.Strategy, bits accel.Precision) (*sim.Result, 
 }
 
 // Evaluator returns the env's shared memoizing evaluation engine, creating
-// it on first use. All searchers over the same env share one engine, so a
-// GA can warm the caches an annealer then profits from.
+// it on first use. All searchers over the same env share one engine, so one
+// search warms the caches the next profits from.
 func (e *Env) Evaluator() *Evaluator {
 	e.evalOnce.Do(func() {
 		e.evaluator = &Evaluator{

@@ -63,7 +63,7 @@ type layerKey struct {
 // Evaluator is the concurrency-safe memoizing evaluation engine all
 // searchers share (via Env.Evaluator). Two cache levels back it: a
 // strategy-level cache keyed on the strategy fingerprint (exact repeats,
-// e.g. an annealer revisiting a state or GA elites), and a per-layer
+// e.g. an annealer revisiting a state), and a per-layer
 // LayerResult memo keyed on (layer, shape, precision) that makes even a
 // never-seen strategy cost only O(layers) cheap aggregation instead of a
 // full tile materialization. Results coming from the fast path carry

@@ -3,10 +3,10 @@ package search
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"autohet/internal/accel"
 	"autohet/internal/sim"
+	"autohet/internal/xbar"
 )
 
 // Mixed-precision co-search: jointly choose each layer's crossbar shape AND
@@ -21,8 +21,6 @@ import (
 type MPOptions struct {
 	Rounds int
 	Seed   int64
-	T0     float64 // initial temperature on the normalized-RUE scale
-	Alpha  float64 // geometric cooling factor
 	// BitChoices are the allowed per-layer widths, e.g. {4, 6, 8}.
 	BitChoices []int
 	// MinMeanBits is the feasibility floor on the weight-count-weighted
@@ -32,8 +30,7 @@ type MPOptions struct {
 
 // DefaultMPOptions allows 4/6/8-bit layers with a mean of at least 6 bits.
 func DefaultMPOptions() MPOptions {
-	return MPOptions{Rounds: 300, Seed: 1, T0: 0.3, Alpha: 0.99,
-		BitChoices: []int{4, 6, 8}, MinMeanBits: 6}
+	return MPOptions{Rounds: 300, Seed: 1, BitChoices: []int{4, 6, 8}, MinMeanBits: 6}
 }
 
 // MPResult is the outcome of a mixed-precision search.
@@ -45,32 +42,31 @@ type MPResult struct {
 	MeanBits float64
 }
 
-// MixedPrecision runs the joint shape × bit-width annealing search.
+// MixedPrecision runs the joint shape × bit-width annealing search from the
+// best homogeneous shape at the widest bit choice.
 func MixedPrecision(env *Env, opts MPOptions) (*MPResult, error) {
 	switch {
 	case opts.Rounds <= 0:
 		return nil, fmt.Errorf("search: MP rounds %d", opts.Rounds)
-	case opts.T0 <= 0 || opts.Alpha <= 0 || opts.Alpha > 1:
-		return nil, fmt.Errorf("search: MP schedule T0=%v alpha=%v", opts.T0, opts.Alpha)
 	case len(opts.BitChoices) == 0:
 		return nil, fmt.Errorf("search: MP needs bit choices")
+	case math.IsNaN(opts.MinMeanBits) || math.IsInf(opts.MinMeanBits, 0):
+		return nil, fmt.Errorf("search: MinMeanBits %v must be finite", opts.MinMeanBits)
 	}
-	maxBits := 0
-	for _, b := range opts.BitChoices {
+	widest := 0
+	for i, b := range opts.BitChoices {
 		if b < 1 || b > env.Cfg.WeightBits {
 			return nil, fmt.Errorf("search: MP bit choice %d outside [1,%d]", b, env.Cfg.WeightBits)
 		}
-		if b > maxBits {
-			maxBits = b
+		if b > opts.BitChoices[widest] {
+			widest = i
 		}
 	}
-	if float64(maxBits) < opts.MinMeanBits {
+	if float64(opts.BitChoices[widest]) < opts.MinMeanBits {
 		return nil, fmt.Errorf("search: MinMeanBits %v unreachable with choices %v", opts.MinMeanBits, opts.BitChoices)
 	}
 
-	rng := rand.New(rand.NewSource(opts.Seed))
 	n := env.NumLayers()
-	c := len(env.Candidates)
 	weights := make([]float64, n)
 	var totalW float64
 	for i, l := range env.Model.Mappable() {
@@ -84,98 +80,56 @@ func MixedPrecision(env *Env, opts MPOptions) (*MPResult, error) {
 		}
 		return sum / totalW
 	}
+	toBits := func(bits accel.Precision, choice []int) accel.Precision {
+		for i, c := range choice {
+			bits[i] = opts.BitChoices[c]
+		}
+		return bits
+	}
 
-	// Start: best homogeneous shape at full available precision (the
-	// candidates evaluate in parallel; selection stays in candidate order).
 	engine := env.Evaluator()
 	defer trackSearch("mixed", engine)()
-	indices := make([]int, n)
-	bits := make(accel.Precision, n)
-	for i := range bits {
-		bits[i] = maxBits
+	choice := make([]int, n)
+	for i := range choice {
+		choice[i] = widest
 	}
-	homos := make([]*sim.Result, c)
-	if err := ParallelFor(c, func(i int) error {
-		homoIdx := make([]int, n)
-		for j := range homoIdx {
-			homoIdx[j] = i
-		}
-		r, err := engine.EvalSpec(homoIdx, bits)
-		homos[i] = r
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	refRUE := 0.0
-	bestIdx := 0
-	var cur *sim.Result
-	for i, r := range homos {
-		if r.RUE() > refRUE {
-			refRUE = r.RUE()
-			cur = r
-			bestIdx = i
-		}
-	}
-	if cur == nil || refRUE == 0 {
-		return nil, fmt.Errorf("search: MP reference RUE is zero")
-	}
-	for j := range indices {
-		indices[j] = bestIdx
-	}
-
-	best := &MPResult{
-		Strategy:  mustStrategy(env, indices),
-		Precision: append(accel.Precision(nil), bits...),
-		Result:    cur,
-		MeanBits:  meanBits(bits),
-	}
-
-	temp := opts.T0
-	candIdx := make([]int, n)
-	candBits := make(accel.Precision, n)
-	for round := 0; round < opts.Rounds; round++ {
-		copy(candIdx, indices)
-		copy(candBits, bits)
-		k := rng.Intn(n)
-		if c > 1 && rng.Intn(2) == 0 {
-			candIdx[k] = (candIdx[k] + 1 + rng.Intn(c-1)) % c
-		} else {
-			candBits[k] = opts.BitChoices[rng.Intn(len(opts.BitChoices))]
-		}
-		if meanBits(candBits) < opts.MinMeanBits {
-			temp *= opts.Alpha
-			continue // infeasible: rejected without evaluation
-		}
-		r, err := engine.EvalSpec(candIdx, candBits)
-		if err != nil {
-			return nil, err
-		}
-		delta := (r.RUE() - cur.RUE()) / refRUE
-		if delta >= 0 || rng.Float64() < math.Exp(delta/temp) {
-			copy(indices, candIdx)
-			copy(bits, candBits)
-			cur = r
-			if r.RUE() > best.Result.RUE() {
-				best = &MPResult{
-					Strategy:  mustStrategy(env, indices),
-					Precision: append(accel.Precision(nil), bits...),
-					Result:    r,
-					MeanBits:  meanBits(bits),
-				}
-			}
-		}
-		temp *= opts.Alpha
-	}
-	r, err := engine.Materialize(best.Result, best.Strategy, best.Precision)
+	bits := toBits(make(accel.Precision, n), choice)
+	homos, bestIdx, err := homogeneousSweep(n, env.Candidates, func(indices []int) (*sim.Result, error) {
+		return engine.EvalSpec(indices, bits)
+	}, (*sim.Result).RUE)
 	if err != nil {
 		return nil, err
 	}
-	best.Result = r
-	return best, nil
+	shape := make([]int, n)
+	for i := range shape {
+		shape[i] = bestIdx
+	}
+
+	candBits := make(accel.Precision, n)
+	space := annealSpace{shapes: len(env.Candidates), choices: len(opts.BitChoices),
+		eval: func(shape, choice []int) (*sim.Result, error) {
+			if meanBits(toBits(candBits, choice)) < opts.MinMeanBits {
+				return nil, nil
+			}
+			return engine.EvalSpec(shape, candBits)
+		}}
+	best, err := space.anneal(opts.Rounds, opts.Seed, shape, choice, homos[bestIdx])
+	if err != nil {
+		return nil, err
+	}
+	res := &MPResult{
+		Strategy:  mustStrategy(env.Candidates, shape),
+		Precision: toBits(make(accel.Precision, n), choice),
+	}
+	res.MeanBits = meanBits(res.Precision)
+	if res.Result, err = engine.Materialize(best, res.Strategy, res.Precision); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-func mustStrategy(env *Env, indices []int) accel.Strategy {
-	st, err := accel.FromIndices(env.Candidates, indices)
+func mustStrategy(candidates []xbar.Shape, indices []int) accel.Strategy {
+	st, err := accel.FromIndices(candidates, indices)
 	if err != nil {
 		panic(err) // indices are always produced in range
 	}

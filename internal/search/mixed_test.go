@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"testing"
 
 	"autohet/internal/xbar"
@@ -73,13 +74,13 @@ func TestMixedPrecisionDeterministic(t *testing.T) {
 func TestMixedPrecisionValidation(t *testing.T) {
 	env := testEnv(t, tinyModel(t), xbar.DefaultCandidates()[:2], false)
 	bad := []MPOptions{
-		{Rounds: 0, T0: 1, Alpha: 0.9, BitChoices: []int{8}},
-		{Rounds: 10, T0: 0, Alpha: 0.9, BitChoices: []int{8}},
-		{Rounds: 10, T0: 1, Alpha: 1.2, BitChoices: []int{8}},
-		{Rounds: 10, T0: 1, Alpha: 0.9},                                       // no choices
-		{Rounds: 10, T0: 1, Alpha: 0.9, BitChoices: []int{9}},                 // over WeightBits
-		{Rounds: 10, T0: 1, Alpha: 0.9, BitChoices: []int{0}},                 // under 1
-		{Rounds: 10, T0: 1, Alpha: 0.9, BitChoices: []int{4}, MinMeanBits: 6}, // unreachable floor
+		{Rounds: 0, BitChoices: []int{8}},
+		{Rounds: 10},                                       // no choices
+		{Rounds: 10, BitChoices: []int{9}},                 // over WeightBits
+		{Rounds: 10, BitChoices: []int{0}},                 // under 1
+		{Rounds: 10, BitChoices: []int{4}, MinMeanBits: 6}, // unreachable floor
+		{Rounds: 10, BitChoices: []int{8}, MinMeanBits: math.NaN()},
+		{Rounds: 10, BitChoices: []int{8}, MinMeanBits: math.Inf(-1)},
 	}
 	for _, o := range bad {
 		if _, err := MixedPrecision(env, o); err == nil {
@@ -117,5 +118,42 @@ func TestEvalSpecPrecisionScalesEnergy(t *testing.T) {
 	// full PE).
 	if half.Utilization != full.Utilization {
 		t.Fatal("precision changed utilization")
+	}
+}
+
+// With one crossbar candidate the annealer only moves choices: every layer
+// keeps the single shape.
+func TestAnnealSingleCandidate(t *testing.T) {
+	env := testEnv(t, tinyModel(t), xbar.DefaultCandidates()[:1], false)
+	opts := DefaultMPOptions()
+	opts.Rounds = 60
+	res, err := MixedPrecision(env, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range res.Strategy {
+		if s != env.Candidates[0] {
+			t.Fatalf("layer %d on %v, want the single candidate %v", i, s, env.Candidates[0])
+		}
+	}
+	if res.Result.RUE() < bestHomoRUE(t, env) {
+		t.Fatalf("annealed RUE %v below its homogeneous start", res.Result.RUE())
+	}
+}
+
+// With a single bit width the annealer searches shapes alone, and on a
+// model small enough to enumerate it gets within 10% of the optimum.
+func TestAnnealApproachesOptimum(t *testing.T) {
+	env := testEnv(t, tinyModel(t), xbar.DefaultCandidates()[:3], true)
+	optimal, err := Exhaustive(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MixedPrecision(env, MPOptions{Rounds: 200, Seed: 1, BitChoices: []int{env.Cfg.WeightBits}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := res.Result.RUE() / optimal.Result.RUE(); ratio < 0.9 {
+		t.Fatalf("annealing reached only %.1f%% of optimum", 100*ratio)
 	}
 }

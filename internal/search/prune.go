@@ -2,8 +2,6 @@ package search
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"autohet/internal/accel"
 	"autohet/internal/dnn"
@@ -23,8 +21,6 @@ import (
 type PruneOptions struct {
 	Rounds int
 	Seed   int64
-	T0     float64
-	Alpha  float64
 	// KeepChoices are the allowed per-layer keep ratios (each in (0,1]).
 	KeepChoices []float64
 	// MinKeptWeights is the feasibility floor on the fraction of original
@@ -35,8 +31,7 @@ type PruneOptions struct {
 // DefaultPruneOptions allows 50/75/100% channel retention with at least
 // 70% of the original weights kept overall.
 func DefaultPruneOptions() PruneOptions {
-	return PruneOptions{Rounds: 300, Seed: 1, T0: 0.3, Alpha: 0.99,
-		KeepChoices: []float64{0.5, 0.75, 1.0}, MinKeptWeights: 0.7}
+	return PruneOptions{Rounds: 300, Seed: 1, KeepChoices: []float64{0.5, 0.75, 1.0}, MinKeptWeights: 0.7}
 }
 
 // PruneResult is the outcome of a pruning co-search.
@@ -49,138 +44,100 @@ type PruneResult struct {
 }
 
 // PruneSearch anneals over the joint shape × keep-ratio space for a
-// chain-structured model. Each evaluation derives the pruned architecture
-// (dnn.PruneChannels), maps it under the candidate strategy, and simulates.
+// chain-structured model, from the best homogeneous shape fully dense. Each
+// evaluation derives the pruned architecture (dnn.PruneChannels), checks
+// the kept-weight floor, maps it under the candidate strategy, and
+// simulates. The final layer's logits stay dense.
 func PruneSearch(cfg hw.Config, m *dnn.Model, candidates []xbar.Shape, shared bool, opts PruneOptions) (*PruneResult, error) {
 	switch {
 	case opts.Rounds <= 0:
 		return nil, fmt.Errorf("search: prune rounds %d", opts.Rounds)
-	case opts.T0 <= 0 || opts.Alpha <= 0 || opts.Alpha > 1:
-		return nil, fmt.Errorf("search: prune schedule T0=%v alpha=%v", opts.T0, opts.Alpha)
 	case len(opts.KeepChoices) == 0:
 		return nil, fmt.Errorf("search: prune needs keep choices")
 	case len(candidates) == 0:
 		return nil, fmt.Errorf("search: prune needs candidates")
-	case opts.MinKeptWeights < 0 || opts.MinKeptWeights > 1:
+	case !(opts.MinKeptWeights >= 0 && opts.MinKeptWeights <= 1):
 		return nil, fmt.Errorf("search: MinKeptWeights %v outside [0,1]", opts.MinKeptWeights)
 	}
-	hasFull := false
-	for _, k := range opts.KeepChoices {
-		if k <= 0 || k > 1 {
+	full := -1
+	for i, k := range opts.KeepChoices {
+		if !(k > 0 && k <= 1) {
 			return nil, fmt.Errorf("search: keep choice %v outside (0,1]", k)
 		}
-		if k == 1 {
-			hasFull = true
+		if k == 1 && full < 0 {
+			full = i
 		}
 	}
-	if !hasFull {
+	if full < 0 {
 		// The final layer must stay unpruned, so 1.0 must be available.
 		return nil, fmt.Errorf("search: keep choices must include 1.0")
 	}
 
-	rng := rand.New(rand.NewSource(opts.Seed))
 	n := m.NumMappable()
-	c := len(candidates)
-
-	evaluate := func(indices []int, keep []float64) (*sim.Result, float64, error) {
+	// simulate prunes m to keep and simulates it under the strategy
+	// indices. Pruning evaluations build per-variant models, so they bypass
+	// the env-level evaluation cache. A keep vector under the floor is
+	// rejected (nil result) before any plan is built.
+	simulate := func(indices []int, keep []float64) (*sim.Result, error) {
 		pruned, err := dnn.PruneChannels(m, keep)
-		if err != nil {
-			return nil, 0, err
-		}
-		st, err := accel.FromIndices(candidates, indices)
-		if err != nil {
-			return nil, 0, err
-		}
-		p, err := accel.BuildPlan(cfg, pruned, st, shared)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, err := sim.Simulate(p)
-		if err != nil {
-			return nil, 0, err
-		}
-		kept := float64(pruned.TotalWeights()) / float64(m.TotalWeights())
-		return r, kept, nil
-	}
-
-	// Start: best homogeneous shape, fully dense. Pruning evaluations build
-	// per-variant models, so they bypass the env-level evaluation cache —
-	// but the homogeneous sweep's points are independent and run in
-	// parallel (selection stays in candidate order).
-	indices := make([]int, n)
-	keep := make([]float64, n)
-	for i := range keep {
-		keep[i] = 1
-	}
-	homos := make([]*sim.Result, c)
-	if err := ParallelFor(c, func(i int) error {
-		homoIdx := make([]int, n)
-		for j := range homoIdx {
-			homoIdx[j] = i
-		}
-		r, _, err := evaluate(homoIdx, keep)
-		homos[i] = r
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	refRUE := 0.0
-	bestIdx := 0
-	var cur *sim.Result
-	for i, r := range homos {
-		if r.RUE() > refRUE {
-			refRUE, cur, bestIdx = r.RUE(), r, i
-		}
-	}
-	if cur == nil || refRUE == 0 {
-		return nil, fmt.Errorf("search: prune reference RUE is zero")
-	}
-	for j := range indices {
-		indices[j] = bestIdx
-	}
-
-	best := &PruneResult{
-		Keep:        append([]float64(nil), keep...),
-		Strategy:    mustStrategy(&Env{Candidates: candidates}, indices),
-		Result:      cur,
-		KeptWeights: 1,
-	}
-
-	temp := opts.T0
-	candIdx := make([]int, n)
-	candKeep := make([]float64, n)
-	for round := 0; round < opts.Rounds; round++ {
-		copy(candIdx, indices)
-		copy(candKeep, keep)
-		k := rng.Intn(n)
-		if c > 1 && rng.Intn(2) == 0 {
-			candIdx[k] = (candIdx[k] + 1 + rng.Intn(c-1)) % c
-		} else if k < n-1 { // the final layer's logits stay dense
-			candKeep[k] = opts.KeepChoices[rng.Intn(len(opts.KeepChoices))]
-		}
-		r, kept, err := evaluate(candIdx, candKeep)
 		if err != nil {
 			return nil, err
 		}
-		if kept < opts.MinKeptWeights {
-			temp *= opts.Alpha
-			continue // infeasible
+		if keptWeights(m, pruned) < opts.MinKeptWeights {
+			return nil, nil
 		}
-		delta := (r.RUE() - cur.RUE()) / refRUE
-		if delta >= 0 || rng.Float64() < math.Exp(delta/temp) {
-			copy(indices, candIdx)
-			copy(keep, candKeep)
-			cur = r
-			if r.RUE() > best.Result.RUE() {
-				best = &PruneResult{
-					Keep:        append([]float64(nil), keep...),
-					Strategy:    mustStrategy(&Env{Candidates: candidates}, indices),
-					Result:      r,
-					KeptWeights: kept,
-				}
-			}
+		p, err := accel.BuildPlan(cfg, pruned, mustStrategy(candidates, indices), shared)
+		if err != nil {
+			return nil, err
 		}
-		temp *= opts.Alpha
+		return sim.Simulate(p)
 	}
-	return best, nil
+	toKeep := func(keep []float64, choice []int) []float64 {
+		for i, c := range choice {
+			keep[i] = opts.KeepChoices[c]
+		}
+		return keep
+	}
+
+	choice := make([]int, n)
+	for i := range choice {
+		choice[i] = full
+	}
+	dense := toKeep(make([]float64, n), choice)
+	homos, bestIdx, err := homogeneousSweep(n, candidates, func(indices []int) (*sim.Result, error) {
+		return simulate(indices, dense)
+	}, (*sim.Result).RUE)
+	if err != nil {
+		return nil, err
+	}
+	shape := make([]int, n)
+	for i := range shape {
+		shape[i] = bestIdx
+	}
+
+	candKeep := make([]float64, n)
+	space := annealSpace{shapes: len(candidates), choices: len(opts.KeepChoices), frozenLast: true,
+		eval: func(shape, choice []int) (*sim.Result, error) {
+			return simulate(shape, toKeep(candKeep, choice))
+		}}
+	best, err := space.anneal(opts.Rounds, opts.Seed, shape, choice, homos[bestIdx])
+	if err != nil {
+		return nil, err
+	}
+	keep := toKeep(make([]float64, n), choice)
+	pruned, err := dnn.PruneChannels(m, keep)
+	if err != nil {
+		return nil, err
+	}
+	return &PruneResult{
+		Keep:        keep,
+		Strategy:    mustStrategy(candidates, shape),
+		Result:      best,
+		KeptWeights: keptWeights(m, pruned),
+	}, nil
+}
+
+// keptWeights is the fraction of m's weights that pruned retains.
+func keptWeights(m, pruned *dnn.Model) float64 {
+	return float64(pruned.TotalWeights()) / float64(m.TotalWeights())
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"testing"
 
 	"autohet/internal/dnn"
@@ -62,13 +63,13 @@ func TestPruneSearchValidation(t *testing.T) {
 	m := dnn.AlexNet()
 	cands := xbar.DefaultCandidates()[:2]
 	bad := []PruneOptions{
-		{Rounds: 0, T0: 1, Alpha: 0.9, KeepChoices: []float64{1}},
-		{Rounds: 10, T0: 0, Alpha: 0.9, KeepChoices: []float64{1}},
-		{Rounds: 10, T0: 1, Alpha: 2, KeepChoices: []float64{1}},
-		{Rounds: 10, T0: 1, Alpha: 0.9},                              // no choices
-		{Rounds: 10, T0: 1, Alpha: 0.9, KeepChoices: []float64{0}},   // invalid ratio
-		{Rounds: 10, T0: 1, Alpha: 0.9, KeepChoices: []float64{0.5}}, // missing 1.0
-		{Rounds: 10, T0: 1, Alpha: 0.9, KeepChoices: []float64{1}, MinKeptWeights: 2},
+		{Rounds: 0, KeepChoices: []float64{1}},
+		{Rounds: 10},                              // no choices
+		{Rounds: 10, KeepChoices: []float64{0}},   // invalid ratio
+		{Rounds: 10, KeepChoices: []float64{0.5}}, // missing 1.0
+		{Rounds: 10, KeepChoices: []float64{1, math.NaN()}},
+		{Rounds: 10, KeepChoices: []float64{1}, MinKeptWeights: 2},
+		{Rounds: 10, KeepChoices: []float64{1}, MinKeptWeights: math.NaN()},
 	}
 	for _, o := range bad {
 		if _, err := PruneSearch(cfg, m, cands, false, o); err == nil {

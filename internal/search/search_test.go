@@ -1,7 +1,6 @@
 package search
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -19,6 +18,15 @@ func testEnv(t *testing.T, m *dnn.Model, cands []xbar.Shape, shared bool) *Env {
 		t.Fatal(err)
 	}
 	return env
+}
+
+func bestHomoRUE(t *testing.T, env *Env) float64 {
+	t.Helper()
+	evals, best, err := BestHomogeneous(env, env.Candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evals[best].Result.RUE()
 }
 
 // tinyModel is a 4-layer model small enough for exhaustive search.
@@ -371,64 +379,5 @@ func TestAutoHetOnDepthwiseNet(t *testing.T) {
 	if res.BestResult.Utilization <= evals[best].Result.Utilization/2 {
 		t.Fatalf("AutoHet utilization %v collapsed vs homogeneous %v",
 			res.BestResult.Utilization, evals[best].Result.Utilization)
-	}
-}
-
-// The search accepts a TD3-configured agent (twin critics, delayed policy)
-// and still finds heterogeneous strategies at least as good as homogeneous.
-func TestAutoHetWithTD3Agent(t *testing.T) {
-	env := testEnv(t, tinyModel(t), xbar.DefaultCandidates()[:3], true)
-	opts := DefaultOptions()
-	opts.Rounds = 80
-	opts.Agent = rl.DefaultAgentConfig(StateDim)
-	opts.Agent.TwinCritics = true
-	opts.Agent.TargetNoise = 0.05
-	res, err := AutoHet(env, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := bestHomoRUE(t, env)
-	if res.BestResult.RUE() < ref {
-		t.Fatalf("TD3 search %v below best homogeneous %v", res.BestResult.RUE(), ref)
-	}
-}
-
-// A trained agent can be saved, loaded, and used to warm-start a related
-// search (policy transfer).
-func TestAutoHetWarmStart(t *testing.T) {
-	env := testEnv(t, tinyModel(t), xbar.DefaultCandidates()[:3], true)
-	opts := DefaultOptions()
-	opts.Rounds = 40
-	first, err := AutoHet(env, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := first.Agent.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := rl.LoadAgent(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := DefaultOptions()
-	warm.Rounds = 20
-	warm.WarmStart = loaded
-	second, err := AutoHet(env, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Agent != loaded {
-		t.Fatal("warm start must reuse the provided agent")
-	}
-	ref := bestHomoRUE(t, env)
-	if second.BestResult.RUE() < ref {
-		t.Fatal("warm-started search below homogeneous floor")
-	}
-	// Shape mismatch is rejected.
-	bad := DefaultOptions()
-	bad.WarmStart = rl.NewAgent(rl.DefaultAgentConfig(3))
-	if _, err := AutoHet(env, bad); err == nil {
-		t.Fatal("wrong warm-start dimension must error")
 	}
 }

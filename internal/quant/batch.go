@@ -65,12 +65,13 @@ func (pb *PackedBatch) DigitWord(w, k, b int) uint64 {
 	return pb.Digits[(w*pb.B+k)*InputBits+b]
 }
 
-// resize grows the batch's buffers for n-row vectors in batches of b,
-// reusing capacity. With digits set it zeroes the digit slab; without, the
-// slab is truncated to zero length (keeping capacity) so any bit-serial
-// kernel run against a codes-only batch fails fast on an index instead of
-// reading stale bits.
-func (pb *PackedBatch) resize(n, b int, digits bool) {
+// Reset shapes pb for b members of n-row vectors, reusing capacity. With
+// digits set it keeps a zeroed digit slab for the bit-serial popcount
+// kernels; without, the slab is truncated to zero length (keeping capacity)
+// so any bit-serial kernel run against a codes-only batch fails fast on an
+// index instead of reading stale bits. Members are then filled by
+// QuantizeMember, or by writing Member(k) and calling SetMember.
+func (pb *PackedBatch) Reset(n, b int, digits bool) {
 	if n <= 0 || b <= 0 {
 		panic(fmt.Sprintf("quant: packed batch shape %d rows x %d members", n, b))
 	}
@@ -97,10 +98,16 @@ func (pb *PackedBatch) resize(n, b int, digits bool) {
 	clear(pb.Digits)
 }
 
-// setMember installs member k's already-quantized codes (U must hold them)
-// into the digit slab. The slab rows for k must be zero (resize clears the
-// whole slab).
-func (pb *PackedBatch) setMember(k int) {
+// SetMember completes member k, whose codes the caller has written into
+// Member(k): it records the member's scale and code sum and, when the batch
+// carries a digit slab, packs the member's digit words. The slab rows for k
+// must be zero (Reset clears the whole slab).
+func (pb *PackedBatch) SetMember(k int, scale, usum float64) {
+	pb.Scales[k] = scale
+	pb.USums[k] = usum
+	if len(pb.Digits) == 0 {
+		return
+	}
 	u := pb.Member(k)
 	b := pb.B
 	for i, c := range u {
@@ -115,39 +122,65 @@ func (pb *PackedBatch) setMember(k int) {
 	}
 }
 
-// quantizeMember quantizes member k's activation vector exactly as
+// ActivationScale is the dequantization scale of an activation vector
+// whose maximum, taken from 0 by v > max (so NaN never wins and −0 never
+// replaces +0), is maxV: maxV/255, or 1 for an all-nonpositive vector.
+func ActivationScale(maxV float64) float64 {
+	scale := maxV / float64((1<<InputBits)-1)
+	if scale == 0 {
+		return 1
+	}
+	return scale
+}
+
+// ActivationCode quantizes one activation under scale — negatives clamp
+// to 0, round to nearest (half away from zero), saturate at 255 — and
+// returns the code together with its rounded value, the term a member's
+// code sum accumulates (NaN for a NaN activation, so the sum is NaN too).
+//
+// It rounds with math.RoundToEven — one instruction on amd64, where
+// math.Round is a branchy bit routine — and moves the exact ties up:
+// x−RoundToEven(x) is exact for x ≥ 0 and equals 0.5 only when x is a tie
+// RoundToEven took down, so the result equals math.Round(x) for every
+// x ≥ 0, −0 and NaN (TestActivationCodeMatchesRound).
+func ActivationCode(v, scale float64) (uint8, float64) {
+	if v < 0 {
+		v = 0
+	}
+	x := v / scale
+	r := math.RoundToEven(x)
+	if x-r == 0.5 {
+		r++
+	}
+	if r > 255 {
+		r = 255
+	}
+	return uint8(r), r
+}
+
+// QuantizeMember quantizes member k's activation vector x exactly as
 // QuantizeInput does for a single vector (per-member scale from its own
 // max, negatives clamped, round-to-nearest), caches its code sum, and —
-// when digits is set — packs its digit words.
-func (pb *PackedBatch) quantizeMember(k int, x []float64, digits bool) {
+// when the batch carries a digit slab — packs its digit words.
+func (pb *PackedBatch) QuantizeMember(k int, x []float64) {
+	if len(x) != pb.N {
+		panic(fmt.Sprintf("quant: member of %d values, batch rows %d", len(x), pb.N))
+	}
 	var maxV float64
 	for _, v := range x {
 		if v > maxV {
 			maxV = v
 		}
 	}
-	scale := maxV / float64((1<<InputBits)-1)
-	if scale == 0 {
-		scale = 1
-	}
-	pb.Scales[k] = scale
+	scale := ActivationScale(maxV)
 	u := pb.Member(k)
 	var sum float64
 	for i, v := range x {
-		if v < 0 {
-			v = 0
-		}
-		r := math.Round(v / scale)
-		if r > 255 {
-			r = 255
-		}
-		u[i] = uint8(r)
+		c, r := ActivationCode(v, scale)
+		u[i] = c
 		sum += r
 	}
-	pb.USums[k] = sum
-	if digits {
-		pb.setMember(k)
-	}
+	pb.SetMember(k, scale, sum)
 }
 
 // QuantizeBatchFlatInto quantizes a batch of b activation vectors stored
@@ -162,7 +195,7 @@ func QuantizeBatchFlatInto(pb *PackedBatch, xs []float64, n, b int) *PackedBatch
 // bit-serial digit slab. The byte-code kernels (blocked and scalar fast
 // paths) never read digit words, and packing them is the single largest
 // non-kernel cost per batch; the popcount kernels panic on a codes-only
-// batch rather than compute garbage (resize truncates Digits).
+// batch rather than compute garbage (Reset truncates Digits).
 func QuantizeBatchFlatCodesInto(pb *PackedBatch, xs []float64, n, b int) *PackedBatch {
 	return quantizeBatchFlat(pb, xs, n, b, false)
 }
@@ -174,9 +207,9 @@ func quantizeBatchFlat(pb *PackedBatch, xs []float64, n, b int, digits bool) *Pa
 	if pb == nil {
 		pb = &PackedBatch{}
 	}
-	pb.resize(n, b, digits)
+	pb.Reset(n, b, digits)
 	for k := 0; k < b; k++ {
-		pb.quantizeMember(k, xs[k*n:(k+1)*n], digits)
+		pb.QuantizeMember(k, xs[k*n:(k+1)*n])
 	}
 	return pb
 }
@@ -195,19 +228,17 @@ func PackInputsInto(pb *PackedBatch, ins []*Input) *PackedBatch {
 	if pb == nil {
 		pb = &PackedBatch{}
 	}
-	pb.resize(ins[0].N, len(ins), true)
+	pb.Reset(ins[0].N, len(ins), true)
 	for k, in := range ins {
 		if in.N != pb.N {
 			panic(fmt.Sprintf("quant: batch member %d has %d rows, member 0 has %d", k, in.N, pb.N))
 		}
-		pb.Scales[k] = in.Scale
 		copy(pb.Member(k), in.U)
 		var sum float64
 		for _, c := range in.U {
 			sum += float64(c)
 		}
-		pb.USums[k] = sum
-		pb.setMember(k)
+		pb.SetMember(k, in.Scale, sum)
 	}
 	return pb
 }

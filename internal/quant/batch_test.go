@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -193,5 +194,44 @@ func TestQuantizeBatchFlatZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("warm QuantizeBatchFlatInto allocates %.2f times per call, want 0", avg)
+	}
+}
+
+// ActivationCode must quantize exactly as the original clamp, math.Round
+// and saturate sequence — code and rounded value, by bits — on ties and
+// their neighbours, values either side of 0.5, −0, NaN, infinities,
+// subnormals, saturating values and random activations.
+func TestActivationCodeMatchesRound(t *testing.T) {
+	check := func(v, scale float64) {
+		x := v
+		if x < 0 {
+			x = 0
+		}
+		wr := math.Round(x / scale)
+		if wr > 255 {
+			wr = 255
+		}
+		gc, gr := ActivationCode(v, scale)
+		if gc != uint8(wr) || math.Float64bits(gr) != math.Float64bits(wr) {
+			t.Fatalf("ActivationCode(%v, %v) = %d, %v; want %d, %v", v, scale, gc, gr, uint8(wr), wr)
+		}
+	}
+	vs := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), -3, 1e308,
+		math.SmallestNonzeroFloat64, 0.49999999999999994, 0.5, math.Nextafter(0.5, 1), 1 << 52, 1<<53 + 1}
+	for k := 0; k <= 300; k++ {
+		tie := float64(k) + 0.5
+		vs = append(vs, tie, math.Nextafter(tie, 0), math.Nextafter(tie, 1000), float64(k))
+	}
+	for _, scale := range []float64{1, 0.25, 1.0 / 255, 3.7 / 255, math.SmallestNonzeroFloat64, 1e300, math.Inf(1)} {
+		for _, v := range vs {
+			check(v, scale)
+			check(v*scale, scale) // v in scale units, ties up to rounding
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		scale := rng.Float64() * 4 / 255
+		check(rng.Float64()*300*scale, scale)
+		check((float64(rng.Intn(256))+0.5)*scale, scale)
 	}
 }

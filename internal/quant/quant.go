@@ -254,24 +254,14 @@ func QuantizeInputInto(in *Input, x []float64) *Input {
 			maxV = v
 		}
 	}
-	scale := maxV / float64((1<<InputBits)-1)
-	if scale == 0 {
-		scale = 1
-	}
+	scale := ActivationScale(maxV)
 	in.N, in.Scale = len(x), scale
 	if cap(in.U) < len(x) {
 		in.U = make([]uint8, len(x))
 	}
 	in.U = in.U[:len(x)]
 	for i, v := range x {
-		if v < 0 {
-			v = 0
-		}
-		r := math.Round(v / scale)
-		if r > 255 {
-			r = 255
-		}
-		in.U[i] = uint8(r)
+		in.U[i], _ = ActivationCode(v, scale)
 	}
 	if cap(in.Digits) < InputBits {
 		in.Digits = make([][]uint8, InputBits)

@@ -1,0 +1,160 @@
+package sim
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"autohet/internal/dnn"
+	"autohet/internal/quant"
+)
+
+// channelMaxMap returns t's whole channel-max map.
+func channelMaxMap(t *dnn.Tensor) []float64 {
+	m := make([]float64, t.H*t.W)
+	for y := 0; y < t.H; y++ {
+		channelMaxRow(m[y*t.W:(y+1)*t.W], t, y)
+	}
+	return m
+}
+
+// fuzzTensor fills a C×H×W tensor from rng. mode picks the value mix:
+// 0 mixes positives with zeros, −0, negatives, NaN and ±Inf; 1 is all
+// zero; 2 holds no positive value at all (zeros, −0, negatives, NaN);
+// 3 is positives with sparse zeros, as after a ReLU.
+func fuzzTensor(rng *rand.Rand, c, h, w, mode int) *dnn.Tensor {
+	t := dnn.NewTensor(c, h, w)
+	for i := range t.Data {
+		var v float64
+		switch mode {
+		case 0:
+			switch rng.Intn(10) {
+			case 0:
+				v = math.Copysign(0, -1)
+			case 1:
+				v = math.NaN()
+			case 2:
+				v = -rng.Float64()
+			case 3:
+				if rng.Intn(8) == 0 {
+					v = math.Inf(1 - 2*rng.Intn(2))
+				}
+			default:
+				v = rng.Float64() * 4
+			}
+		case 2:
+			switch rng.Intn(4) {
+			case 0:
+				v = math.Copysign(0, -1)
+			case 1:
+				v = math.NaN()
+			case 2:
+				v = -rng.Float64()
+			}
+		case 3:
+			if rng.Intn(3) != 0 {
+				v = rng.Float64()
+			}
+		}
+		t.Data[i] = v
+	}
+	return t
+}
+
+// sameBits reports whether a and b are the same float64 by bits, except
+// that any NaN matches any NaN. A code sum over a window holding NaNs of
+// two payloads (math.NaN() and the default NaN of Inf/Inf) carries
+// whichever payload the add's operand order keeps, and Go leaves that
+// order to the compiler: the same code compiled with the fuzzer's
+// instrumentation keeps the other one.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// samePackedBatch fails unless got and want hold the same shape, codes,
+// digit words, and — compared by bits (sameBits), so −0 counts — the same
+// scales and code sums.
+func samePackedBatch(t *testing.T, what string, got, want *quant.PackedBatch) {
+	t.Helper()
+	if got.N != want.N || got.B != want.B || got.Words != want.Words {
+		t.Fatalf("%s: shape %dx%d (%d words), want %dx%d (%d words)", what, got.B, got.N, got.Words, want.B, want.N, want.Words)
+	}
+	for i := range want.U {
+		if got.U[i] != want.U[i] {
+			t.Fatalf("%s: member %d row %d code %d, want %d", what, i/want.N, i%want.N, got.U[i], want.U[i])
+		}
+	}
+	for k := 0; k < want.B; k++ {
+		if !sameBits(got.Scales[k], want.Scales[k]) {
+			t.Fatalf("%s: member %d scale %v, want %v", what, k, got.Scales[k], want.Scales[k])
+		}
+		if !sameBits(got.USums[k], want.USums[k]) {
+			t.Fatalf("%s: member %d code sum %v (%#x), want %v (%#x)", what, k,
+				got.USums[k], math.Float64bits(got.USums[k]), want.USums[k], math.Float64bits(want.USums[k]))
+		}
+	}
+	if len(got.Digits) != len(want.Digits) {
+		t.Fatalf("%s: %d digit words, want %d", what, len(got.Digits), len(want.Digits))
+	}
+	for i := range want.Digits {
+		if got.Digits[i] != want.Digits[i] {
+			t.Fatalf("%s: digit word %d = %#x, want %#x", what, i, got.Digits[i], want.Digits[i])
+		}
+	}
+}
+
+// FuzzFusedPatchCodes: the fused conv input path (quantizeConvBatch from
+// the input tensors and their channel-max maps) must build exactly the
+// batch that extracting the same windows with Tensor.PatchInto and
+// quantizing the slab builds — QuantizeBatchFlatCodesInto for the fast
+// path's codes-only batch, QuantizeBatchFlatInto with the digit slab for
+// the bit-serial modes — over shapes, strides, paddings (including windows
+// wholly in the padding), several inputs, and batches starting anywhere
+// in the (input, position) index space.
+func FuzzFusedPatchCodes(f *testing.F) {
+	// c, h, w, k, stride, pad, inputs, lo, bs, mode, seed
+	f.Add(uint8(3), uint8(8), uint8(8), uint8(3), uint8(1), uint8(1), uint8(1), uint8(0), uint8(32), uint8(3), int64(1))
+	f.Add(uint8(4), uint8(5), uint8(7), uint8(3), uint8(2), uint8(1), uint8(3), uint8(11), uint8(20), uint8(0), int64(2))
+	f.Add(uint8(2), uint8(3), uint8(3), uint8(2), uint8(1), uint8(3), uint8(2), uint8(4), uint8(31), uint8(0), int64(3))
+	f.Add(uint8(5), uint8(6), uint8(6), uint8(1), uint8(1), uint8(0), uint8(2), uint8(30), uint8(9), uint8(1), int64(4))
+	f.Add(uint8(7), uint8(4), uint8(9), uint8(5), uint8(3), uint8(2), uint8(1), uint8(2), uint8(7), uint8(2), int64(5))
+	f.Add(uint8(8), uint8(9), uint8(9), uint8(3), uint8(1), uint8(1), uint8(3), uint8(70), uint8(32), uint8(0), int64(6))
+	f.Fuzz(func(t *testing.T, cB, hB, wB, kB, strideB, padB, inputsB, loB, bsB, mode uint8, seed int64) {
+		C, H, W := 1+int(cB%8), 1+int(hB%9), 1+int(wB%9)
+		K, stride, pad := 1+int(kB%5), 1+int(strideB%3), int(padB%4)
+		if H+2*pad < K || W+2*pad < K {
+			return
+		}
+		l := &dnn.Layer{Name: "fuzz", Kind: dnn.Conv, K: K, InC: C, OutC: 1, Stride: stride, Pad: pad,
+			InH: H, InW: W, OutH: (H+2*pad-K)/stride + 1, OutW: (W+2*pad-K)/stride + 1}
+		rng := rand.New(rand.NewSource(seed))
+		curs := make([]*dnn.Tensor, 1+int(inputsB%3))
+		var cmax []float64
+		for i := range curs {
+			curs[i] = fuzzTensor(rng, C, H, W, int(mode%4))
+			cmax = append(cmax, channelMaxMap(curs[i])...)
+		}
+		positions := l.OutH * l.OutW
+		n := len(curs) * positions
+		lo := int(loB) % n
+		bs := 1 + int(bsB)%min(DefaultKernelBatch, n-lo)
+
+		rows := C * K * K
+		flat := make([]float64, bs*rows)
+		for i := 0; i < bs; i++ {
+			ii, pos := (lo+i)/positions, (lo+i)%positions
+			curs[ii].PatchInto(flat[i*rows:(i+1)*rows], l, pos/l.OutW, pos%l.OutW)
+		}
+		// One batch serves both fills, as an engine worker's does, and starts
+		// with stale codes that must not survive into the padding.
+		got := &quant.PackedBatch{}
+		got.Reset(rows, bs, false)
+		for i := range got.U {
+			got.U[i] = 0xff
+		}
+		quantizeConvBatch(got, l, curs, cmax, lo, bs, false)
+		samePackedBatch(t, "codes", got, quant.QuantizeBatchFlatCodesInto(nil, flat, rows, bs))
+		quantizeConvBatch(got, l, curs, cmax, lo, bs, true)
+		samePackedBatch(t, "digits", got, quant.QuantizeBatchFlatInto(nil, flat, rows, bs))
+	})
+}

@@ -261,25 +261,25 @@ func blockedTimed(w *quant.Matrix) *quant.BlockedMatrix {
 	return bw
 }
 
-// batchScratch is one worker's reusable batched buffers: the member-major
-// flat patch slab, the packed quantized batch, the member-major output
-// accumulator, the kernel's int64 scratch, and per-member noise streams.
+// batchScratch is one worker's reusable batched buffers: the packed
+// quantized batch, the member-major output accumulator, the kernel's int64
+// scratch, per-member noise streams, and — on the scratch a conv layer
+// holds for its inputs — the channel-max maps of the fused input path.
 // With it, a warm kernel batch allocates nothing on the ideal paths.
 type batchScratch struct {
-	flat  []float64
 	pb    *quant.PackedBatch
 	out   []float64
 	acc   []int64
 	u16   []uint16
 	noise []func() float64
+	cmax  []float64
 }
 
-func (s *batchScratch) flatFor(n int) []float64 {
-	if cap(s.flat) < n {
-		s.flat = make([]float64, n)
+func (s *batchScratch) cmaxFor(n int) []float64 {
+	if cap(s.cmax) < n {
+		s.cmax = make([]float64, n)
 	}
-	s.flat = s.flat[:n]
-	return s.flat
+	return s.cmax[:n]
 }
 
 func (s *batchScratch) outFor(n int) []float64 {
@@ -318,16 +318,11 @@ func (s *batchScratch) noiseFor(fm *fault.Model, key int64, b int) []func() floa
 	return s.noise
 }
 
-// quantizeBatch packs one kernel batch for the layer's kernel. The fast
-// mode's byte-code kernels (blocked/scalar) never read the bit-serial
-// digit slab, so packing it — the single largest non-kernel cost per batch
-// — is skipped there; every bit-serial mode gets the full slab.
-func (le *layerExec) quantizeBatch(pb *quant.PackedBatch, flat []float64, n, b int) *quant.PackedBatch {
-	if le.mode == modeFast {
-		return quant.QuantizeBatchFlatCodesInto(pb, flat, n, b)
-	}
-	return quant.QuantizeBatchFlatInto(pb, flat, n, b)
-}
+// digits reports whether the layer's kernel reads the bit-serial digit
+// slab. The fast mode's byte-code kernels (blocked/scalar) never do, so
+// packing it — the single largest non-kernel cost per batch — is skipped
+// there; every bit-serial mode gets the full slab.
+func (le *layerExec) digits() bool { return le.mode != modeFast }
 
 // applyBatch runs the prepared layer's kernel over the batch packed in
 // s.pb, writing dequantized member-major outputs into out (length B·Cols,
@@ -481,9 +476,11 @@ func (e *Engine) runBatch(inputs []*dnn.Tensor, opts InferenceOptions, kb int) (
 
 // streamPatchBatches computes every sliding-window MVM of one conv layer
 // for every input, chunking the global (input, position) index space into
-// kernel batches of ≤ kb patches: each chunk is extracted, quantized, and
-// packed in one pass, then run through the batched kernel. Chunks fan out
-// across a bounded worker pool; chunk boundaries are deterministic and
+// kernel batches of ≤ kb patches. A first parallel pass builds every
+// input's channel-max map; each chunk then quantizes its windows straight
+// from the input tensors (quantizeConvBatch), runs them through the batched
+// kernel, and writes the outputs into the output tensors' rows. Chunks fan
+// out across a bounded worker pool; chunk boundaries are deterministic and
 // members never mix, so results are schedule-independent. kb shrinks
 // toward n/workers so small layers still occupy the pool.
 func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*dnn.Tensor, kb int, stats *InferenceStats) error {
@@ -495,42 +492,52 @@ func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*d
 	}
 	cols := le.w.Cols
 	n := len(curs) * positions
+	H, W := curs[0].H, curs[0].W
+	maps := e.getScratch()
+	defer e.putScratch(maps)
+	cmax := maps.cmaxFor(len(curs) * H * W)
+	e.runChunks(len(curs)*H, n, stats, func(_ *batchScratch, r int, _ *InferenceStats) {
+		start := time.Now()
+		channelMaxRow(cmax[r*W:(r+1)*W], curs[r/H], r%H)
+		simStageInputPack.AddSince(start)
+	})
 	if per := n / runtime.GOMAXPROCS(0); per < kb {
 		kb = max(per, 1)
 	}
 	chunks := (n + kb - 1) / kb
+	digits := le.digits()
 	e.runChunks(chunks, n, stats, func(s *batchScratch, c int, st *InferenceStats) {
 		lo := c * kb
-		hi := min(lo+kb, n)
-		bs := hi - lo
+		bs := min(lo+kb, n) - lo
 		start := time.Now()
-		flat := s.flatFor(bs * patchLen)
-		for i := 0; i < bs; i++ {
-			idx := lo + i
-			ii, pos := idx/positions, idx%positions
-			curs[ii].PatchInto(flat[i*patchLen:(i+1)*patchLen], l, pos/l.OutW, pos%l.OutW)
-		}
-		s.pb = le.quantizeBatch(s.pb, flat, patchLen, bs)
+		quantizeConvBatch(s.pb, l, curs, cmax, lo, bs, digits)
 		simStageInputPack.AddSince(start)
 		out := s.outFor(bs * cols)
 		start = time.Now()
 		le.applyBatch(s, out, st)
 		simStageKernel.AddSince(start)
-		for i := 0; i < bs; i++ {
-			idx := lo + i
-			ii, pos := idx/positions, idx%positions
-			oy, ox := pos/l.OutW, pos%l.OutW
-			for ch, v := range out[i*cols : (i+1)*cols] {
-				outs[ii].Set(ch, oy, ox, v)
+		// Members i… with the same input hold consecutive positions, so each
+		// output channel of that run is one contiguous row of the tensor.
+		for i := 0; i < bs; {
+			ii, pos := (lo+i)/positions, (lo+i)%positions
+			run := min(bs-i, positions-pos)
+			data := outs[ii].Data
+			for ch := 0; ch < cols; ch++ {
+				row := data[ch*positions+pos:][:run]
+				for j := range row {
+					row[j] = out[(i+j)*cols+ch]
+				}
 			}
+			i += run
 		}
 	})
 	return nil
 }
 
 // runFCBatches runs one FC layer over every input's flattened activations,
-// batching across the inputs themselves in chunks of ≤ kb members and
-// replacing each flats[i] with the layer's outputs.
+// batching across the inputs themselves in chunks of ≤ kb members — each
+// quantized in place from its flats[i] — and replacing each flats[i] with
+// the layer's outputs.
 func (e *Engine) runFCBatches(le *layerExec, flats [][]float64, kb int, stats *InferenceStats) error {
 	rows, cols := le.w.Rows, le.w.Cols
 	if len(flats[0]) != rows {
@@ -541,16 +548,15 @@ func (e *Engine) runFCBatches(le *layerExec, flats [][]float64, kb int, stats *I
 		kb = n
 	}
 	chunks := (n + kb - 1) / kb
+	digits := le.digits()
 	e.runChunks(chunks, n, stats, func(s *batchScratch, c int, st *InferenceStats) {
 		lo := c * kb
-		hi := min(lo+kb, n)
-		bs := hi - lo
+		bs := min(lo+kb, n) - lo
 		start := time.Now()
-		flat := s.flatFor(bs * rows)
+		s.pb.Reset(rows, bs, digits)
 		for i := 0; i < bs; i++ {
-			copy(flat[i*rows:(i+1)*rows], flats[lo+i])
+			s.pb.QuantizeMember(i, flats[lo+i])
 		}
-		s.pb = le.quantizeBatch(s.pb, flat, rows, bs)
 		simStageInputPack.AddSince(start)
 		out := s.outFor(bs * cols)
 		start = time.Now()

@@ -239,15 +239,17 @@ func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 	}
 }
 
-// With warm scratch, a whole kernel batch — patch slab fill, batch
-// quantize/pack, batched kernel, dequantize — allocates nothing on the fast
-// and bit-exact paths. This is the per-patch-allocation invariant behind
-// allocs_per_patch in BENCH_mvm.json, now asserted at batch granularity.
+// With warm scratch, a whole kernel batch — fused window quantize/pack
+// from the input tensor, batched kernel, dequantize — allocates nothing on
+// the fast and bit-exact paths. This is the per-patch-allocation invariant
+// behind allocs_per_patch in BENCH_mvm.json, now asserted at batch
+// granularity.
 func TestApplyBatchZeroAllocsWarm(t *testing.T) {
 	p := singleLayerPlan(t, 3, 12, 128, xbar.Square(64))
 	l := p.Model.Mappable()[0]
 	const B = 32
-	patchLen := l.UnfoldedRows()
+	in := []*dnn.Tensor{dnn.SyntheticTensor(l.InC, l.InH, l.InW, 1)}
+	cmax := channelMaxMap(in[0])
 	eng := NewEngine(p)
 	for _, opts := range []InferenceOptions{{Seed: 1}, {Seed: 1, BitExact: true}} {
 		le, err := eng.prepareLayer(l, opts)
@@ -255,13 +257,9 @@ func TestApplyBatchZeroAllocsWarm(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := eng.getScratch()
-		flat := s.flatFor(B * patchLen)
-		for k := 0; k < B; k++ {
-			copy(flat[k*patchLen:(k+1)*patchLen], dnn.SyntheticInput(l, int64(k)))
-		}
 		var stats InferenceStats
 		run := func() {
-			s.pb = quant.QuantizeBatchFlatInto(s.pb, s.flatFor(B*patchLen), patchLen, B)
+			quantizeConvBatch(s.pb, l, in, cmax, 0, B, le.digits())
 			out := s.outFor(B * le.w.Cols)
 			le.applyBatch(s, out, &stats)
 		}

@@ -13,10 +13,11 @@ import (
 // engine's only fast path before kernel batching, so it is the baseline
 // batched legs are compared against.
 //
-// Batch is the engine's own fast-mode layerExec.quantizeBatch +
-// applyBatch: one-pass codes-only batch quantization followed by the AVX2
-// blocked kernel, or the scalar batch kernel where the blocked one is
-// unavailable.
+// Batch is the engine's fast-mode kernel batch on an already-extracted
+// patch slab: codes-only batch quantization (quant.QuantizeBatchFlatCodesInto,
+// which the engine's fused conv input path matches bit for bit) followed by
+// the AVX2 blocked kernel, or the scalar batch kernel where the blocked one
+// is unavailable.
 //
 // Both return dequantized outputs bit-identical to the bit-serial crossbar
 // reference followed by the engine's dequantization (asserted in tests and
@@ -57,7 +58,7 @@ func (fk *FastKernels) Single(patch []float64) []float64 {
 // patch slab) through the batched pipeline and returns member-major
 // dequantized outputs (valid until the next call).
 func (fk *FastKernels) Batch(flat []float64, n, b int) []float64 {
-	fk.bs.pb = fk.le.quantizeBatch(fk.bs.pb, flat, n, b)
+	fk.bs.pb = quant.QuantizeBatchFlatCodesInto(fk.bs.pb, flat, n, b)
 	out := fk.bs.outFor(b * fk.le.w.Cols)
 	var stats InferenceStats
 	fk.le.applyBatch(&fk.bs, out, &stats)

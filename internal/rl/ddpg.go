@@ -29,8 +29,9 @@ type AgentConfig struct {
 }
 
 // Validate reports a config NewAgent cannot build or Update cannot train
-// with: non-positive sizes and non-finite learning rates, discount or
-// target-update rate.
+// with: non-positive sizes; non-finite learning rates, discount or
+// target-update rate; a non-finite or negative exploration sigma or sigma
+// floor; and a sigma decay outside (0, 1] (zero selects the default).
 func (c AgentConfig) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -47,6 +48,17 @@ func (c AgentConfig) Validate() error {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("rl: %s %v must be finite", f.name, f.v)
 		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"sigma", c.Sigma}, {"sigma floor", c.SigmaMin}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("rl: %s %v must be finite and non-negative", f.name, f.v)
+		}
+	}
+	if d := c.SigmaDecay; d != 0 && !(d > 0 && d <= 1) {
+		return fmt.Errorf("rl: sigma decay %v outside (0, 1]", d)
 	}
 	return nil
 }

@@ -83,6 +83,15 @@ var badConfigs = []struct {
 	{"critic lr +Inf", func(c *AgentConfig) { c.CriticLR = math.Inf(1) }},
 	{"gamma NaN", func(c *AgentConfig) { c.Gamma = math.NaN() }},
 	{"tau -Inf", func(c *AgentConfig) { c.Tau = math.Inf(-1) }},
+	{"sigma NaN", func(c *AgentConfig) { c.Sigma = math.NaN() }},
+	{"sigma -0.1", func(c *AgentConfig) { c.Sigma = -0.1 }},
+	{"sigma +Inf", func(c *AgentConfig) { c.Sigma = math.Inf(1) }},
+	{"sigma floor -1", func(c *AgentConfig) { c.SigmaMin = -1 }},
+	{"sigma floor NaN", func(c *AgentConfig) { c.SigmaMin = math.NaN() }},
+	{"sigma decay 1.5", func(c *AgentConfig) { c.SigmaDecay = 1.5 }},
+	{"sigma decay -0.5", func(c *AgentConfig) { c.SigmaDecay = -0.5 }},
+	{"sigma decay NaN", func(c *AgentConfig) { c.SigmaDecay = math.NaN() }},
+	{"sigma decay +Inf", func(c *AgentConfig) { c.SigmaDecay = math.Inf(1) }},
 }
 
 func TestAgentConfigValidate(t *testing.T) {

@@ -15,8 +15,9 @@ type Options struct {
 	Rounds int // search episodes (the paper runs 300)
 	Agent  rl.AgentConfig
 	// UpdateStride runs one minibatch update every UpdateStride layer
-	// decisions (1 = every decision). Deep models (ResNet152's 156 layers)
-	// use a larger stride to bound per-round cost.
+	// decisions (1 = every decision; 0 selects 1; negative is an error).
+	// Deep models (ResNet152's 156 layers) use a larger stride to bound
+	// per-round cost.
 	UpdateStride int
 	// Progress, when non-nil, receives each round's stats as it finishes.
 	Progress func(RoundStats)
@@ -80,7 +81,10 @@ func AutoHet(env *Env, opts Options) (*Result, error) {
 	if opts.Rounds <= 0 {
 		return nil, fmt.Errorf("search: rounds %d", opts.Rounds)
 	}
-	if opts.UpdateStride <= 0 {
+	if opts.UpdateStride < 0 {
+		return nil, fmt.Errorf("search: update stride %d", opts.UpdateStride)
+	}
+	if opts.UpdateStride == 0 {
 		opts.UpdateStride = 1
 	}
 	score := opts.Objective

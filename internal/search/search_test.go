@@ -260,6 +260,9 @@ func TestAutoHetOptionsValidation(t *testing.T) {
 		{"critic lr +Inf", func(o *Options) { o.Agent.CriticLR = math.Inf(1) }},
 		{"gamma NaN", func(o *Options) { o.Agent.Gamma = math.NaN() }},
 		{"tau -Inf", func(o *Options) { o.Agent.Tau = math.Inf(-1) }},
+		{"sigma NaN", func(o *Options) { o.Agent.Sigma = math.NaN() }},
+		{"sigma decay 2", func(o *Options) { o.Agent.SigmaDecay = 2 }},
+		{"negative update stride", func(o *Options) { o.UpdateStride = -1 }},
 	} {
 		opts := DefaultOptions()
 		tc.edit(&opts)
@@ -379,5 +382,30 @@ func TestAutoHetOnDepthwiseNet(t *testing.T) {
 	if res.BestResult.Utilization <= evals[best].Result.Utilization/2 {
 		t.Fatalf("AutoHet utilization %v collapsed vs homogeneous %v",
 			res.BestResult.Utilization, evals[best].Result.Utilization)
+	}
+}
+
+// A zero UpdateStride selects the default stride of 1: the two searches
+// are the same search.
+func TestAutoHetZeroUpdateStrideIsDefault(t *testing.T) {
+	env := testEnv(t, tinyModel(t), xbar.DefaultCandidates()[:2], false)
+	run := func(stride int) *Result {
+		opts := DefaultOptions()
+		opts.Rounds = 6
+		opts.UpdateStride = stride
+		res, err := AutoHet(env, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(0), run(1)
+	if a.BestResult.RUE() != b.BestResult.RUE() || len(a.History) != len(b.History) {
+		t.Fatalf("stride 0 best RUE %v, stride 1 %v", a.BestResult.RUE(), b.BestResult.RUE())
+	}
+	for i := range a.History {
+		if a.History[i].RUE != b.History[i].RUE {
+			t.Fatalf("round %d: stride 0 RUE %v, stride 1 %v", i, a.History[i].RUE, b.History[i].RUE)
+		}
 	}
 }

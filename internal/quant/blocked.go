@@ -12,12 +12,17 @@ import "fmt"
 //
 // so one VPMOVSXBW widens 16 bytes to 16 int16 lanes and one VPMADDWD
 // against the broadcast pair (u[2p] | u[2p+1]<<16) adds q[2p][j]·u[2p] +
-// q[2p+1][j]·u[2p+1] into 8 of 16 int32 column accumulators. Unlike the
-// bit-plane kernels, this computes the *signed* product Σ_i q_i·u_i
-// directly — no offset-binary correction term — which is exactly the fast
-// path's contract (integerMVMInto). Every intermediate is an exact integer,
-// so the result is bit-identical to the scalar reference; equivalence is
-// asserted by FuzzBatchedMVM and the sim engine oracle tests.
+// q[2p+1][j]·u[2p+1] into 8 of 16 int32 column accumulators. The
+// micro-kernel is register-blocked over memberBlock = 4 batch members: each
+// row pair's weights are widened once and multiply-added against all four
+// members' broadcast pairs, so one pass over a weight block serves four
+// members (maddBlock4); the B mod 4 leftover members take the one-member
+// maddBlock. Unlike the bit-plane kernels, this computes the *signed*
+// product Σ_i q_i·u_i directly — no offset-binary correction term — which
+// is exactly the fast path's contract (integerMVMInto). Every intermediate
+// is an exact integer, so the result is bit-identical to the scalar
+// reference; equivalence is asserted by FuzzBatchedMVM and the sim engine
+// oracle tests.
 //
 // The kernel is gated at runtime: Blocked() returns nil unless the CPU
 // reports AVX2 with OS-enabled YMM state (see detectAVX2), the row count
@@ -27,16 +32,22 @@ import "fmt"
 // maxBlockedRows bounds the row count for which a 16-lane int32 accumulator
 // cannot overflow: one row-pair VPMADDWD step contributes at most
 // 2·128·255 = 65280 per lane (|q| ≤ 128, u ≤ 255), int32 absorbs
-// ⌊(2³¹−1)/65280⌋ = 32895 such steps, and the odd tail row adds at most
-// half of one more.
+// ⌊(2³¹−1)/65280⌋ = 32896 such steps, and the odd tail row adds at most
+// half of one more: 65793 rows, worst case −32640·65793 = −2147483520.
 const maxBlockedRows = 2*((1<<31-1)/65280) + 1
 
 // blockedColWidth is the column width of one kernel block: 16 int8 codes
 // widen into sixteen 16-bit lanes of one YMM register.
 const blockedColWidth = 16
 
+// memberBlock is the number of batch members maddBlock4 runs per weight
+// pass: four members × two YMM accumulators, two widened weight registers
+// and their broadcast/product temporaries fill the 16 YMM registers.
+const memberBlock = 4
+
 // BlockedMatrix is the row-pair-interleaved signed int8 packing of a
-// quantized weight matrix, consumed by the AVX2 maddBlock micro-kernel.
+// quantized weight matrix, consumed by the AVX2 maddBlock4/maddBlock
+// micro-kernels.
 // The trailing Cols%16 columns and (for odd Rows) the last row are not
 // blocked; MulBatch finishes them with scalar sweeps over q.
 type BlockedMatrix struct {
@@ -111,9 +122,11 @@ func (bm *BlockedMatrix) checkBlockedShapes(pb *PackedBatch, outLen, scratchLen 
 // the offset-binary kernels' result minus offset·Σu). out is member-major
 // (length B·Cols, overwritten); u16 is caller scratch of length ≥ B·N that
 // holds the batch's input codes widened to the uint16 lanes VPMADDWD
-// consumes. The weight block is the outer loop so each block's RowPairs×32
-// bytes stay cache-resident while the member loop reuses them — the batched
-// amortization mirrors the bit-plane kernels.
+// consumes. The weight block is the outer loop, so each block's RowPairs×32
+// bytes stay cache-resident while the members reuse them. Members go
+// through the block four at a time (maddBlock4, one weight pass per four
+// members, reading member k+m's codes at a stride of 2·N bytes); the
+// B mod 4 leftover members take one pass each (maddBlock).
 func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) {
 	bm.checkBlockedShapes(pb, len(out), len(u16))
 	N, B := pb.N, pb.B
@@ -123,30 +136,30 @@ func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) 
 		u16[i] = uint16(c)
 	}
 	blkStride := rp * 2 * blockedColWidth
-	var acc [blockedColWidth]int32
+	var acc [memberBlock][blockedColWidth]int32
 	for bi := 0; bi < nb; bi++ {
 		j0 := bi * blockedColWidth
 		var wblk []int8
 		if rp > 0 {
 			wblk = bm.Data[bi*blkStride : (bi+1)*blkStride]
 		}
-		for k := 0; k < B; k++ {
-			acc = [blockedColWidth]int32{}
-			if rp > 0 {
-				maddBlock(&wblk[0], &u16[k*N], &acc[0], rp)
+		for k := 0; k < B; {
+			g := 1
+			if B-k >= memberBlock {
+				g = memberBlock
 			}
-			if 2*rp < N { // odd tail row, scalar
-				if uv := int32(pb.U[k*N+N-1]); uv != 0 {
-					row := bm.q[(N-1)*cols+j0 : (N-1)*cols+j0+blockedColWidth]
-					for j, q := range row {
-						acc[j] += int32(q) * uv
-					}
-				}
+			acc = [memberBlock][blockedColWidth]int32{}
+			switch {
+			case rp == 0:
+			case g == memberBlock:
+				maddBlock4(&wblk[0], &u16[k*N], &acc[0][0], rp, 2*N)
+			default:
+				maddBlock(&wblk[0], &u16[k*N], &acc[0][0], rp)
 			}
-			o := out[k*cols+j0 : k*cols+j0+blockedColWidth]
-			for j := range o {
-				o[j] = float64(acc[j])
+			for m := 0; m < g; m++ {
+				bm.finishBlock(&acc[m], pb.U[(k+m)*N:(k+m+1)*N], out[(k+m)*cols+j0:(k+m)*cols+j0+blockedColWidth], j0)
 			}
+			k += g
 		}
 	}
 	// Trailing Cols%16 columns: scalar column sweep over the source codes.
@@ -173,5 +186,22 @@ func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) 
 				o[j] = float64(tacc[j])
 			}
 		}
+	}
+}
+
+// finishBlock adds one member's odd tail row (scalar) to its 16 column
+// sums of the block starting at column j0 and writes them to o.
+func (bm *BlockedMatrix) finishBlock(acc *[blockedColWidth]int32, u []uint8, o []float64, j0 int) {
+	N := len(u)
+	if 2*bm.RowPairs < N {
+		if uv := int32(u[N-1]); uv != 0 {
+			row := bm.q[(N-1)*bm.Cols+j0 : (N-1)*bm.Cols+j0+blockedColWidth]
+			for j, q := range row {
+				acc[j] += int32(q) * uv
+			}
+		}
+	}
+	for j := range o {
+		o[j] = float64(acc[j])
 	}
 }

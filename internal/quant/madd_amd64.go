@@ -40,3 +40,11 @@ func xgetbv0() (eax, edx uint32)
 //
 //go:noescape
 func maddBlock(w *int8, u *uint16, acc *int32, rowPairs int)
+
+// maddBlock4 is maddBlock for four batch members sharing one pass over the
+// weight block: member m's code pairs start at u + m·stride bytes and its 16
+// accumulators are acc[16m : 16m+16]. Each row pair's weights are widened
+// once and used by all four members. Same preconditions as maddBlock.
+//
+//go:noescape
+func maddBlock4(w *int8, u *uint16, acc *int32, rowPairs, stride int)

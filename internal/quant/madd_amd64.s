@@ -1,4 +1,4 @@
-// AVX2 micro-kernel and CPUID feature detection for the blocked signed
+// AVX2 micro-kernels and CPUID feature detection for the blocked signed
 // integer MVM (see blocked.go and madd_amd64.go). The kernel is gated at
 // runtime by detectAVX2; nothing here executes on CPUs without AVX2.
 
@@ -55,5 +55,73 @@ pairloop:
 
 	VMOVDQU Y0, (DX)
 	VMOVDQU Y1, 32(DX)
+	VZEROUPPER
+	RET
+
+// func maddBlock4(w *int8, u *uint16, acc *int32, rowPairs, stride int)
+//
+// maddBlock for four members at once. Per row pair p the 32 interleaved
+// weights are sign-extended once (Y8 = cols 0–7, Y9 = cols 8–15) and
+// VPMADDWD'd against each member's broadcast code pair, read at
+// u + m·stride + 4p for member m = 0…3. Member m accumulates into Y(2m)
+// (cols 0–7) and Y(2m+1) (cols 8–15), loaded from and stored back to
+// acc[16m : 16m+16]. Same lane arithmetic and overflow bound as maddBlock.
+TEXT ·maddBlock4(SB), NOSPLIT, $0-40
+	MOVQ w+0(FP), DI
+	MOVQ u+8(FP), SI
+	MOVQ acc+16(FP), DX
+	MOVQ rowPairs+24(FP), CX
+	MOVQ stride+32(FP), R8
+	LEAQ (R8)(R8*2), R9
+	VMOVDQU (DX), Y0
+	VMOVDQU 32(DX), Y1
+	VMOVDQU 64(DX), Y2
+	VMOVDQU 96(DX), Y3
+	VMOVDQU 128(DX), Y4
+	VMOVDQU 160(DX), Y5
+	VMOVDQU 192(DX), Y6
+	VMOVDQU 224(DX), Y7
+
+pairloop4:
+	VPMOVSXBW (DI), Y8
+	VPMOVSXBW 16(DI), Y9
+
+	VPBROADCASTD (SI), Y10
+	VPMADDWD Y10, Y8, Y11
+	VPADDD Y11, Y0, Y0
+	VPMADDWD Y10, Y9, Y12
+	VPADDD Y12, Y1, Y1
+
+	VPBROADCASTD (SI)(R8*1), Y13
+	VPMADDWD Y13, Y8, Y14
+	VPADDD Y14, Y2, Y2
+	VPMADDWD Y13, Y9, Y15
+	VPADDD Y15, Y3, Y3
+
+	VPBROADCASTD (SI)(R8*2), Y10
+	VPMADDWD Y10, Y8, Y11
+	VPADDD Y11, Y4, Y4
+	VPMADDWD Y10, Y9, Y12
+	VPADDD Y12, Y5, Y5
+
+	VPBROADCASTD (SI)(R9*1), Y13
+	VPMADDWD Y13, Y8, Y14
+	VPADDD Y14, Y6, Y6
+	VPMADDWD Y13, Y9, Y15
+	VPADDD Y15, Y7, Y7
+
+	ADDQ $32, DI
+	ADDQ $4, SI
+	DECQ CX
+	JNZ pairloop4
+
+	VMOVDQU Y0, (DX)
+	VMOVDQU Y1, 32(DX)
+	VMOVDQU Y2, 64(DX)
+	VMOVDQU Y3, 96(DX)
+	VMOVDQU Y4, 128(DX)
+	VMOVDQU Y5, 160(DX)
+	VMOVDQU Y6, 192(DX)
+	VMOVDQU Y7, 224(DX)
 	VZEROUPPER
 	RET

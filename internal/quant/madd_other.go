@@ -9,3 +9,7 @@ const hasAVX2 = false
 func maddBlock(w *int8, u *uint16, acc *int32, rowPairs int) {
 	panic("quant: maddBlock called without AVX2 support")
 }
+
+func maddBlock4(w *int8, u *uint16, acc *int32, rowPairs, stride int) {
+	panic("quant: maddBlock4 called without AVX2 support")
+}

@@ -67,9 +67,18 @@ func NewEngine(p *accel.Plan) *Engine {
 	}
 }
 
-// minParallelPatches is the conv size below which patch streaming stays
-// sequential — tiny layers finish before a worker pool spins up.
-const minParallelPatches = 64
+// minParallelMACs is the layer work below which runChunks stays serial:
+// 2¹⁸ MACs is ~10 µs of kernel, about five times the ~2 µs it takes to
+// start and join a two-worker pool.
+const minParallelMACs = 1 << 18
+
+// parallelWorth reports whether a layer of mvms MVMs against a rows×cols
+// weight matrix carries enough work to fan out across the worker pool.
+// It counts MACs, not windows: VGG16's batch-1 conv5 layers have only four
+// windows, but each is a 4608×512 MVM.
+func parallelWorth(mvms, rows, cols int) bool {
+	return int64(mvms)*int64(rows)*int64(cols) >= minParallelMACs
+}
 
 // DefaultKernelBatch is the kernel batch size RunBatch uses: big enough that
 // the batched popcount kernels amortize each weight-word load ~32×8 ways,
@@ -476,13 +485,14 @@ func (e *Engine) runBatch(inputs []*dnn.Tensor, opts InferenceOptions, kb int) (
 
 // streamPatchBatches computes every sliding-window MVM of one conv layer
 // for every input, chunking the global (input, position) index space into
-// kernel batches of ≤ kb patches. A first parallel pass builds every
-// input's channel-max map; each chunk then quantizes its windows straight
+// kernel batches of ≤ kb patches. A first pass builds every input's
+// channel-max map; each chunk then quantizes its windows straight
 // from the input tensors (quantizeConvBatch), runs them through the batched
 // kernel, and writes the outputs into the output tensors' rows. Chunks fan
 // out across a bounded worker pool; chunk boundaries are deterministic and
-// members never mix, so results are schedule-independent. kb shrinks
-// toward n/workers so small layers still occupy the pool.
+// members never mix, so results are schedule-independent. Both passes run
+// on the pool when the layer's MACs pass parallelWorth. kb shrinks toward
+// n/workers so small layers still occupy the pool.
 func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*dnn.Tensor, kb int, stats *InferenceStats) error {
 	defer simStageStream.AddSince(time.Now())
 	positions := l.OutH * l.OutW
@@ -496,7 +506,8 @@ func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*d
 	maps := e.getScratch()
 	defer e.putScratch(maps)
 	cmax := maps.cmaxFor(len(curs) * H * W)
-	e.runChunks(len(curs)*H, n, stats, func(_ *batchScratch, r int, _ *InferenceStats) {
+	parallel := parallelWorth(n, le.w.Rows, cols)
+	e.runChunks(len(curs)*H, parallel, stats, func(_ *batchScratch, r int, _ *InferenceStats) {
 		start := time.Now()
 		channelMaxRow(cmax[r*W:(r+1)*W], curs[r/H], r%H)
 		simStageInputPack.AddSince(start)
@@ -506,7 +517,7 @@ func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*d
 	}
 	chunks := (n + kb - 1) / kb
 	digits := le.digits()
-	e.runChunks(chunks, n, stats, func(s *batchScratch, c int, st *InferenceStats) {
+	e.runChunks(chunks, parallel, stats, func(s *batchScratch, c int, st *InferenceStats) {
 		lo := c * kb
 		bs := min(lo+kb, n) - lo
 		start := time.Now()
@@ -549,7 +560,7 @@ func (e *Engine) runFCBatches(le *layerExec, flats [][]float64, kb int, stats *I
 	}
 	chunks := (n + kb - 1) / kb
 	digits := le.digits()
-	e.runChunks(chunks, n, stats, func(s *batchScratch, c int, st *InferenceStats) {
+	e.runChunks(chunks, parallelWorth(n, rows, cols), stats, func(s *batchScratch, c int, st *InferenceStats) {
 		lo := c * kb
 		bs := min(lo+kb, n) - lo
 		start := time.Now()
@@ -570,16 +581,16 @@ func (e *Engine) runFCBatches(le *layerExec, flats [][]float64, kb int, stats *I
 }
 
 // runChunks fans chunk indices [0, chunks) across a bounded worker pool
-// (sequentially when the layer performs fewer than minParallelPatches MVMs
-// total). Each worker draws pooled scratch from the engine and accumulates
-// stats privately; the merge after the barrier is order-independent, so
-// aggregated stats are schedule-independent too.
-func (e *Engine) runChunks(chunks, totalMVMs int, stats *InferenceStats, runChunk func(s *batchScratch, c int, st *InferenceStats)) {
+// (sequentially unless parallel; see parallelWorth). Each worker draws
+// pooled scratch from the engine and accumulates stats privately; the merge
+// after the barrier is order-independent, so aggregated stats are
+// schedule-independent too.
+func (e *Engine) runChunks(chunks int, parallel bool, stats *InferenceStats, runChunk func(s *batchScratch, c int, st *InferenceStats)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > chunks {
 		workers = chunks
 	}
-	if totalMVMs < minParallelPatches || workers <= 1 {
+	if !parallel || workers <= 1 {
 		s := e.getScratch()
 		defer e.putScratch(s)
 		for c := 0; c < chunks; c++ {

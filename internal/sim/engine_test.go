@@ -133,9 +133,9 @@ func TestRepairedPackedMatchesScalar(t *testing.T) {
 	}
 }
 
-// parallelCNN is a model whose first conv has 256 output positions — well
-// above minParallelPatches, so Engine.Run streams its patches across the
-// worker pool.
+// parallelCNN is a model whose second conv is 64 windows of a 216×32
+// MVM, 442k MACs — above minParallelMACs, so Engine.Run streams its
+// patches across the worker pool (the 166k-MAC first conv stays serial).
 func parallelCNN(t testing.TB) *accel.Plan {
 	t.Helper()
 	m, err := dnn.NewModel("par-cnn", 16, 16, 3, []*dnn.Layer{
@@ -152,6 +152,31 @@ func parallelCNN(t testing.TB) *accel.Plan {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestParallelWorthCountsMACs pins the worker-pool cutoff to work, not
+// window count: a few windows of a big kernel fan out, many windows of a
+// tiny one stay serial.
+func TestParallelWorthCountsMACs(t *testing.T) {
+	cases := []struct {
+		name             string
+		mvms, rows, cols int
+		want             bool
+	}{
+		{"VGG16 conv5_x at batch 1: 4 windows of 4608x512", 4, 4608, 512, true},
+		{"VGG16 conv4_x at batch 1: 16 windows of 2304x512", 16, 2304, 512, true},
+		{"parallelCNN c2: 64 windows of 216x32", 64, 216, 32, true},
+		{"parallelCNN c1: 256 windows of 27x24", 256, 27, 24, false},
+		{"tiny conv: 64 windows of 27x8", 64, 27, 8, false},
+		{"exactly at the cutoff", 1, minParallelMACs, 1, true},
+		{"one MAC short", 1, minParallelMACs - 1, 1, false},
+		{"past 2³¹ MACs (32-bit int)", 1 << 16, 1 << 10, 1 << 6, true},
+	}
+	for _, c := range cases {
+		if got := parallelWorth(c.mvms, c.rows, c.cols); got != c.want {
+			t.Errorf("%s: parallelWorth(%d, %d, %d) = %v, want %v", c.name, c.mvms, c.rows, c.cols, got, c.want)
+		}
+	}
 }
 
 // Parallel patch streaming must be deterministic: repeated runs — same

@@ -1,11 +1,12 @@
 // Package nn is a small fully-connected neural-network library built for the
 // DDPG agent in package rl. It supports batched forward/backward passes over
 // a whole minibatch (bit-identical to passing the samples one at a time; the
-// one-sample Forward/Backward are their B = 1 case), an input-gradient-only
-// backward for probing a network, the Adam optimizer, and the soft (Polyak)
-// parameter updates DDPG's target networks require. It deliberately
-// implements only what the paper's RL search needs — dense layers with
-// ReLU/tanh/sigmoid/linear activations.
+// one-sample Forward/Backward are their B = 1 case), run on AVX2 assembly
+// kernels where the CPU has them and on portable loops that give the same
+// bits elsewhere; an input-gradient-only backward for probing a network; the
+// Adam optimizer; and the soft (Polyak) parameter updates DDPG's target
+// networks require. It deliberately implements only what the paper's RL
+// search needs — dense layers with ReLU/tanh/sigmoid/linear activations.
 package nn
 
 import "math"
@@ -23,6 +24,9 @@ const (
 	Tanh
 	Sigmoid
 )
+
+// valid reports whether a is one of the supported activations.
+func (a Activation) valid() bool { return a >= Linear && a <= Sigmoid }
 
 // String returns the activation's conventional lowercase name.
 func (a Activation) String() string {
@@ -88,5 +92,26 @@ func (a Activation) Derivative(y float64) float64 {
 		return y * (1 - y)
 	default:
 		panic("nn: unknown activation")
+	}
+}
+
+// mulDerivative multiplies every d[k] by the derivative at output y[k],
+// choosing the case once per slice. ReLU's derivative is selected without
+// a branch, since live and dead units mix at random; it is the same 1 or
+// +0 that Derivative returns, so every product is unchanged.
+func (a Activation) mulDerivative(d, y []float64) {
+	y = y[:len(d)]
+	if a != ReLU {
+		for k, v := range y {
+			d[k] *= a.Derivative(v)
+		}
+		return
+	}
+	for k, v := range y {
+		var bits uint64 // of 1.0 where v > 0, of +0 elsewhere
+		if v > 0 {
+			bits = 0x3ff0000000000000
+		}
+		d[k] *= math.Float64frombits(bits)
 	}
 }

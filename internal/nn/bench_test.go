@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -48,33 +49,56 @@ func BenchmarkAdamStep(b *testing.B) {
 	}
 }
 
-func BenchmarkForwardBatch(b *testing.B) {
-	n := benchNet(4)
-	s := NewBatch(n, 64)
-	in := s.Input(64)
+// criticMACs is one sample's multiply-adds through benchNet, the agent's
+// 11→64→64→1 critic. BackwardBatch does as many for the gradients plus
+// 64·64 + 64·1 to carry the deltas below every layer but the first. Zero
+// deltas count too, so GMAC/s is nominal work per second.
+const criticMACs = 11*64 + 64*64 + 64
+
+// benchBatch returns benchNet(seed) with a Batch whose first nb inputs are
+// filled, at the minibatch (64) and the typical live-target count (51,
+// which leaves a sample tail past the 4-sample kernel blocks).
+func benchBatch(seed int64, nb int) (*Network, *Batch) {
+	n := benchNet(seed)
+	s := NewBatch(n, nb)
+	in := s.Input(nb)
 	for i := range in {
 		in[i] = 0.01 * float64(i%97)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.ForwardBatch(s, 64)
+	return n, s
+}
+
+func reportGMACs(b *testing.B, macs int) {
+	b.ReportMetric(float64(b.N)*float64(macs)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+}
+
+func BenchmarkForwardBatch(b *testing.B) {
+	for _, nb := range []int{64, 51} {
+		b.Run(fmt.Sprintf("B=%d", nb), func(b *testing.B) {
+			n, s := benchBatch(4, nb)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.ForwardBatch(s, nb)
+			}
+			reportGMACs(b, nb*criticMACs)
+		})
 	}
 }
 
 func BenchmarkBackwardBatch(b *testing.B) {
-	n := benchNet(5)
-	s := NewBatch(n, 64)
-	in := s.Input(64)
-	for i := range in {
-		in[i] = 0.01 * float64(i%97)
-	}
-	dOut := make([]float64, 64)
-	for i := range dOut {
-		dOut[i] = 1
-	}
-	n.ForwardBatch(s, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.BackwardBatch(s, dOut)
+	for _, nb := range []int{64, 51} {
+		b.Run(fmt.Sprintf("B=%d", nb), func(b *testing.B) {
+			n, s := benchBatch(5, nb)
+			dOut := make([]float64, nb)
+			for i := range dOut {
+				dOut[i] = 1
+			}
+			n.ForwardBatch(s, nb)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.BackwardBatch(s, dOut)
+			}
+			reportGMACs(b, nb*(criticMACs+64*64+64))
+		})
 	}
 }

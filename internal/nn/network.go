@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"autohet/internal/cpufeat"
 	"autohet/internal/mat"
 )
 
@@ -63,6 +64,9 @@ func NewNetwork(rng *rand.Rand, inputs int, specs ...LayerSpec) *Network {
 		if s.Out <= 0 {
 			panic(fmt.Sprintf("nn: layer width %d invalid", s.Out))
 		}
+		if !s.Act.valid() {
+			panic(fmt.Sprintf("nn: unknown activation %d", int(s.Act)))
+		}
 		n.Layers = append(n.Layers, newDense(rng, in, s.Out, s.Act))
 		in = s.Out
 	}
@@ -99,6 +103,9 @@ type Batch struct {
 	shape  *Network    // the network s was built for
 	acts   [][]float64 // acts[0] is capacity × input width, acts[i+1] capacity × layer i's width
 	deltas [][]float64 // same shapes as acts
+	panels []float64   // W packed for dense4x8, rewritten by every layer's pass
+	off    []int       // nonzero's row offsets, one per sample or output
+	scale  []float64   // nonzero's scales, same length
 	net    *Network    // network of the last ForwardBatch
 	n      int         // samples in the last ForwardBatch
 }
@@ -118,12 +125,22 @@ func NewBatch(net *Network, capacity int) *Batch {
 	acts := make([]float64, capacity*total)
 	deltas := make([]float64, capacity*total)
 	s := &Batch{shape: net}
+	lists := capacity
 	for _, w := range widths {
+		lists = max(lists, w)
 		m := capacity * w
 		s.acts = append(s.acts, acts[:m:m])
 		s.deltas = append(s.deltas, deltas[:m:m])
 		acts, deltas = acts[m:], deltas[m:]
 	}
+	if capacity >= 4 { // fewer samples never reach the kernel
+		m := 0
+		for _, l := range net.Layers {
+			m = max(m, l.W.Rows&^7*l.W.Cols)
+		}
+		s.panels = make([]float64, m)
+	}
+	s.off, s.scale = make([]int, lists), make([]float64, lists)
 	return s
 }
 
@@ -157,28 +174,71 @@ func (n *Network) ForwardBatch(s *Batch, b int) []float64 {
 		panic("nn: batch scratch built for a different network shape")
 	}
 	for i, l := range n.Layers {
-		l.forward(s.acts[i][:b*l.W.Cols], s.acts[i+1][:b*l.W.Rows])
+		l.forward(s.acts[i][:b*l.W.Cols], s.acts[i+1][:b*l.W.Rows], s.panels)
 	}
 	s.net, s.n = n, b
 	return s.acts[len(n.Layers)][:b*n.OutputSize()]
 }
 
 // forward computes y = act(W·x + b) for every sample of x (sample-major).
-// Blocks of two weight rows by four samples share each pass over the inputs;
-// each of the eight dot products stays one accumulator summed in k order, so
-// the chains only overlap in time and every sum is bit-identical to the
+// On AVX2 hardware dense4x8 computes every full block of four samples by
+// eight outputs from W packed into panels (scratch the Batch owns, packed
+// again on every pass, so no copy of W can go stale); the scalar loops
+// compute the outputs and samples left over, and everything elsewhere. Both
+// keep one accumulator per output summed from zero in input order, then add
+// the bias and apply the activation, so every output has the same bits
+// whichever computes it.
+func (l *Dense) forward(x, y, panels []float64) {
+	in, out := l.W.Cols, l.W.Rows
+	nk, ok := 0, 0 // samples and outputs the kernel computes
+	if cpufeat.AVX2 && len(x) >= 4*in && out >= 8 {
+		nk, ok = len(x)/in&^3, out&^7
+		p := l.packPanels(panels, ok)
+		for b := 0; b < nk; b += 4 {
+			// Reads x[b·in : (b+4)·in], writes y[b·out : (b+3)·out + ok].
+			dense4x8(&p[0], &x[b*in], &y[b*out], &l.B[0], in, out, ok/8, l.Act == ReLU)
+		}
+		if l.Act != Linear && l.Act != ReLU {
+			for b := 0; b < nk; b++ {
+				l.Act.applyTo(y[b*out : b*out+ok])
+			}
+		}
+	}
+	l.forwardScalar(x[:nk*in], y[:nk*out], ok)
+	l.forwardScalar(x[nk*in:], y[nk*out:], 0)
+}
+
+// packPanels copies W's first ok rows (a multiple of 8) into dst as ok/8
+// k-major panels of in × 8 weights, panel p holding W[8p+c][k] at
+// [(p·in + k)·8 + c], and returns that prefix of dst.
+func (l *Dense) packPanels(dst []float64, ok int) []float64 {
+	in := l.W.Cols
+	p := dst[:ok*in]
+	for j := 0; j < ok; j++ {
+		q := p[(j/8)*in*8+j%8:]
+		for k, v := range l.W.Data[j*in : (j+1)*in] {
+			q[k*8] = v
+		}
+	}
+	return p
+}
+
+// forwardScalar computes outputs [j0, out) of every sample of x. Blocks of
+// two weight rows by four samples share each pass over the inputs; each of
+// the eight dot products stays one accumulator summed in k order, so the
+// chains only overlap in time and every sum is bit-identical to the
 // one-sample loop, which computes the rows and samples left over.
-func (l *Dense) forward(x, y []float64) {
+func (l *Dense) forwardScalar(x, y []float64, j0 int) {
 	in, out := l.W.Cols, l.W.Rows
 	w := l.W.Data
 	nb := len(x) / in
-	nb4, out2 := nb&^3, out&^1
+	nb4, out2 := nb&^3, j0+(out-j0)&^1
 	for b := 0; b < nb4; b += 4 {
 		x0 := x[b*in : (b+1)*in]
 		x1 := x[(b+1)*in : (b+2)*in][:len(x0)]
 		x2 := x[(b+2)*in : (b+3)*in][:len(x0)]
 		x3 := x[(b+3)*in : (b+4)*in][:len(x0)]
-		for j := 0; j < out2; j += 2 {
+		for j := j0; j < out2; j += 2 {
 			r0 := w[j*in : (j+1)*in][:len(x0)]
 			r1 := w[(j+1)*in : (j+2)*in][:len(x0)]
 			var s00, s01, s02, s03, s10, s11, s12, s13 float64
@@ -203,7 +263,7 @@ func (l *Dense) forward(x, y []float64) {
 	}
 	for b := 0; b < nb; b++ {
 		xb := x[b*in : (b+1)*in]
-		j := 0
+		j := j0
 		if b < nb4 {
 			j = out2
 		}
@@ -215,7 +275,13 @@ func (l *Dense) forward(x, y []float64) {
 			y[b*out+j] = s + l.B[j]
 		}
 	}
-	l.Act.applyTo(y)
+	if j0 == 0 {
+		l.Act.applyTo(y)
+		return
+	}
+	for b := 0; b < nb; b++ {
+		l.Act.applyTo(y[b*out+j0 : (b+1)*out])
+	}
 }
 
 // Backward accumulates parameter gradients for the most recent Forward call,
@@ -269,108 +335,107 @@ func (n *Network) backward(s *Batch, dOut []float64, grads bool, lo, hi int) {
 		x := s.acts[i][:s.n*in]
 		y := s.acts[i+1][:s.n*out]
 		d := s.deltas[i+1][:s.n*out]
-		for k := range d {
-			d[k] *= l.Act.Derivative(y[k])
-		}
+		l.Act.mulDerivative(d, y)
 		if grads {
-			l.accumulate(d, x)
+			l.accumulate(d, x, s.off, s.scale)
 		}
 		if i > 0 {
-			l.backprop(d, s.deltas[i][:s.n*in], 0, in)
+			l.backprop(d, s.deltas[i][:s.n*in], 0, in, s.off, s.scale)
 		} else if hi > lo {
-			l.backprop(d, s.deltas[0][:s.n*in], lo, hi)
+			l.backprop(d, s.deltas[0][:s.n*in], lo, hi, s.off, s.scale)
 		}
 	}
 }
 
 // accumulate adds every sample's outer product d ⊗ x into GW and d into GB.
 // Each element receives the samples in order, and a zero delta adds nothing
-// to its GW row, exactly as one-sample passes in sample order would. Four
-// samples with nonzero deltas update a row in one pass, still one rounded
-// add per sample in order.
-func (l *Dense) accumulate(d, x []float64) {
+// to its GW row, exactly as one-sample passes in sample order would. off
+// and scale are scratch of at least one entry per sample.
+func (l *Dense) accumulate(d, x []float64, off []int, scale []float64) {
 	in, out := l.W.Cols, l.W.Rows
 	nb := len(d) / out
-	for j := 0; j < out; j++ {
-		row := l.GW.Data[j*in : (j+1)*in]
-		var pend [4]int // samples with nonzero deltas not yet added
-		np := 0
-		for b := 0; b < nb; b++ {
-			dj := d[b*out+j]
+	for b := 0; b < nb; b++ {
+		for j, dj := range d[b*out : (b+1)*out] {
 			l.GB[j] += dj
-			if dj == 0 {
-				continue
-			}
-			pend[np] = b
-			np++
-			if np < 4 {
-				continue
-			}
-			np = 0
-			d0, d1, d2, d3 := d[pend[0]*out+j], d[pend[1]*out+j], d[pend[2]*out+j], d[pend[3]*out+j]
-			x0 := x[pend[0]*in : (pend[0]+1)*in][:len(row)]
-			x1 := x[pend[1]*in : (pend[1]+1)*in][:len(row)]
-			x2 := x[pend[2]*in : (pend[2]+1)*in][:len(row)]
-			x3 := x[pend[3]*in : (pend[3]+1)*in][:len(row)]
-			for k, g := range row {
-				g += d0 * x0[k]
-				g += d1 * x1[k]
-				g += d2 * x2[k]
-				g += d3 * x3[k]
-				row[k] = g
-			}
 		}
-		for _, b := range pend[:np] {
-			dj := d[b*out+j]
-			xb := x[b*in : (b+1)*in][:len(row)]
-			for k := range row {
-				row[k] += dj * xb[k]
-			}
-		}
+	}
+	for j := 0; j < out; j++ {
+		n := nonzero(off, scale, d[j:], out, nb, in)
+		axpy(l.GW.Data[j*in:(j+1)*in], x, off[:n], scale[:n])
 	}
 }
 
 // backprop writes dx[:, lo:hi] = (Wᵀ·d)[lo:hi] per sample, adding the rows in
-// order from zero and skipping rows whose delta is zero. Four rows with
-// nonzero deltas go in one pass, still one rounded add per row in order.
-func (l *Dense) backprop(d, dx []float64, lo, hi int) {
+// order from zero and skipping rows whose delta is zero. off and scale are
+// scratch of at least one entry per row.
+func (l *Dense) backprop(d, dx []float64, lo, hi int, off []int, scale []float64) {
 	in, out := l.W.Cols, l.W.Rows
-	nb := len(d) / out
-	for b := 0; b < nb; b++ {
+	for b := 0; b < len(d)/out; b++ {
 		dst := dx[b*in+lo : b*in+hi]
 		clear(dst)
-		db := d[b*out : (b+1)*out]
-		var pend [4]int // rows with nonzero deltas not yet added
-		np := 0
-		for j, dj := range db {
-			if dj == 0 {
-				continue
-			}
-			pend[np] = j
-			np++
-			if np < 4 {
-				continue
-			}
-			np = 0
-			d0, d1, d2, d3 := db[pend[0]], db[pend[1]], db[pend[2]], db[pend[3]]
-			r0 := l.W.Data[pend[0]*in+lo : pend[0]*in+hi][:len(dst)]
-			r1 := l.W.Data[pend[1]*in+lo : pend[1]*in+hi][:len(dst)]
-			r2 := l.W.Data[pend[2]*in+lo : pend[2]*in+hi][:len(dst)]
-			r3 := l.W.Data[pend[3]*in+lo : pend[3]*in+hi][:len(dst)]
-			for k, g := range dst {
-				g += r0[k] * d0
-				g += r1[k] * d1
-				g += r2[k] * d2
-				g += r3[k] * d3
-				dst[k] = g
-			}
+		n := nonzero(off, scale, d[b*out:], 1, out, in)
+		axpy(dst, l.W.Data[lo:], off[:n], scale[:n])
+	}
+}
+
+// nonzero lists the nonzero values among v[0], v[step], …, v[(count−1)·step]
+// in order: the i-th one found goes to scale[i], with its position times
+// stride in off[i]. It returns how many it found. The loop has no
+// data-dependent branch, so the mix of zero and nonzero values (ReLU's dead
+// units) costs no mispredictions; it is kept out of line so its counters
+// stay in registers.
+//
+//go:noinline
+func nonzero(off []int, scale, v []float64, step, count, stride int) int {
+	off, scale = off[:count], scale[:count]
+	n, o := 0, 0
+	for i := range off {
+		x := v[i*step]
+		off[n], scale[n] = o, x
+		if x != 0 {
+			n++
 		}
-		for _, j := range pend[:np] {
-			dj := db[j]
-			row := l.W.Data[j*in+lo : j*in+hi][:len(dst)]
-			for k := range dst {
-				dst[k] += row[k] * dj
-			}
+		o += stride
+	}
+	return n
+}
+
+// axpy adds the listed rows of a, scaled, into acc in list order:
+// acc[c] += scale[i]·a[off[i] + c] for every i, one rounded multiply and one
+// rounded add per row. On AVX2 hardware axpy32 computes every full block of
+// 32 columns; the loop below computes the columns left over, and
+// everything elsewhere, four rows per pass over acc.
+func axpy(acc, a []float64, off []int, scale []float64) {
+	if len(off) == 0 {
+		return
+	}
+	k0 := 0
+	if cpufeat.AVX2 {
+		for ; k0+32 <= len(acc); k0 += 32 {
+			axpy32(&acc[k0], &a[k0], &off[0], &scale[0], len(off))
+		}
+	}
+	acc, a = acc[k0:], a[k0:]
+	w := len(acc)
+	i := 0
+	for ; i+4 <= len(off); i += 4 {
+		s0, s1, s2, s3 := scale[i], scale[i+1], scale[i+2], scale[i+3]
+		a0 := a[off[i]:][:w]
+		a1 := a[off[i+1]:][:w]
+		a2 := a[off[i+2]:][:w]
+		a3 := a[off[i+3]:][:w]
+		for c, g := range acc {
+			g += s0 * a0[c]
+			g += s1 * a1[c]
+			g += s2 * a2[c]
+			g += s3 * a3[c]
+			acc[c] = g
+		}
+	}
+	for ; i < len(off); i++ {
+		s, ai := scale[i], a[off[i]:][:w]
+		for c := range acc {
+			acc[c] += s * ai[c]
 		}
 	}
 }

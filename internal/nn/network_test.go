@@ -271,6 +271,8 @@ func TestNewNetworkPanics(t *testing.T) {
 		func() { NewNetwork(rng, 0, LayerSpec{Out: 1}) },
 		func() { NewNetwork(rng, 1) },
 		func() { NewNetwork(rng, 1, LayerSpec{Out: 0}) },
+		func() { NewNetwork(rng, 1, LayerSpec{Out: 8, Act: -1}) },
+		func() { NewNetwork(rng, 1, LayerSpec{Out: 8, Act: ReLU}, LayerSpec{Out: 1, Act: Sigmoid + 1}) },
 	}
 	for i, fn := range cases {
 		func() {

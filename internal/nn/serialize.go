@@ -55,6 +55,9 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 			return nil, fmt.Errorf("nn: corrupt layer %d: %dx%d W=%d B=%d after %d inputs",
 				i, ld.Rows, ld.Cols, len(ld.W), len(ld.B), in)
 		}
+		if !ld.Act.valid() {
+			return nil, fmt.Errorf("nn: corrupt layer %d: unknown activation %d", i, int(ld.Act))
+		}
 		l := &Dense{
 			W:   mat.FromSlice(ld.Rows, ld.Cols, append([]float64(nil), ld.W...)),
 			B:   append([]float64(nil), ld.B...),

@@ -44,6 +44,22 @@ func TestLoadNetworkRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A saved layer whose activation is outside Linear..Sigmoid must fail to
+// load, not panic at the first Forward.
+func TestLoadNetworkRejectsUnknownActivation(t *testing.T) {
+	for _, act := range []Activation{-1, Sigmoid + 1, 9} {
+		n := newTestNet(33)
+		n.Layers[1].Act = act
+		var buf bytes.Buffer
+		if err := n.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadNetwork(&buf); err == nil || !strings.Contains(err.Error(), "unknown activation") {
+			t.Fatalf("activation %d: err %v, want an unknown-activation error", int(act), err)
+		}
+	}
+}
+
 func TestSaveLoadIndependence(t *testing.T) {
 	n := newTestNet(32)
 	var buf bytes.Buffer

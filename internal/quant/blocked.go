@@ -25,7 +25,7 @@ import "fmt"
 // oracle tests.
 //
 // The kernel is gated at runtime: Blocked() returns nil unless the CPU
-// reports AVX2 with OS-enabled YMM state (see detectAVX2), the row count
+// reports AVX2 with OS-enabled YMM state (see cpufeat.AVX2), the row count
 // fits the int32 accumulator bound, and the matrix is at least one block
 // wide. Callers fall back to the scalar batch kernel on nil.
 

@@ -2,34 +2,10 @@
 
 package quant
 
-// Runtime gating for the AVX2 blocked kernel. Detection is hand-rolled
-// CPUID rather than a dependency: AVX2 requires leaf-7 EBX bit 5 *and* an
-// OS that saves YMM state across context switches (CPUID leaf-1 ECX
-// OSXSAVE, then XGETBV XCR0 bits 1–2).
-var hasAVX2 = detectAVX2()
+import "autohet/internal/cpufeat"
 
-func detectAVX2() bool {
-	maxID, _, _, _ := cpuidlow(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, c, _ := cpuidlow(1, 0)
-	const osxsave = 1 << 27
-	if c&osxsave == 0 {
-		return false
-	}
-	if eax, _ := xgetbv0(); eax&0x6 != 0x6 { // XMM and YMM state OS-enabled
-		return false
-	}
-	_, b, _, _ := cpuidlow(7, 0)
-	return b&(1<<5) != 0 // AVX2
-}
-
-//go:noescape
-func cpuidlow(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-
-//go:noescape
-func xgetbv0() (eax, edx uint32)
+// hasAVX2 gates the blocked kernel at runtime (see cpufeat.AVX2).
+var hasAVX2 = cpufeat.AVX2
 
 // maddBlock accumulates one member's signed MVM over one 16-column weight
 // block into acc[0:16] (int32, read-modified-written): for each of rowPairs

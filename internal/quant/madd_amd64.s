@@ -1,27 +1,8 @@
-// AVX2 micro-kernels and CPUID feature detection for the blocked signed
-// integer MVM (see blocked.go and madd_amd64.go). The kernel is gated at
-// runtime by detectAVX2; nothing here executes on CPUs without AVX2.
+// AVX2 micro-kernels for the blocked signed integer MVM (see blocked.go and
+// madd_amd64.go). The kernel is gated at runtime by cpufeat.AVX2; nothing
+// here executes on CPUs without AVX2.
 
 #include "textflag.h"
-
-// func cpuidlow(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuidlow(SB), NOSPLIT, $0-24
-	MOVL eaxIn+0(FP), AX
-	MOVL ecxIn+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() (eax, edx uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
 
 // func maddBlock(w *int8, u *uint16, acc *int32, rowPairs int)
 //

@@ -68,6 +68,11 @@ func goldenRun(cfg AgentConfig, transitions, updates, doneEvery int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// The digest is amd64's. The actor's sigmoid calls math.Exp, which is
+// assembly on amd64 and portable Go on other architectures, and the two
+// differ in the last bit on some inputs (a million seeded inputs hash
+// differently under GOARCH=386), so the trajectory does too. CI's
+// GOARCH=386 step therefore leaves this package out (DESIGN.md §17).
 func TestGoldenTrajectoryDDPG(t *testing.T) {
 	cfg := DefaultAgentConfig(5)
 	cfg.Seed = 7

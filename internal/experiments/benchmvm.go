@@ -16,9 +16,9 @@ import (
 )
 
 // MVMKernelLeg records the packed-vs-scalar kernel comparison on the paper's
-// Fig. 5 layer (3×3×12 → 128 on a 2×2 grid of 64×64 crossbars). This is the
-// original single-vector leg, kept unchanged for comparison across benchmark
-// revisions.
+// Fig. 5 layer (3×3×12 → 128 on a 2×2 grid of 64×64 crossbars): one input
+// through ExecuteMVM — the batched popcount kernels on a one-member batch —
+// against the byte-per-cell ExecuteMVMScalar.
 type MVMKernelLeg struct {
 	ScalarNsPerMVM float64 `json:"scalar_ns_per_mvm"`
 	PackedNsPerMVM float64 `json:"packed_ns_per_mvm"`
@@ -42,9 +42,8 @@ type MVMKernelBatchLeg struct {
 	MVMsPerSec float64 `json:"mvms_per_sec"`
 	// SpeedupVsB1 is ns/MVM at B=1 divided by ns/MVM at this batch size.
 	SpeedupVsB1 float64 `json:"speedup_vs_b1"`
-	// BitExact confirms every batch member matched the bit-serial crossbar
-	// reference (single-vector and batched plane-sweep) `==`-exactly before
-	// timing.
+	// BitExact confirms every batch member, on both fast pipelines, matched
+	// the bit-serial crossbar pipeline `==`-exactly before timing.
 	BitExact bool `json:"bit_exact"`
 }
 
@@ -186,8 +185,8 @@ func benchMVMKernel(seed int64, reps int) (MVMKernelLeg, error) {
 
 // benchMVMKernelBatch sweeps the fast serving pipeline over kernel batch
 // sizes on the Fig. 5 layer via sim.FastKernels. Each leg first verifies
-// both fast pipelines against the bit-serial crossbar oracle (single-vector
-// ExecuteMVM per member, and the batched plane-sweep ExecuteMVMBatch), then
+// both fast pipelines against the bit-serial crossbar pipeline (ExecuteMVM
+// per member, which the kernel leg pins to ExecuteMVMScalar), then
 // times the warm pipeline: B=1 is the unbatched per-patch path, B>1 the
 // batch-quantize + batched-kernel path, patch extraction outside the timed
 // loop in both cases.
@@ -211,10 +210,6 @@ func benchMVMKernelBatch(seed int64, reps int) ([]MVMKernelBatchLeg, error) {
 			copy(flat[k*n:(k+1)*n], xs[k])
 			ins[k] = quant.QuantizeInput(xs[k])
 		}
-		bref, _, err := sim.ExecuteMVMBatch(cfg, la, w, quant.PackInputs(ins))
-		if err != nil {
-			return nil, err
-		}
 		leg := MVMKernelBatchLeg{Batch: B, BitExact: true}
 		got := fk.Batch(flat, n, B)
 		batched := make([]float64, len(got))
@@ -227,7 +222,7 @@ func benchMVMKernelBatch(seed int64, reps int) ([]MVMKernelBatchLeg, error) {
 			single := fk.Single(xs[k])
 			for j := range ref {
 				want := w.ScaleFor(j) * in.Scale * ref[j]
-				if batched[k*w.Cols+j] != want || single[j] != want || bref[k*w.Cols+j] != ref[j] {
+				if batched[k*w.Cols+j] != want || single[j] != want {
 					leg.BitExact = false
 				}
 			}

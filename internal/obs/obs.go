@@ -1,8 +1,8 @@
 // Package obs is the shared observability layer: a process-wide registry
-// of lock-free counters, gauges, and log-bucketed latency histograms,
-// lightweight trace spans with per-stage duration attribution, and two
-// exposition paths — Prometheus text format over HTTP (cmd/fleet) and JSON
-// snapshots (cmd/autohet, cmd/experiments -metrics-json).
+// of lock-free counters, gauges, and log-bucketed latency histograms (stage
+// time is a counter fed by Counter.AddSince), and two exposition paths —
+// Prometheus text format over HTTP (cmd/fleet) and JSON snapshots
+// (cmd/autohet, cmd/experiments -metrics-json).
 //
 // Hot paths record through package-level metric handles: one atomic op per
 // event and zero allocations, so instrumentation is safe even on the

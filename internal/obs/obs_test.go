@@ -3,7 +3,6 @@ package obs
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRegistryGetOrCreate(t *testing.T) {
@@ -154,69 +153,5 @@ func TestJSONSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `"c_total": 9`) {
 		t.Fatalf("WriteJSON output:\n%s", b.String())
-	}
-}
-
-func TestSpans(t *testing.T) {
-	root := StartSpan("search")
-	d1 := root.Child("decide")
-	time.Sleep(time.Millisecond)
-	d1.End()
-	s1 := root.Child("simulate")
-	inner := s1.Child("mvm")
-	time.Sleep(time.Millisecond)
-	inner.End()
-	s1.End()
-	// Second round: same stage names accumulate.
-	d2 := root.Child("decide")
-	time.Sleep(time.Millisecond)
-	d2.End()
-	root.End()
-
-	if d1.Parent() != root || inner.Parent() != s1 {
-		t.Fatal("parent links wrong")
-	}
-	durs := root.Durations()
-	if durs["decide"] < 2*time.Millisecond {
-		t.Fatalf("decide did not accumulate across rounds: %v", durs["decide"])
-	}
-	if durs["simulate"] < durs["mvm"] {
-		t.Fatalf("parent %v shorter than child %v", durs["simulate"], durs["mvm"])
-	}
-	if durs["search"] < durs["decide"]+durs["simulate"] {
-		t.Fatalf("root %v shorter than children", durs["search"])
-	}
-	// End is idempotent.
-	if a, b := root.End(), root.End(); a != b {
-		t.Fatal("End not idempotent")
-	}
-
-	var order []string
-	var depths []int
-	root.Walk(func(sp *Span, depth int) {
-		order = append(order, sp.Name)
-		depths = append(depths, depth)
-	})
-	wantOrder := []string{"search", "decide", "simulate", "mvm", "decide"}
-	for i, w := range wantOrder {
-		if order[i] != w {
-			t.Fatalf("walk order %v, want %v", order, wantOrder)
-		}
-	}
-	if depths[3] != 2 {
-		t.Fatalf("mvm depth %d, want 2", depths[3])
-	}
-	if s := root.String(); !strings.Contains(s, "  simulate") || !strings.Contains(s, "    mvm") {
-		t.Fatalf("String() indentation wrong:\n%s", s)
-	}
-
-	r := NewRegistry()
-	root.Record(r, "autohet_search_stage_ns_total", "time per search stage")
-	snap := r.JSON()
-	if snap.Counters[`autohet_search_stage_ns_total{stage="decide"}`] < int64(2*time.Millisecond) {
-		t.Fatalf("Record counters: %+v", snap.Counters)
-	}
-	if bd := StageBreakdown(durs); !strings.Contains(bd, "search=") || !strings.Contains(bd, "decide=") {
-		t.Fatalf("StageBreakdown: %s", bd)
 	}
 }

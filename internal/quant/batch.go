@@ -6,21 +6,21 @@ import (
 	"math/bits"
 )
 
-// Batched bit-matrix × bit-matrix MVM support. The single-vector packed
-// kernel (PackedPlane.ColSum) walks every packed weight word once per input
-// vector: serving B inputs re-reads the whole plane stack B times, and the
+// Batched bit-matrix × bit-matrix MVM support. A kernel that reads one
+// input vector at a time walks every packed weight word once per vector:
+// serving B inputs re-reads the whole plane stack B times, and the
 // per-(cycle, plane, bitline) loop overhead is paid per read. PackedBatch
 // fixes both by packing a *batch* of B quantized input vectors into one
 // member-interleaved digit slab, so a batched kernel sweeps each weight
-// word exactly once per batch:
+// word exactly once per batch (a single vector is a one-member batch):
 //
 //	for each plane word cw:             // loaded once per batch
 //	    for each member k:              // B reuses of cw
 //	        for each input bit b:       // 8 reuses of member k's window
 //	            sum[k] += popcount(cw & digits[w][k][b]) << b
 //
-// The arithmetic per member is identical to the single-vector kernel — the
-// same popcounts, shifted and summed in a different order over exact
+// The arithmetic per member is identical to a one-vector byte loop — the
+// same bit-AND counts, shifted and summed in a different order over exact
 // integers — so batched results are bit-identical to B independent MVMs
 // (asserted by FuzzBatchedMVM and the sim equivalence tests). What changes
 // is the amortization: one weight-word load and one band-mask evaluation
@@ -195,7 +195,8 @@ func QuantizeBatchFlatInto(pb *PackedBatch, xs []float64, n, b int) *PackedBatch
 // bit-serial digit slab. The byte-code kernels (blocked and scalar fast
 // paths) never read digit words, and packing them is the single largest
 // non-kernel cost per batch; the popcount kernels panic on a codes-only
-// batch rather than compute garbage (Reset truncates Digits).
+// batch rather than compute garbage (Reset truncates Digits), and
+// sim.ExecuteMVMBatch rejects one with an error.
 func QuantizeBatchFlatCodesInto(pb *PackedBatch, xs []float64, n, b int) *PackedBatch {
 	return quantizeBatchFlat(pb, xs, n, b, false)
 }
@@ -318,9 +319,9 @@ func (p *PackedPlane) ColRangeSumBatch(j, r0, r1, b int, pb *PackedBatch, sums [
 //	             = Σ_i (q[i][j] + offset) · u_k[i]
 //
 // out is member-major with length B·Cols and is overwritten. This is the
-// reference-shaped batched kernel the fuzzer compares against B independent
-// single-vector MVMs; the sim engine's grid execution splits the same sums
-// over crossbar row bands.
+// reference-shaped batched kernel the fuzzer compares against the integer
+// reference; the sim engine's grid execution splits the same sums over
+// crossbar row bands.
 func (m *PackedMatrix) MulBatch(pb *PackedBatch, out []int64) {
 	if pb.N != m.Rows {
 		panic(fmt.Sprintf("quant: batch of %d-row vectors against %dx%d matrix", pb.N, m.Rows, m.Cols))

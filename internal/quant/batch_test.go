@@ -16,9 +16,27 @@ func randMatrix(rng *rand.Rand, rows, cols, bits int) *Matrix {
 	return m
 }
 
+// checkDigitSlab asserts that member k's digit words in pb hold exactly the
+// byte-per-row digits (digits[b][i] = bit b of row i's code), with every
+// tail bit beyond pb.N zero.
+func checkDigitSlab(t *testing.T, tag string, pb *PackedBatch, k int, digits [][]uint8) {
+	t.Helper()
+	for b := 0; b < InputBits; b++ {
+		for i := 0; i < pb.Words*64; i++ {
+			var want uint64
+			if i < pb.N {
+				want = uint64(digits[b][i])
+			}
+			if got := pb.DigitWord(i>>6, k, b) >> uint(i&63) & 1; got != want {
+				t.Fatalf("%s member %d bit %d row %d: digit %d, want %d", tag, k, b, i, got, want)
+			}
+		}
+	}
+}
+
 // TestQuantizeBatchMatchesQuantizeInput: batch quantization must reproduce
-// QuantizeInput member for member — same scales, same codes, same digit
-// words — since bit-exactness of the batched engine rests on it.
+// QuantizeInput member for member — same scales, same codes, same digits —
+// since bit-exactness of the batched engine rests on it.
 func TestQuantizeBatchMatchesQuantizeInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n, b = 130, 5 // two full words + ragged tail
@@ -57,19 +75,13 @@ func TestQuantizeBatchMatchesQuantizeInput(t *testing.T) {
 			if pb.USums[k] != usum {
 				t.Fatalf("%s member %d: usum %v, want %v", name, k, pb.USums[k], usum)
 			}
-			for bit := 0; bit < InputBits; bit++ {
-				for w := 0; w < pb.Words; w++ {
-					if got := pb.DigitWord(w, k, bit); got != want.DigitWords[bit][w] {
-						t.Fatalf("%s member %d bit %d word %d: %#x, want %#x", name, k, bit, w, got, want.DigitWords[bit][w])
-					}
-				}
-			}
+			checkDigitSlab(t, name, pb, k, want.Digits)
 		}
 	}
 }
 
 // TestPackInputsRoundTrip: packing pre-quantized Inputs preserves codes,
-// scales, and digit words exactly.
+// scales, code sums and digits exactly.
 func TestPackInputsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const n, b = 70, 3
@@ -86,28 +98,27 @@ func TestPackInputsRoundTrip(t *testing.T) {
 		if pb.Scales[k] != in.Scale {
 			t.Fatalf("member %d: scale %v, want %v", k, pb.Scales[k], in.Scale)
 		}
-		for bit := 0; bit < InputBits; bit++ {
-			for w := 0; w < pb.Words; w++ {
-				if got := pb.DigitWord(w, k, bit); got != in.DigitWords[bit][w] {
-					t.Fatalf("member %d bit %d word %d: %#x, want %#x", k, bit, w, got, in.DigitWords[bit][w])
-				}
+		var usum float64
+		for i, c := range in.U {
+			if pb.Member(k)[i] != c {
+				t.Fatalf("member %d row %d: code %d, want %d", k, i, pb.Member(k)[i], c)
 			}
+			usum += float64(c)
 		}
+		if pb.USums[k] != usum {
+			t.Fatalf("member %d: usum %v, want %v", k, pb.USums[k], usum)
+		}
+		checkDigitSlab(t, "packed", pb, k, in.Digits)
 	}
 	// Reuse with a smaller batch must fully reset the slab.
 	pb2 := PackInputsInto(pb, ins[:1])
-	for bit := 0; bit < InputBits; bit++ {
-		for w := 0; w < pb2.Words; w++ {
-			if got := pb2.DigitWord(w, 0, bit); got != ins[0].DigitWords[bit][w] {
-				t.Fatalf("reused batch bit %d word %d: %#x, want %#x", bit, w, got, ins[0].DigitWords[bit][w])
-			}
-		}
-	}
+	checkDigitSlab(t, "reused", pb2, 0, ins[0].Digits)
 }
 
-// TestBatchedKernelsMatchSingleVector: ColSumCycles / ColRangeSumBatch /
-// MulBatch against the single-vector ColSum and
-// ColRangeSum kernels, over ragged shapes and row bands.
+// TestBatchedKernelsMatchSingleVector: ColSumCycles, ColRangeSumBatch and
+// MulBatch against each member's own byte-per-cell reads — Σ_i bit·u_i per
+// plane column, and the banded bitline count per cycle — and the integer
+// reference, over ragged shapes and row bands.
 func TestBatchedKernelsMatchSingleVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, tc := range []struct{ rows, cols, bits, b int }{
@@ -118,7 +129,8 @@ func TestBatchedKernelsMatchSingleVector(t *testing.T) {
 		{129, 5, 8, 32},
 	} {
 		m := randMatrix(rng, tc.rows, tc.cols, tc.bits)
-		pm := m.Packed()
+		planes := m.Slices()
+		pm := PackPlanes(planes)
 		ins := make([]*Input, tc.b)
 		for k := range ins {
 			x := make([]float64, tc.rows)
@@ -133,25 +145,30 @@ func TestBatchedKernelsMatchSingleVector(t *testing.T) {
 		acc := make([]int64, tc.b)
 		sums := make([]int64, tc.b)
 		for j := 0; j < tc.cols; j++ {
-			for _, p := range pm.Planes {
-				// Full-height fused sweep == Σ_b ColSum << b per member.
+			for pi, p := range pm.Planes {
+				bp := planes[pi]
+				// Full-height fused sweep == Σ_i bit·u_i per member.
 				clear(acc)
 				p.ColSumCycles(j, pb, acc)
 				for k, in := range ins {
 					var want int64
-					for b := 0; b < InputBits; b++ {
-						want += int64(p.ColSum(j, in.DigitWords[b])) << uint(b)
+					for i := 0; i < tc.rows; i++ {
+						want += int64(bp.Bits[i*tc.cols+j]) * int64(in.U[i])
 					}
 					if acc[k] != want {
 						t.Fatalf("%dx%d/%d-bit B=%d: ColSumCycles col %d plane %d member %d: %d, want %d",
 							tc.rows, tc.cols, tc.bits, tc.b, j, p.Bit, k, acc[k], want)
 					}
 				}
-				// Per-cycle band reads match ColRangeSum member for member.
+				// Per-cycle band reads match the byte loop member for member.
 				for b := 0; b < InputBits; b++ {
 					p.ColRangeSumBatch(j, split, tc.rows, b, pb, sums)
 					for k, in := range ins {
-						if want := int64(p.ColRangeSum(j, split, tc.rows, in.DigitWords[b])); sums[k] != want {
+						var want int64
+						for i := split; i < tc.rows; i++ {
+							want += int64(bp.Bits[i*tc.cols+j] & in.Digits[b][i])
+						}
+						if sums[k] != want {
 							t.Fatalf("col %d plane %d bit %d member %d: %d, want %d", j, p.Bit, b, k, sums[k], want)
 						}
 					}

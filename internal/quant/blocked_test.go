@@ -48,7 +48,7 @@ func TestBlockedMatchesReference(t *testing.T) {
 				u[i] = uint8(rng.Intn(256))
 			}
 			u[0] = 255
-			ins[k] = &Input{N: sh.rows, Scale: 1, U: u, DigitWords: packDigits(nil, u)}
+			ins[k] = &Input{N: sh.rows, Scale: 1, U: u}
 		}
 		pb := PackInputs(ins)
 		bw := m.Blocked()
@@ -115,7 +115,7 @@ func TestBlockedWorstCaseAtRowBound(t *testing.T) {
 		for i := range u {
 			u[i] = 255
 		}
-		ins[k] = &Input{N: rows, Scale: 1, U: u, DigitWords: packDigits(nil, u)}
+		ins[k] = &Input{N: rows, Scale: 1, U: u}
 	}
 	out := make([]float64, B*cols)
 	bw.MulBatch(PackInputs(ins), out, make([]uint16, B*rows))

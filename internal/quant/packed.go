@@ -1,7 +1,5 @@
 package quant
 
-import "math/bits"
-
 // Packed bit-parallel representation of the crossbar state. A BitPlane
 // stores one cell per byte, so the functional engines spend one branchy
 // byte-load per (row, column) pair per read cycle. The crossbar hardware
@@ -9,14 +7,16 @@ import "math/bits"
 // each bitline's current IS the population count of (stored bit AND input
 // digit) over the rows. PackedPlane reproduces that word-level parallelism
 // in software: each column's cells are packed row-wise into []uint64 words,
-// the input digits into matching per-cycle bitsets, and one crossbar read
-// becomes bits.OnesCount64(planeWord & digitWord) over ⌈rows/64⌉ words —
-// the same integer sums as the byte loop, ~64 cells per instruction.
+// the input digits into matching per-cycle bitsets (PackedBatch), and one
+// crossbar read becomes bits.OnesCount64(planeWord & digitWord) over
+// ⌈rows/64⌉ words — the same integer sums as the byte loop, ~64 cells per
+// instruction.
 //
 // Word order: word w of a column covers rows [64w, 64w+64), row r mapped to
 // bit r-64w (LSB = lowest row). Rows beyond Rows in the tail word are zero
 // in both plane and digit words, so full-column sums need no tail masking;
-// row-range sums mask the first and last word of the range explicitly.
+// row-range sums (ColRangeSumBatch) mask the first and last word of the
+// range explicitly.
 
 // PackedPlane is one bit plane packed column-major: column j's rows live in
 // Words[j*WordsPerCol : (j+1)*WordsPerCol].
@@ -48,38 +48,6 @@ func PackPlane(p *BitPlane) *PackedPlane {
 // Col returns column j's packed words.
 func (p *PackedPlane) Col(j int) []uint64 {
 	return p.Words[j*p.WordsPerCol : (j+1)*p.WordsPerCol]
-}
-
-// ColSum counts rows where both the stored bit and the input digit are 1 —
-// one full-height bitline read. digits must cover at least the plane's rows
-// (tail bits beyond Rows zero).
-func (p *PackedPlane) ColSum(j int, digits []uint64) int {
-	col := p.Col(j)
-	sum := 0
-	for w, cw := range col {
-		sum += bits.OnesCount64(cw & digits[w])
-	}
-	return sum
-}
-
-// ColRangeSum is ColSum restricted to rows [r0, r1) — the bitline read of a
-// crossbar that stores only that row band.
-func (p *PackedPlane) ColRangeSum(j, r0, r1 int, digits []uint64) int {
-	if r0 >= r1 {
-		return 0
-	}
-	col := p.Col(j)
-	w0, w1 := r0>>6, (r1-1)>>6
-	first := ^uint64(0) << uint(r0&63)
-	last := ^uint64(0) >> uint(63-(r1-1)&63)
-	if w0 == w1 {
-		return bits.OnesCount64(col[w0] & digits[w0] & first & last)
-	}
-	sum := bits.OnesCount64(col[w0] & digits[w0] & first)
-	for w := w0 + 1; w < w1; w++ {
-		sum += bits.OnesCount64(col[w] & digits[w])
-	}
-	return sum + bits.OnesCount64(col[w1]&digits[w1]&last)
 }
 
 // PackedMatrix is a full bit-sliced weight matrix in packed form, least
@@ -127,34 +95,4 @@ func (m *Matrix) Packed() *PackedMatrix {
 		m.memo.packed = PackPlanes(m.memo.planes)
 	}
 	return m.memo.packed
-}
-
-// packDigits rebuilds the per-cycle digit bitsets from u into dst, reusing
-// dst's word slices when they are large enough. dst grows to InputBits rows.
-func packDigits(dst [][]uint64, u []uint8) [][]uint64 {
-	words := (len(u) + 63) / 64
-	if cap(dst) < InputBits {
-		dst = make([][]uint64, InputBits)
-	}
-	dst = dst[:InputBits]
-	for b := range dst {
-		if cap(dst[b]) < words {
-			dst[b] = make([]uint64, words)
-		}
-		dst[b] = dst[b][:words]
-		clear(dst[b])
-	}
-	for i, v := range u {
-		if v == 0 {
-			continue
-		}
-		w := i >> 6
-		bit := uint64(1) << uint(i&63)
-		for b := 0; b < InputBits; b++ {
-			if v&(1<<uint(b)) != 0 {
-				dst[b][w] |= bit
-			}
-		}
-	}
-	return dst
 }

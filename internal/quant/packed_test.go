@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -49,15 +50,24 @@ func TestPackPlaneRoundTrip(t *testing.T) {
 	}
 }
 
+// ColRangeSumBatch — the banded bitline read of every batch member — must
+// count exactly what the byte-per-cell loop counts over the same rows, for
+// bands inside one word, across word boundaries, at the ragged tail and
+// empty.
 func TestColRangeSumMatchesByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	const rows, cols = 150, 4
+	const rows, cols, B = 150, 4, 3
 	m := randomMatrix(rng, rows, cols, 4)
-	x := make([]float64, rows)
-	for i := range x {
-		x[i] = rng.Float64() * 3
+	ins := make([]*Input, B)
+	for k := range ins {
+		x := make([]float64, rows)
+		for i := range x {
+			x[i] = rng.Float64() * 3
+		}
+		ins[k] = QuantizeInput(x)
 	}
-	in := QuantizeInput(x)
+	pb := PackInputs(ins)
+	sums := make([]int64, B)
 	ranges := [][2]int{{0, rows}, {0, 64}, {0, 63}, {1, 63}, {63, 65}, {64, 128}, {37, 100}, {128, 150}, {149, 150}, {5, 5}}
 	for _, p := range m.Slices() {
 		pp := PackPlane(p)
@@ -65,18 +75,16 @@ func TestColRangeSumMatchesByteLoop(t *testing.T) {
 			r0, r1 := rr[0], rr[1]
 			for j := 0; j < cols; j++ {
 				for b := 0; b < InputBits; b++ {
-					want := 0
-					for i := r0; i < r1; i++ {
-						if p.Bits[i*p.Cols+j] != 0 && in.Digits[b][i] != 0 {
-							want++
+					pp.ColRangeSumBatch(j, r0, r1, b, pb, sums)
+					for k, in := range ins {
+						var want int64
+						for i := r0; i < r1; i++ {
+							if p.Bits[i*p.Cols+j] != 0 && in.Digits[b][i] != 0 {
+								want++
+							}
 						}
-					}
-					if got := pp.ColRangeSum(j, r0, r1, in.DigitWords[b]); got != want {
-						t.Fatalf("plane %d col %d rows [%d,%d) cycle %d: packed %d byte %d", p.Bit, j, r0, r1, b, got, want)
-					}
-					if r0 == 0 && r1 == rows {
-						if got := pp.ColSum(j, in.DigitWords[b]); got != want {
-							t.Fatalf("plane %d col %d cycle %d: ColSum %d byte %d", p.Bit, j, b, got, want)
+						if sums[k] != want {
+							t.Fatalf("plane %d col %d rows [%d,%d) cycle %d member %d: packed %d byte %d", p.Bit, j, r0, r1, b, k, sums[k], want)
 						}
 					}
 				}
@@ -85,32 +93,25 @@ func TestColRangeSumMatchesByteLoop(t *testing.T) {
 	}
 }
 
+// PackInputs must pack each member's byte digits into its digit words —
+// row i at word i/64, bit i%64 — with every tail bit beyond N zero.
 func TestDigitWordsMatchDigits(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 64, 65, 200} {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.Float64()
+		ins := make([]*Input, 2)
+		for k := range ins {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.Float64()
+			}
+			ins[k] = QuantizeInput(x)
 		}
-		in := QuantizeInput(x)
-		if len(in.DigitWords) != InputBits {
-			t.Fatalf("n=%d: %d digit word rows", n, len(in.DigitWords))
+		pb := PackInputs(ins)
+		if pb.Words != (n+63)/64 || len(pb.Digits) != pb.Words*len(ins)*InputBits {
+			t.Fatalf("n=%d: %d words per digit row, slab of %d", n, pb.Words, len(pb.Digits))
 		}
-		for b := 0; b < InputBits; b++ {
-			if len(in.DigitWords[b]) != (n+63)/64 {
-				t.Fatalf("n=%d cycle %d: %d words", n, b, len(in.DigitWords[b]))
-			}
-			for i := 0; i < n; i++ {
-				got := uint8(in.DigitWords[b][i>>6] >> uint(i&63) & 1)
-				if got != in.Digits[b][i] {
-					t.Fatalf("n=%d cycle %d row %d: word bit %d digit %d", n, b, i, got, in.Digits[b][i])
-				}
-			}
-			for i := n; i < len(in.DigitWords[b])*64; i++ {
-				if in.DigitWords[b][i>>6]>>uint(i&63)&1 != 0 {
-					t.Fatalf("n=%d cycle %d: tail bit %d set", n, b, i)
-				}
-			}
+		for k, in := range ins {
+			checkDigitSlab(t, fmt.Sprintf("n=%d", n), pb, k, in.Digits)
 		}
 	}
 }
@@ -143,10 +144,10 @@ func TestQuantizeInputIntoReuses(t *testing.T) {
 				t.Fatalf("n=%d: U[%d] %d want %d", n, i, got.U[i], want.U[i])
 			}
 		}
-		for b := range want.DigitWords {
-			for w := range want.DigitWords[b] {
-				if got.DigitWords[b][w] != want.DigitWords[b][w] {
-					t.Fatalf("n=%d cycle %d word %d: %x want %x", n, b, w, got.DigitWords[b][w], want.DigitWords[b][w])
+		for b := range want.Digits {
+			for i := range want.Digits[b] {
+				if got.Digits[b][i] != want.Digits[b][i] {
+					t.Fatalf("n=%d cycle %d row %d: digit %d want %d", n, b, i, got.Digits[b][i], want.Digits[b][i])
 				}
 			}
 		}

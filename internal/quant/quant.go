@@ -228,11 +228,6 @@ type Input struct {
 	Scale  float64
 	U      []uint8   // quantized unsigned values
 	Digits [][]uint8 // Digits[b][i] = bit b of U[i]
-	// DigitWords is the packed form of Digits: DigitWords[b] holds bit b of
-	// every U[i] as a ⌈N/64⌉-word bitset (row i → word i/64, bit i%64),
-	// matching PackedPlane's word order so the popcount kernels can AND
-	// them directly. Built by QuantizeInput; tail bits beyond N are zero.
-	DigitWords [][]uint64
 }
 
 // QuantizeInput quantizes a non-negative activation vector to 8 bits and
@@ -240,9 +235,9 @@ type Input struct {
 // after ReLU, but may in tests) are clamped to zero.
 func QuantizeInput(x []float64) *Input { return QuantizeInputInto(nil, x) }
 
-// QuantizeInputInto is QuantizeInput reusing in's buffers (U, Digits,
-// DigitWords) when their capacity allows, so callers quantizing one patch
-// per sliding-window position allocate once per layer, not once per patch.
+// QuantizeInputInto is QuantizeInput reusing in's buffers (U, Digits) when
+// their capacity allows, so callers quantizing one patch per sliding-window
+// position allocate once per layer, not once per patch.
 // A nil in allocates fresh. Returns the (re)used Input.
 func QuantizeInputInto(in *Input, x []float64) *Input {
 	if in == nil {
@@ -277,7 +272,6 @@ func QuantizeInputInto(in *Input, x []float64) *Input {
 		}
 		in.Digits[b] = d
 	}
-	in.DigitWords = packDigits(in.DigitWords, in.U)
 	return in
 }
 

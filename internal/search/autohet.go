@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"autohet/internal/accel"
-	"autohet/internal/obs"
 	"autohet/internal/rl"
 	"autohet/internal/sim"
 )
@@ -145,12 +144,12 @@ func AutoHet(env *Env, opts Options) (*Result, error) {
 		}
 	}
 
-	span := obs.StartSpan("search")
+	searchStart := time.Now()
 	for round := 0; round < opts.Rounds; round++ {
 		// Decision stage: walk the layers. Episode hygiene: the OU noise
 		// starts each episode from its mean.
 		agent.StartEpisode()
-		stage := span.Child("decide")
+		stageStart := time.Now()
 		prevA, prevU := 0.0, 0.0
 		for k := 0; k < n; k++ {
 			states[k] = env.State(k, prevA, prevU)
@@ -162,12 +161,12 @@ func AutoHet(env *Env, opts Options) (*Result, error) {
 		}
 		// Terminal next-state: reuse the last state (done masks it out).
 		states[n] = states[n-1]
-		stage.End()
+		stageDecide.AddSince(stageStart)
 
 		// Hardware feedback.
-		stage = span.Child("simulate")
+		stageStart = time.Now()
 		evalRes, err := ev.EvalIndices(indices)
-		stage.End()
+		stageSimulate.AddSince(stageStart)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +174,7 @@ func AutoHet(env *Env, opts Options) (*Result, error) {
 		reward := rue / refRUE
 
 		// Learning stage: pool the episode, then minibatch updates.
-		stage = span.Child("learn")
+		stageStart = time.Now()
 		for k := 0; k < n; k++ {
 			agent.Remember(rl.Transition{
 				State:     states[k],
@@ -189,7 +188,7 @@ func AutoHet(env *Env, opts Options) (*Result, error) {
 			}
 		}
 		agent.EndEpisode()
-		stage.End()
+		stageLearn.AddSince(stageStart)
 
 		stats := RoundStats{Round: round, RUE: rue, Reward: reward}
 		if res.BestResult == nil || rue > score(res.BestResult) {
@@ -216,8 +215,7 @@ func AutoHet(env *Env, opts Options) (*Result, error) {
 	res.Stats = ev.Stats().Sub(startStats)
 	res.SimTime = res.Stats.SimTime
 	res.Agent = agent
-	span.End()
-	span.Record(obs.Default, "autohet_search_stage_ns_total", stageHelp)
+	stageSearch.AddSince(searchStart)
 	recordSearch("autohet", res.Stats, res.TotalTime)
 	return res, nil
 }

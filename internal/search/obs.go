@@ -12,7 +12,8 @@ import (
 // asked to touch extra counters: its existing atomics are published through
 // CounterFuncs, which cost nothing until a scrape or snapshot reads them.
 // Per-searcher totals and the sim/agent time split are recorded once per
-// finished search from the result's deltas.
+// finished search from the result's deltas; AutoHet's stage counters add
+// each stage's time as it ends.
 
 const (
 	evalHelp   = "Strategy evaluations requested from the shared evaluation engine."
@@ -20,7 +21,15 @@ const (
 	simNSHelp  = "Cumulative time inside actual simulation in nanoseconds (cache hits bill nothing; parallel workers sum)."
 	byNameHelp = "Strategy evaluations per searcher (deltas recorded as each search finishes)."
 	phaseHelp  = "Search wall time split between simulator feedback and agent work, in nanoseconds."
-	stageHelp  = "AutoHet per-round stage time (decide/simulate/learn) in nanoseconds."
+	stageHelp  = "AutoHet stage time in nanoseconds: per-round decide/simulate/learn, and the whole search loop."
+)
+
+// AutoHet's stage counters, timed with Counter.AddSince as each stage ends.
+var (
+	stageSearch   = obs.Default.Counter(`autohet_search_stage_ns_total{stage="search"}`, stageHelp)
+	stageDecide   = obs.Default.Counter(`autohet_search_stage_ns_total{stage="decide"}`, stageHelp)
+	stageSimulate = obs.Default.Counter(`autohet_search_stage_ns_total{stage="simulate"}`, stageHelp)
+	stageLearn    = obs.Default.Counter(`autohet_search_stage_ns_total{stage="learn"}`, stageHelp)
 )
 
 // publish exposes the evaluator's counters on obs.Default. Re-publishing

@@ -1,12 +1,14 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"autohet/internal/accel"
 	"autohet/internal/dnn"
 	"autohet/internal/hw"
+	"autohet/internal/obs"
 	"autohet/internal/rl"
 	"autohet/internal/xbar"
 )
@@ -407,5 +409,36 @@ func TestAutoHetZeroUpdateStrideIsDefault(t *testing.T) {
 		if a.History[i].RUE != b.History[i].RUE {
 			t.Fatalf("round %d: stride 0 RUE %v, stride 1 %v", i, a.History[i].RUE, b.History[i].RUE)
 		}
+	}
+}
+
+// AutoHet bills each round's decide, simulate and learn stages, and the
+// whole search loop, to its stage counters; the loop holds its stages.
+func TestAutoHetStageCounters(t *testing.T) {
+	env := testEnv(t, tinyModel(t), xbar.DefaultCandidates()[:2], false)
+	opts := DefaultOptions()
+	opts.Rounds = 5
+	stages := []string{"decide", "simulate", "learn", "search"}
+	read := func() []int64 {
+		snap := obs.Default.JSON()
+		v := make([]int64, len(stages))
+		for i, st := range stages {
+			v[i] = snap.Counters[fmt.Sprintf("autohet_search_stage_ns_total{stage=%q}", st)]
+		}
+		return v
+	}
+	before := read()
+	if _, err := AutoHet(env, opts); err != nil {
+		t.Fatal(err)
+	}
+	after := read()
+	d := make([]int64, len(stages))
+	for i, st := range stages {
+		if d[i] = after[i] - before[i]; d[i] <= 0 {
+			t.Fatalf("stage %s billed %d ns", st, d[i])
+		}
+	}
+	if d[3] < d[0]+d[1]+d[2] {
+		t.Fatalf("search loop %d ns, its stages sum to %d ns", d[3], d[0]+d[1]+d[2])
 	}
 }

@@ -70,7 +70,8 @@ func TestPackedMatchesScalarAllShapesAndWidths(t *testing.T) {
 
 // The faulty packed kernel must be bit-identical to the scalar faulty
 // reference — both with stuck-at faults alone and with read noise, whose
-// samples the packed kernel draws in the exact same order.
+// samples the packed kernel draws in the exact same order — for every
+// mapping geometry and 1-, 4- and 8-bit weights.
 func TestFaultyPackedMatchesScalar(t *testing.T) {
 	models := []*fault.Model{
 		{Seed: 5, StuckAtZero: 0.02, StuckAtOne: 0.01},
@@ -81,27 +82,30 @@ func TestFaultyPackedMatchesScalar(t *testing.T) {
 		p := singleLayerPlan(t, c.k, c.inC, c.outC, c.shape)
 		la := p.Layers[0]
 		l := la.Layer
-		w := quant.QuantizeWeights(dnn.SyntheticWeights(l, 11))
 		in := quant.QuantizeInput(dnn.SyntheticInput(l, 12))
-		for _, fm := range models {
-			got, gotStats, err := ExecuteMVMFaulty(cfg(), la, w, in, fm)
-			if err != nil {
-				t.Fatalf("%v %+v: %v", c, fm, err)
-			}
-			want, wantStats, err := executeMVMFaultyScalar(cfg(), la, w, in, fm)
-			if err != nil {
-				t.Fatalf("%v %+v: %v", c, fm, err)
-			}
-			eqF64(t, "faulty", got, want)
-			if gotStats != wantStats {
-				t.Fatalf("%v %+v: stats %+v vs %+v", c, fm, gotStats, wantStats)
+		for _, bits := range []int{1, 4, 8} {
+			w := quant.QuantizeWeightsN(dnn.SyntheticWeights(l, 11), bits)
+			for _, fm := range models {
+				got, gotStats, err := ExecuteMVMFaulty(cfg(), la, w, in, fm)
+				if err != nil {
+					t.Fatalf("%v bits=%d %+v: %v", c, bits, fm, err)
+				}
+				want, wantStats, err := executeMVMFaultyScalar(cfg(), la, w, in, fm)
+				if err != nil {
+					t.Fatalf("%v bits=%d %+v: %v", c, bits, fm, err)
+				}
+				eqF64(t, "faulty", got, want)
+				if gotStats != wantStats {
+					t.Fatalf("%v bits=%d %+v: stats %+v vs %+v", c, bits, fm, gotStats, wantStats)
+				}
 			}
 		}
 	}
 }
 
-// The repaired bit-serial path must be bit-identical to a scalar evaluation
-// of the same repaired planes with the same noise stream.
+// The repaired bit-serial path (ExecuteMVMRepaired) must be bit-identical to
+// a byte-per-cell evaluation of the same repaired byte planes with the same
+// noise stream, outputs and stats, for 1-, 4- and 8-bit weights.
 func TestRepairedPackedMatchesScalar(t *testing.T) {
 	fm := &fault.Model{Seed: 7, StuckAtZero: 0.02, StuckAtOne: 0.01, ReadNoiseSigma: 0.2}
 	pol := repair.Policy{Provision: repair.Provision{SpareCols: 2}}
@@ -109,26 +113,31 @@ func TestRepairedPackedMatchesScalar(t *testing.T) {
 		p := singleLayerPlan(t, c.k, c.inC, c.outC, c.shape)
 		la := p.Layers[0]
 		l := la.Layer
-		w := quant.QuantizeWeights(dnn.SyntheticWeights(l, 11))
 		in := quant.QuantizeInput(dnn.SyntheticInput(l, 12))
-		rl, err := RepairLayer(la, w, fm, pol)
-		if err != nil {
-			t.Fatalf("%v: %v", c, err)
-		}
-		got, gotStats := execRepairedBitSerial(cfg(), la, rl, w, in, fm)
-		// Scalar reference: the same repaired byte planes through the noisy
-		// byte-loop kernel with an identically keyed noise stream.
-		noise := fm.Noise(int64(la.Layer.Index + 1))
-		want := make([]float64, l.UnfoldedCols())
-		var wantStats ExecStats
-		forEachCrossbar(la, func(r0, r1, c0, c1 int) {
-			wantStats.Crossbars++
-			execCrossbarNoisyScalar(cfg(), rl.Planes, in, r0, r1, c0, c1, want, noise, &wantStats)
-		})
-		applyCorrection(want, w, in)
-		eqF64(t, "repaired", got, want)
-		if gotStats != wantStats {
-			t.Fatalf("%v: stats %+v vs %+v", c, gotStats, wantStats)
+		for _, bits := range []int{1, 4, 8} {
+			w := quant.QuantizeWeightsN(dnn.SyntheticWeights(l, 11), bits)
+			got, gotStats, _, err := ExecuteMVMRepaired(cfg(), la, w, in, fm, pol)
+			if err != nil {
+				t.Fatalf("%v bits=%d: %v", c, bits, err)
+			}
+			rl, err := RepairLayer(la, w, fm, pol)
+			if err != nil {
+				t.Fatalf("%v bits=%d: %v", c, bits, err)
+			}
+			// Scalar reference: the same repaired byte planes through the
+			// noisy byte-loop kernel with an identically keyed noise stream.
+			noise := fm.Noise(int64(la.Layer.Index + 1))
+			want := make([]float64, l.UnfoldedCols())
+			var wantStats ExecStats
+			forEachCrossbar(la, func(r0, r1, c0, c1 int) {
+				wantStats.Crossbars++
+				execCrossbarNoisyScalar(cfg(), rl.Planes, in, r0, r1, c0, c1, want, noise, &wantStats)
+			})
+			applyCorrection(want, w, in)
+			eqF64(t, "repaired", got, want)
+			if gotStats != wantStats {
+				t.Fatalf("%v bits=%d: stats %+v vs %+v", c, bits, gotStats, wantStats)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"autohet/internal/accel"
 	"autohet/internal/hw"
@@ -18,13 +17,16 @@ import (
 // geometry preserves MVM semantics and that the analytic activation counts
 // in Simulate match what execution actually performs.
 //
-// The serving kernel is word-packed (quant.PackedMatrix): one read cycle per
-// bitline is bits.OnesCount64(planeWord & digitWord) over ⌈rows/64⌉ words,
-// exactly the analog population count the crossbar performs. The byte-loop
-// kernel is kept as ExecuteMVMScalar, the reference both tests and the MVM
-// benchmark compare against — the two are asserted `==`-identical, never
-// within a tolerance. Every partial sum is an integer far below 2^53, so
-// float64 accumulation is exact and summation order cannot perturb results.
+// The single-vector entry points (ExecuteMVM, ExecuteMVMFaulty,
+// ExecuteMVMRepaired) run their one input as a one-member batch through the
+// word-packed popcount kernels of execbatch.go, the same kernels sim.Engine
+// serves with: one read cycle per bitline is bits.OnesCount64(planeWord &
+// digitWord) over ⌈rows/64⌉ words, exactly the analog population count the
+// crossbar performs. The byte-loop kernel is kept as ExecuteMVMScalar, the
+// reference both tests and the MVM benchmark compare against — the two are
+// asserted `==`-identical, never within a tolerance. Every partial sum is an
+// integer far below 2^53, so float64 accumulation is exact and summation
+// order cannot perturb results.
 
 // ExecStats counts the component activations one executed MVM performed.
 type ExecStats struct {
@@ -52,14 +54,28 @@ func AnalyticExecStats(cfg hw.Config, la *accel.LayerAlloc, planes int) ExecStat
 // (C_in·k² × C_out) and in the quantized input patch (length C_in·k²).
 // The result is in integer product units: out[j] = Σ_i q[i][j]·u[i].
 func ExecuteMVM(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, in *quant.Input) ([]float64, ExecStats, error) {
-	if err := checkMVMShapes(la, w, in); err != nil {
+	if err := checkMVMShapes(cfg, la, w, in.N); err != nil {
 		return nil, ExecStats{}, err
 	}
-	out := make([]float64, w.Cols)
-	var stats ExecStats
-	execPackedGrid(cfg, la, w.Packed(), in, nil, out, &stats)
-	applyCorrection(out, w, in)
+	out, stats := execOne(cfg, la, w, w.Packed(), in, nil)
 	return out, stats, nil
+}
+
+// execOne runs one input as a one-member batch over the plane stack pm
+// (ideal, faulted or repaired): the ideal batch kernel when noise is nil,
+// else the noisy one with noise as the member's read-noise stream.
+func execOne(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, pm *quant.PackedMatrix, in *quant.Input, noise func() float64) ([]float64, ExecStats) {
+	pb := quant.PackInputs([]*quant.Input{in})
+	out := make([]float64, w.Cols)
+	acc := make([]int64, 1)
+	var stats ExecStats
+	if noise == nil {
+		execPackedGridBatch(cfg, la, pm, pb, acc, out, w.Cols, &stats)
+	} else {
+		execPackedGridBatchNoisy(cfg, la, pm, pb, []func() float64{noise}, acc, out, w.Cols, &stats)
+	}
+	applyCorrectionBatch(out, w, pb)
+	return out, stats
 }
 
 // ExecuteMVMScalar is the byte-per-cell reference engine: the same
@@ -67,7 +83,7 @@ func ExecuteMVM(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, in *quant.
 // prove the packed kernel exact (tests assert `==` equality of outputs and
 // stats) and to measure its speedup (BenchmarkExecuteMVMScalar, BENCH_mvm).
 func ExecuteMVMScalar(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, in *quant.Input) ([]float64, ExecStats, error) {
-	if err := checkMVMShapes(la, w, in); err != nil {
+	if err := checkMVMShapes(cfg, la, w, in.N); err != nil {
 		return nil, ExecStats{}, err
 	}
 	planes := w.Planes()
@@ -81,8 +97,13 @@ func ExecuteMVMScalar(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, in *
 	return out, stats, nil
 }
 
-// checkMVMShapes validates la/w/in agreement for one functional MVM.
-func checkMVMShapes(la *accel.LayerAlloc, w *quant.Matrix, in *quant.Input) error {
+// checkMVMShapes validates that w and n-row inputs fit the layer of la, and
+// that cfg streams the quantizer's input width: the kernels read every one
+// of an input code's quant.InputBits digits.
+func checkMVMShapes(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, n int) error {
+	if cfg.InputBits != quant.InputBits {
+		return fmt.Errorf("sim: functional execution streams %d-bit input codes, config has InputBits %d", quant.InputBits, cfg.InputBits)
+	}
 	l := la.Layer
 	if l.GroupCount() > 1 {
 		return fmt.Errorf("sim: functional execution of grouped convolutions is not supported (layer %s)", l.Name)
@@ -91,8 +112,8 @@ func checkMVMShapes(la *accel.LayerAlloc, w *quant.Matrix, in *quant.Input) erro
 	if w.Rows != rows || w.Cols != cols {
 		return shapeErr(w.Rows, w.Cols, rows, cols)
 	}
-	if in.N != rows {
-		return lengthErr(in.N, rows)
+	if n != rows {
+		return lengthErr(n, rows)
 	}
 	return nil
 }
@@ -136,65 +157,8 @@ func bandRows(m xbar.Mapping, band int) (int, int) {
 	return ch0 * k2, ch1 * k2
 }
 
-// execPackedGrid runs the packed bit-serial pipeline over the layer's whole
-// crossbar grid, accumulating shifted partial sums into out (which must be
-// zeroed). A nil noise source selects the ideal kernel; otherwise one noise
-// sample is added to every digitized bitline sum, in the same
-// (band, grid-col, cycle, plane, column) order as the scalar reference so
-// noisy results stay bit-identical to it.
-func execPackedGrid(cfg hw.Config, la *accel.LayerAlloc, pm *quant.PackedMatrix, in *quant.Input, noise func() float64, out []float64, stats *ExecStats) {
-	forEachCrossbar(la, func(r0, r1, c0, c1 int) {
-		stats.Crossbars++
-		execCrossbarPacked(cfg, pm, in, r0, r1, c0, c1, out, noise, stats)
-	})
-}
-
-// execCrossbarPacked performs the bit-serial, bit-sliced reads of one
-// crossbar holding weight rows [r0,r1) × columns [c0,c1) with word-packed
-// popcounts: each (cycle, plane, bitline) read is OnesCount64 over the
-// band's words instead of a byte loop over its rows.
-func execCrossbarPacked(cfg hw.Config, pm *quant.PackedMatrix, in *quant.Input, r0, r1, c0, c1 int, out []float64, noise func() float64, stats *ExecStats) {
-	nRows, nCols := r1-r0, c1-c0
-	// Row-band word window and boundary masks, hoisted out of the per-
-	// bitline loop (same masking ColRangeSum applies per call).
-	w0, w1 := r0>>6, (r1-1)>>6
-	first := ^uint64(0) << uint(r0&63)
-	last := ^uint64(0) >> uint(63-(r1-1)&63)
-	if w0 == w1 {
-		first &= last
-	}
-	for ib := 0; ib < cfg.InputBits; ib++ {
-		digits := in.DigitWords[ib]
-		// Every cycle drives the crossbar's active wordlines through the
-		// 1-bit DACs, on each of the weight-bit plane crossbars.
-		stats.DACConversions += int64(nRows) * int64(len(pm.Planes))
-		for _, p := range pm.Planes {
-			shift := float64(int64(1) << uint(ib+p.Bit))
-			wpc := p.WordsPerCol
-			for j := c0; j < c1; j++ {
-				col := p.Words[j*wpc : (j+1)*wpc]
-				// One popcount word per 64 rows reads this bitline.
-				sum := bits.OnesCount64(col[w0] & digits[w0] & first)
-				if w0 != w1 {
-					for w := w0 + 1; w < w1; w++ {
-						sum += bits.OnesCount64(col[w] & digits[w])
-					}
-					sum += bits.OnesCount64(col[w1] & digits[w1] & last)
-				}
-				if noise == nil {
-					out[j] += shift * float64(sum)
-				} else {
-					// One ADC conversion digitizes this bitline's current.
-					out[j] += shift * (float64(sum) + noise())
-				}
-			}
-			stats.ADCConversions += int64(nCols)
-		}
-	}
-}
-
-// execCrossbarScalar is the byte-per-cell crossbar read the packed kernel
-// replaces, retained as the equality reference.
+// execCrossbarScalar is the byte-per-cell crossbar read the packed kernels
+// replace, retained as the equality reference.
 func execCrossbarScalar(cfg hw.Config, planes []*quant.BitPlane, in *quant.Input, r0, r1, c0, c1 int, out []float64, stats *ExecStats) {
 	nCols := c1 - c0
 	for ib := 0; ib < cfg.InputBits; ib++ {

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"fmt"
+	"errors"
 	"math"
 
 	"autohet/internal/accel"
@@ -17,15 +17,17 @@ import (
 // stack amortizes across the batch exactly like the serving fleet amortizes
 // per-request overhead via dynamic batching. All partial sums are exact
 // integers, so the batched kernels are bit-identical to B independent
-// single-vector MVMs — asserted per member against the scalar reference in
-// tests, never within a tolerance.
+// single-vector MVMs — asserted per member against the byte-per-cell
+// reference in tests, never within a tolerance. The single-vector entry
+// points are these kernels run on a one-member batch (execOne).
 //
-// Noise ordering: the noisy paths draw each member's read-noise samples from
-// that member's own stream in the exact (band, grid-col, cycle, plane,
-// column) order the single-vector kernel uses, so faulted/repaired batched
-// results stay bit-identical to one MVM run alone too. The ideal kernels
-// are free to fuse all InputBits cycles per weight word because exact
-// integer accumulation is order-independent.
+// Noise ordering: the bit-serial noisy path draws each member's read-noise
+// samples from that member's own stream in the exact (band, grid-col,
+// cycle, plane, column) order of the byte-per-cell reference
+// (execCrossbarNoisyScalar), so faulted/repaired batched results stay
+// bit-identical to one MVM run alone too. The ideal kernels are free to
+// fuse all InputBits cycles per weight word because exact integer
+// accumulation is order-independent.
 
 // ExecuteMVMBatch computes the layer's MVM for a packed batch of B input
 // patches on the mapped crossbar grid of la. out is member-major with
@@ -35,7 +37,7 @@ import (
 // bitline) conversion once per batch member regardless of how the digital
 // kernel amortizes the weight walk.
 func ExecuteMVMBatch(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, pb *quant.PackedBatch) ([]float64, ExecStats, error) {
-	if err := checkBatchShapes(la, w, pb); err != nil {
+	if err := checkBatchShapes(cfg, la, w, pb); err != nil {
 		return nil, ExecStats{}, err
 	}
 	out := make([]float64, pb.B*w.Cols)
@@ -45,18 +47,15 @@ func ExecuteMVMBatch(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, pb *q
 	return out, stats, nil
 }
 
-// checkBatchShapes validates la/w/pb agreement for one batched MVM.
-func checkBatchShapes(la *accel.LayerAlloc, w *quant.Matrix, pb *quant.PackedBatch) error {
-	l := la.Layer
-	if l.GroupCount() > 1 {
-		return fmt.Errorf("sim: functional execution of grouped convolutions is not supported (layer %s)", l.Name)
+// checkBatchShapes validates la/w/pb agreement for one batched MVM. The
+// popcount kernels read the batch's digit slab, so a codes-only batch
+// (quant.QuantizeBatchFlatCodesInto) is an error, not an index panic.
+func checkBatchShapes(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, pb *quant.PackedBatch) error {
+	if err := checkMVMShapes(cfg, la, w, pb.N); err != nil {
+		return err
 	}
-	rows, cols := l.UnfoldedRows(), l.UnfoldedCols()
-	if w.Rows != rows || w.Cols != cols {
-		return shapeErr(w.Rows, w.Cols, rows, cols)
-	}
-	if pb.N != rows {
-		return lengthErr(pb.N, rows)
+	if len(pb.Digits) < pb.Words*pb.B*quant.InputBits {
+		return errors.New("sim: batch carries no digit slab; the bit-serial kernels need QuantizeBatchFlatInto or PackInputs")
 	}
 	return nil
 }
@@ -71,7 +70,8 @@ func checkBatchShapes(la *accel.LayerAlloc, w *quant.Matrix, pb *quant.PackedBat
 // (plane, column). The crossbar still performs every per-band conversion,
 // so DAC/ADC work is priced analytically, which equals the per-band
 // accounting exactly (ActiveRows/ActiveCols sum over the grid).
-// (The bit-serial engines require cfg.InputBits == quant.InputBits.)
+// It reads all quant.InputBits digits whatever cfg.InputBits says; the
+// ExecuteMVM* entry points reject a config that differs (checkMVMShapes).
 func execPackedGridBatch(cfg hw.Config, la *accel.LayerAlloc, pm *quant.PackedMatrix, pb *quant.PackedBatch, acc []int64, out []float64, cols int, stats *ExecStats) {
 	B := pb.B
 	acc = acc[:B]
@@ -93,11 +93,11 @@ func execPackedGridBatch(cfg hw.Config, la *accel.LayerAlloc, pm *quant.PackedMa
 
 // execPackedGridBatchNoisy is execPackedGridBatch with one read-noise sample
 // per digitized bitline per member, drawn from noise[k] in the exact
-// (band, grid-col, cycle, plane, column) order the single-vector kernel
-// uses — so each member is bit-identical to execPackedGrid with its own
-// stream. It cannot fuse cycles (noise order is per cycle), but still loads
-// each weight word once per batch per cycle via ColRangeSumBatch. sums is
-// kernel scratch of length ≥ pb.B.
+// (band, grid-col, cycle, plane, column) order of execCrossbarNoisyScalar —
+// so each member is bit-identical to the byte-per-cell reference with its
+// own stream. It cannot fuse cycles (noise order is per cycle), but still
+// loads each weight word once per batch per cycle via ColRangeSumBatch.
+// sums is kernel scratch of length ≥ pb.B.
 func execPackedGridBatchNoisy(cfg hw.Config, la *accel.LayerAlloc, pm *quant.PackedMatrix, pb *quant.PackedBatch, noise []func() float64, sums []int64, out []float64, cols int, stats *ExecStats) {
 	B := pb.B
 	sums = sums[:B]

@@ -13,9 +13,9 @@ import (
 )
 
 // The batched grid kernel must be bit-identical, member for member, to B
-// independent single-vector ExecuteMVM calls — for every mapping geometry
-// and weight width — and its ExecStats must be exactly B times the
-// single-vector (= analytic) stats.
+// independent byte-per-cell ExecuteMVMScalar calls — for every mapping
+// geometry and weight width — and its ExecStats must be exactly the sum of
+// the scalar reference's per-crossbar stats.
 func TestExecuteMVMBatchMatchesSingle(t *testing.T) {
 	const B = 5
 	for _, c := range mvmShapeCases {
@@ -35,7 +35,7 @@ func TestExecuteMVMBatchMatchesSingle(t *testing.T) {
 			}
 			var sum ExecStats
 			for k, in := range ins {
-				want, wantStats, err := ExecuteMVM(cfg(), la, w, in)
+				want, wantStats, err := ExecuteMVMScalar(cfg(), la, w, in)
 				if err != nil {
 					t.Fatalf("%v bits=%d member %d: %v", c, bits, k, err)
 				}
@@ -45,24 +45,42 @@ func TestExecuteMVMBatchMatchesSingle(t *testing.T) {
 				sum.DACConversions += wantStats.DACConversions
 			}
 			if gotStats != sum {
-				t.Fatalf("%v bits=%d: batched stats %+v, B× single %+v", c, bits, gotStats, sum)
+				t.Fatalf("%v bits=%d: batched stats %+v, B× scalar %+v", c, bits, gotStats, sum)
 			}
 		}
 	}
 }
 
-// aggregateMVMRef is the single-vector form of packedAggregateMVMBatch:
-// full-height popcounts per (plane, cycle, column) from the input's own
-// digit words, with one aggregate read-noise sample per (plane, column).
-func aggregateMVMRef(cfg hw.Config, pm *quant.PackedMatrix, w *quant.Matrix, in *quant.Input, fm *fault.Model, noise func() float64, out []float64) {
+// refPlanes returns the byte-per-cell plane stack the prepared layer
+// serves — ideal, faulted or repaired — built from byte planes, not from
+// the packed stack the batched kernels read.
+func refPlanes(t *testing.T, e *Engine, le *layerExec, opts InferenceOptions) []*quant.BitPlane {
+	t.Helper()
+	switch {
+	case opts.Repair != nil && opts.Faults.CellFaultRate() > 0:
+		rl, err := e.repairFor(le.la, le.w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rl.Planes
+	case opts.Faults.CellFaultRate() > 0:
+		return opts.Faults.ApplyStuckAt(le.w.Planes(), le.key)
+	}
+	return le.w.Planes()
+}
+
+// aggregateMVMRef is the byte-per-cell form of packedAggregateMVMBatch: the
+// integer sum Σ_i bit·u_i per (plane, column), with one aggregate read-noise
+// sample per (plane, column).
+func aggregateMVMRef(cfg hw.Config, planes []*quant.BitPlane, w *quant.Matrix, in *quant.Input, fm *fault.Model, noise func() float64, out []float64) {
 	noisy := fm != nil && fm.ReadNoiseSigma > 0
 	aggSigma := math.Sqrt(aggregateNoiseVar(cfg))
-	for _, p := range pm.Planes {
+	for _, p := range planes {
 		shift := float64(int64(1) << uint(p.Bit))
 		for j := range out {
 			var sum int64
-			for ib := 0; ib < cfg.InputBits; ib++ {
-				sum += int64(p.ColSum(j, in.DigitWords[ib])) << uint(ib)
+			for i, u := range in.U {
+				sum += int64(p.Bits[i*p.Cols+j]) * int64(u)
 			}
 			out[j] += shift * float64(sum)
 			if noisy {
@@ -73,11 +91,59 @@ func aggregateMVMRef(cfg hw.Config, pm *quant.PackedMatrix, w *quant.Matrix, in 
 	applyCorrection(out, w, in)
 }
 
+// Each member of a noisy batch draws from its own stream: with a distinct
+// seed per member, the bit-serial noisy kernel matches the byte-per-cell
+// noisy reads and the aggregate kernel matches aggregateMVMRef, member by
+// member, each reference on a fresh copy of that member's stream.
+func TestNoisyBatchMembersDrawOwnStreams(t *testing.T) {
+	const B = 3
+	for _, c := range mvmShapeCases {
+		p := singleLayerPlan(t, c.k, c.inC, c.outC, c.shape)
+		la := p.Layers[0]
+		l := la.Layer
+		w := quant.QuantizeWeights(dnn.SyntheticWeights(l, 11))
+		planes := w.Planes()
+		ins := make([]*quant.Input, B)
+		fms := make([]*fault.Model, B)
+		for k := range ins {
+			ins[k] = quant.QuantizeInput(dnn.SyntheticInput(l, int64(12+k)))
+			fms[k] = &fault.Model{Seed: int64(20 + k), ReadNoiseSigma: 0.3}
+		}
+		pb := quant.PackInputs(ins)
+		streams := func() []func() float64 {
+			s := make([]func() float64, B)
+			for k := range s {
+				s[k] = fms[k].Noise(1)
+			}
+			return s
+		}
+		bitSerial := make([]float64, B*w.Cols)
+		var stats ExecStats
+		execPackedGridBatchNoisy(cfg(), la, w.Packed(), pb, streams(), make([]int64, B), bitSerial, w.Cols, &stats)
+		applyCorrectionBatch(bitSerial, w, pb)
+		aggregate := make([]float64, B*w.Cols)
+		packedAggregateMVMBatch(cfg(), w.Packed(), w, pb, fms[0], streams(), make([]int64, B), aggregate)
+		for k, in := range ins {
+			want := make([]float64, w.Cols)
+			noise := fms[k].Noise(1)
+			var es ExecStats
+			forEachCrossbar(la, func(r0, r1, c0, c1 int) {
+				execCrossbarNoisyScalar(cfg(), planes, in, r0, r1, c0, c1, want, noise, &es)
+			})
+			applyCorrection(want, w, in)
+			eqF64(t, "bit-serial noisy member", bitSerial[k*w.Cols:(k+1)*w.Cols], want)
+			wantAgg := make([]float64, w.Cols)
+			aggregateMVMRef(cfg(), planes, w, in, fms[k], fms[k].Noise(1), wantAgg)
+			eqF64(t, "aggregate member", aggregate[k*w.Cols:(k+1)*w.Cols], wantAgg)
+		}
+	}
+}
+
 // refMVM runs one patch through the prepared layer with the single-vector
-// reference kernel of its mode — integerMVM, the aggregate sum above, or
-// execPackedGrid + applyCorrection, each MVM keying its own noise stream —
-// and dequantizes the result.
-func refMVM(t *testing.T, le *layerExec, patch []float64, stats *InferenceStats) []float64 {
+// reference of its mode over the byte planes it serves — integerMVM, the
+// aggregate sum above, or the byte-per-cell crossbar reads, each MVM keying
+// its own noise stream — and dequantizes the result.
+func refMVM(t *testing.T, le *layerExec, planes []*quant.BitPlane, patch []float64, stats *InferenceStats) []float64 {
 	t.Helper()
 	in := quant.QuantizeInput(patch)
 	if in.N != le.w.Rows {
@@ -89,15 +155,19 @@ func refMVM(t *testing.T, le *layerExec, patch []float64, stats *InferenceStats)
 		out = integerMVM(le.w, in)
 		stats.ADCConversions += le.fastADC
 	case modeAggregate:
-		aggregateMVMRef(le.cfg, le.pm, le.w, in, le.fm, le.fm.Noise(le.key), out)
+		aggregateMVMRef(le.cfg, planes, le.w, in, le.fm, le.fm.Noise(le.key), out)
 		stats.ADCConversions += le.fastADC
 	case modeBitExact, modeBitExactNoisy:
-		var noise func() float64
-		if le.mode == modeBitExactNoisy {
-			noise = le.fm.Noise(le.key)
-		}
+		noise := le.fm.Noise(le.key)
 		var es ExecStats
-		execPackedGrid(le.cfg, le.la, le.pm, in, noise, out, &es)
+		forEachCrossbar(le.la, func(r0, r1, c0, c1 int) {
+			es.Crossbars++
+			if le.mode == modeBitExact {
+				execCrossbarScalar(le.cfg, planes, in, r0, r1, c0, c1, out, &es)
+			} else {
+				execCrossbarNoisyScalar(le.cfg, planes, in, r0, r1, c0, c1, out, noise, &es)
+			}
+		})
 		applyCorrection(out, le.w, in)
 		stats.ADCConversions += es.ADCConversions
 	}
@@ -109,7 +179,8 @@ func refMVM(t *testing.T, le *layerExec, patch []float64, stats *InferenceStats)
 }
 
 // runScalarRef is the bit-exact oracle for the batched engine: the network
-// run one sliding window at a time, sequentially, through refMVM.
+// run one sliding window at a time, sequentially, through refMVM over the
+// byte planes each layer serves.
 func runScalarRef(t *testing.T, e *Engine, input *dnn.Tensor, opts InferenceOptions) ([]float64, InferenceStats) {
 	t.Helper()
 	m := e.p.Model
@@ -125,12 +196,13 @@ func runScalarRef(t *testing.T, e *Engine, input *dnn.Tensor, opts InferenceOpti
 			if err != nil {
 				t.Fatal(err)
 			}
+			planes := refPlanes(t, e, le, opts)
 			out := dnn.NewTensor(l.OutC, l.OutH, l.OutW)
 			patch := make([]float64, cur.C*l.K*l.K)
 			for idx := 0; idx < l.OutH*l.OutW; idx++ {
 				oy, ox := idx/l.OutW, idx%l.OutW
 				cur.PatchInto(patch, l, oy, ox)
-				for c, v := range refMVM(t, le, patch, &stats) {
+				for c, v := range refMVM(t, le, planes, patch, &stats) {
 					out.Set(c, oy, ox, v)
 				}
 			}
@@ -148,7 +220,7 @@ func runScalarRef(t *testing.T, e *Engine, input *dnn.Tensor, opts InferenceOpti
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat = refMVM(t, le, flat, &stats)
+			flat = refMVM(t, le, refPlanes(t, e, le, opts), flat, &stats)
 			if l != last {
 				dnn.ReLU(flat)
 			}

@@ -8,8 +8,8 @@ import (
 // matrix as standalone calls, for benchmarks and cross-checks.
 //
 // Single is the unbatched per-patch baseline: per-patch quantization
-// (including the bit-serial digit slab a single quant.Input packs)
-// followed by the single-vector integer kernel. This was the serving
+// (including the byte-per-row bit-serial digits a single quant.Input
+// holds) followed by the single-vector integer kernel. This was the serving
 // engine's only fast path before kernel batching, so it is the baseline
 // batched legs are compared against.
 //

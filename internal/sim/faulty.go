@@ -31,15 +31,11 @@ func ExecuteMVMFaulty(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, in *
 	if err := fm.Validate(); err != nil {
 		return nil, ExecStats{}, err
 	}
-	if err := checkMVMShapes(la, w, in); err != nil {
+	if err := checkMVMShapes(cfg, la, w, in.N); err != nil {
 		return nil, ExecStats{}, err
 	}
 	key := int64(la.Layer.Index + 1)
-	pm := faultedPacked(w, fm, key)
-	out := make([]float64, w.Cols)
-	var stats ExecStats
-	execPackedGrid(cfg, la, pm, in, fm.Noise(key), out, &stats)
-	applyCorrection(out, w, in)
+	out, stats := execOne(cfg, la, w, faultedPacked(w, fm, key), in, fm.Noise(key))
 	return out, stats, nil
 }
 
@@ -50,7 +46,7 @@ func executeMVMFaultyScalar(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix
 	if err := fm.Validate(); err != nil {
 		return nil, ExecStats{}, err
 	}
-	if err := checkMVMShapes(la, w, in); err != nil {
+	if err := checkMVMShapes(cfg, la, w, in.N); err != nil {
 		return nil, ExecStats{}, err
 	}
 	key := int64(la.Layer.Index + 1)

@@ -67,25 +67,13 @@ func RepairLayer(la *accel.LayerAlloc, w *quant.Matrix, fm *fault.Model, pol rep
 // exactly; so does any fault map the policy's spares fully cover (asserted
 // by property test).
 func ExecuteMVMRepaired(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, in *quant.Input, fm *fault.Model, pol repair.Policy) ([]float64, ExecStats, repair.Stats, error) {
-	if err := checkMVMShapes(la, w, in); err != nil {
+	if err := checkMVMShapes(cfg, la, w, in.N); err != nil {
 		return nil, ExecStats{}, repair.Stats{}, err
 	}
 	rl, err := RepairLayer(la, w, fm, pol)
 	if err != nil {
 		return nil, ExecStats{}, repair.Stats{}, err
 	}
-	out, stats := execRepairedBitSerial(cfg, la, rl, w, in, fm)
+	out, stats := execOne(cfg, la, w, rl.Packed, in, fm.Noise(int64(la.Layer.Index+1)))
 	return out, stats, rl.Stats, nil
-}
-
-// execRepairedBitSerial runs the packed bit-serial pipeline over
-// already-repaired planes, with the fault model contributing only read noise
-// (its stuck-at half is baked into the planes).
-func execRepairedBitSerial(cfg hw.Config, la *accel.LayerAlloc, rl *RepairedLayer, w *quant.Matrix, in *quant.Input, fm *fault.Model) ([]float64, ExecStats) {
-	noise := fm.Noise(int64(la.Layer.Index + 1))
-	out := make([]float64, la.Layer.UnfoldedCols())
-	var stats ExecStats
-	execPackedGrid(cfg, la, rl.Packed, in, noise, out, &stats)
-	applyCorrection(out, w, in)
-	return out, stats
 }

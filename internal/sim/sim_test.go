@@ -180,7 +180,7 @@ func TestExecuteMVMExact(t *testing.T) {
 }
 
 // The analytic per-MVM activation counts used by Simulate must equal what
-// functional execution actually performs.
+// the byte-per-cell reference execution counts, crossbar by crossbar.
 func TestAnalyticCountsMatchExecution(t *testing.T) {
 	for _, shape := range []xbar.Shape{xbar.Square(64), xbar.Rect(36, 32), xbar.Square(32)} {
 		p := singleLayerPlan(t, 3, 12, 40, shape)
@@ -188,7 +188,7 @@ func TestAnalyticCountsMatchExecution(t *testing.T) {
 		l := la.Layer
 		w := quant.QuantizeWeights(dnn.SyntheticWeights(l, 3))
 		in := quant.QuantizeInput(dnn.SyntheticInput(l, 4))
-		_, stats, err := ExecuteMVM(cfg(), la, w, in)
+		_, stats, err := ExecuteMVMScalar(cfg(), la, w, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,6 +200,9 @@ func TestAnalyticCountsMatchExecution(t *testing.T) {
 		if stats.DACConversions != wantDAC {
 			t.Fatalf("%v: executed %d DAC conversions, analytic %d", shape, stats.DACConversions, wantDAC)
 		}
+		if an := AnalyticExecStats(cfg(), la, w.PlaneCount()); an != stats {
+			t.Fatalf("%v: AnalyticExecStats %+v, executed %+v", shape, an, stats)
+		}
 	}
 }
 
@@ -207,11 +210,23 @@ func TestExecuteMVMShapeErrors(t *testing.T) {
 	p := singleLayerPlan(t, 3, 4, 8, xbar.Square(32))
 	la := p.Layers[0]
 	w := quant.QuantizeWeights(dnn.SyntheticWeights(la.Layer, 1))
-	in := quant.QuantizeInput(dnn.SyntheticInput(la.Layer, 1))
+	x := dnn.SyntheticInput(la.Layer, 1)
+	in := quant.QuantizeInput(x)
 	badW := quant.QuantizeWeights(dnn.SyntheticWeights(p.Model.Mappable()[0], 1))
 	badW.Rows++ // corrupt shape
 	if _, _, err := ExecuteMVM(cfg(), la, badW, in); err == nil {
 		t.Fatal("wrong weight shape must error")
+	}
+	// A codes-only batch carries no digit slab for the popcount kernels.
+	codes := quant.QuantizeBatchFlatCodesInto(nil, x, len(x), 1)
+	if _, _, err := ExecuteMVMBatch(cfg(), la, w, codes); err == nil {
+		t.Fatal("batch without a digit slab must error")
+	}
+	// The kernels stream every digit of an 8-bit code.
+	narrow := cfg()
+	narrow.InputBits = 4
+	if _, _, err := ExecuteMVM(narrow, la, w, in); err == nil {
+		t.Fatal("InputBits other than the quantizer's must error")
 	}
 	in.N++ // corrupt length
 	if _, _, err := ExecuteMVM(cfg(), la, w, in); err == nil {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	"autohet/internal/accel"
 	"autohet/internal/dnn"
 	"autohet/internal/hw"
 	"autohet/internal/search"
@@ -40,12 +39,12 @@ func main() {
 	}
 	var designs []design
 
-	for _, s := range xbar.SquareCandidates() {
-		r, err := env.EvalStrategy(accel.Homogeneous(model.NumMappable(), s))
-		if err != nil {
-			log.Fatal(err)
-		}
-		designs = append(designs, design{"homogeneous " + s.String(), r})
+	homos, _, err := search.BestHomogeneous(env, xbar.SquareCandidates())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, h := range homos {
+		designs = append(designs, design{"homogeneous " + h.Strategy[0].String(), h.Result})
 	}
 
 	opts := search.DefaultOptions()

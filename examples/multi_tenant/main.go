@@ -15,7 +15,7 @@ import (
 	"autohet/internal/accel"
 	"autohet/internal/dnn"
 	"autohet/internal/hw"
-	"autohet/internal/sim"
+	"autohet/internal/search"
 	"autohet/internal/xbar"
 )
 
@@ -28,11 +28,11 @@ func main() {
 	models := []*dnn.Model{dnn.AlexNet(), dnn.VGG16()}
 
 	tiles := func(m *dnn.Model, shared bool) int {
-		p, err := accel.BuildPlan(cfg, m, accel.Homogeneous(m.NumMappable(), shape), shared)
+		env, err := search.NewEnv(cfg, m, []xbar.Shape{shape}, shared)
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := sim.Simulate(p)
+		r, err := env.Evaluator().EvalStrategy(accel.Homogeneous(m.NumMappable(), shape))
 		if err != nil {
 			log.Fatal(err)
 		}

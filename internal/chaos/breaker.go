@@ -16,8 +16,9 @@ import (
 // The API splits routing into a non-mutating CanRoute (candidate filtering
 // may consult many breakers per dispatch) and a mutating OnRoute (the final
 // pick claims the probe slot), so scanning candidates never burns probes.
-// Time is caller-supplied virtual nanoseconds — both engines feed their own
-// clock — which keeps breaker behavior deterministic and replayable.
+// Time is caller-supplied virtual nanoseconds — the fleet core's virtual
+// clock under either driver — which keeps breaker behavior deterministic
+// and replayable.
 
 // BreakerState enumerates the circuit-breaker states.
 type BreakerState int32

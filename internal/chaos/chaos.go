@@ -17,8 +17,8 @@
 // with first-wins cancellation (HedgePolicy), per-replica circuit breakers
 // (Breaker: closed → open → half-open with probe requests), and brownout
 // priority shedding under overload (BrownoutPolicy). The policies hold no
-// engine state beyond what their methods document, so both engines consume
-// the same types.
+// engine state beyond what their methods document; the one fleet core
+// (internal/des) consumes them under both of its drivers.
 package chaos
 
 import (
@@ -204,7 +204,7 @@ func Stochastic(cfg StochasticConfig, names []string, horizonNS float64, seed in
 
 // SubSeed derives a stable seed for a named random stream from a base seed
 // (FNV-1a over the name, XORed in) — the same idiom as des.SubSeed, kept
-// local so chaos stays importable by both engines without a cycle.
+// local so the fleet core (internal/des) can import chaos without a cycle.
 func SubSeed(seed int64, name string) int64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {

@@ -43,7 +43,7 @@ type SearchBench struct {
 
 // benchLeg runs one full AutoHet search on a fresh env and measures it.
 func (s *Suite) benchLeg(m *dnn.Model, cands []xbar.Shape, cached bool) (BenchLeg, error) {
-	env, err := s.env(m, cands, true)
+	env, err := search.NewEnv(s.Cfg, m, cands, true)
 	if err != nil {
 		return BenchLeg{}, err
 	}

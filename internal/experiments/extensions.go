@@ -251,7 +251,7 @@ func (s *Suite) Programming() (*report.Table, error) {
 		return nil
 	}
 	for _, shape := range []xbar.Shape{xbar.Square(64), xbar.Square(512)} {
-		r, err := s.evaluate(m, accel.Homogeneous(16, shape), false)
+		r, err := s.evaluatePlan(m, accel.Homogeneous(16, shape), false)
 		if err != nil {
 			return nil, err
 		}
@@ -281,12 +281,12 @@ func (s *Suite) PrecisionSweep() (*report.Table, error) {
 			"weighted-mean-6-bit budget while maximizing RUE.",
 		Header: []string{"Precision", "Mean bits", "Energy (nJ)", "RUE", "Probe rel. error"},
 	}
-	env, err := s.env(m, xbar.DefaultCandidates(), true)
+	env, err := search.NewEnv(s.Cfg, m, xbar.DefaultCandidates(), true)
 	if err != nil {
 		return nil, err
 	}
 	// Uniform rows use the best homogeneous shape over the candidates.
-	_, bestShape, err := bestShapeOverCandidates(env)
+	_, bestShape, err := search.BestHomogeneous(env, env.Candidates)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +297,7 @@ func (s *Suite) PrecisionSweep() (*report.Table, error) {
 			prec[i] = bits
 			indices[i] = bestShape
 		}
-		r, err := env.EvalSpec(indices, prec)
+		r, err := env.Evaluator().EvalSpec(indices, prec)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +342,7 @@ func (s *Suite) Pruning() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		env, err := s.env(pruned, cands, true)
+		env, err := search.NewEnv(s.Cfg, pruned, cands, true)
 		if err != nil {
 			return nil, err
 		}
@@ -394,7 +394,7 @@ func (s *Suite) NoC() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		flat, err := sim.Simulate(p)
+		flat, err := s.evaluate(m, st, true)
 		if err != nil {
 			return nil, err
 		}
@@ -434,15 +434,6 @@ func (s *Suite) ADCSweep() (*report.Table, error) {
 		t.AddRow(report.I(bits), report.E(homo), report.E(auto), fmt.Sprintf("%.2fx", auto/homo))
 	}
 	return t, nil
-}
-
-// bestShapeOverCandidates returns the RUE-best homogeneous candidate index.
-func bestShapeOverCandidates(env *search.Env) (*sim.Result, int, error) {
-	evals, best, err := search.BestHomogeneous(env, env.Candidates)
-	if err != nil {
-		return nil, 0, err
-	}
-	return evals[best].Result, best, nil
 }
 
 // probeError measures the functional output error of a small CNN at a

@@ -92,7 +92,7 @@ func (s *Suite) Fig5() (*report.Table, error) {
 		return nil, err
 	}
 	for _, shape := range []xbar.Shape{xbar.Square(64), xbar.Square(128)} {
-		r, err := s.evaluate(m, accel.Homogeneous(1, shape), false)
+		r, err := s.evaluatePlan(m, accel.Homogeneous(1, shape), false)
 		if err != nil {
 			return nil, err
 		}

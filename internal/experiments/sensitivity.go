@@ -5,6 +5,7 @@ import (
 
 	"autohet/internal/dnn"
 	"autohet/internal/report"
+	"autohet/internal/search"
 	"autohet/internal/xbar"
 )
 
@@ -49,11 +50,15 @@ func (s *Suite) autoHetVsBestHomo(m *dnn.Model, cands []xbar.Shape, tag string) 
 	if err != nil {
 		return 0, 0, err
 	}
-	_, best, err := s.bestHomogeneous(m)
+	env, err := s.pricingEnv(m, false)
 	if err != nil {
 		return 0, 0, err
 	}
-	return res.BestResult.RUE(), best.RUE(), nil
+	evals, best, err := search.BestHomogeneous(env, xbar.SquareCandidates())
+	if err != nil {
+		return 0, 0, err
+	}
+	return res.BestResult.RUE(), evals[best].Result.RUE(), nil
 }
 
 // Fig11a varies the ratio of square to rectangular candidates (2S3R, 3S2R,

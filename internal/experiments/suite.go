@@ -45,7 +45,7 @@ type Suite struct {
 
 	mu          sync.Mutex
 	searchCache map[string]*search.Result
-	evalCache   map[string]*sim.Result
+	pricing     map[string]*search.Env
 }
 
 // NewSuite returns a suite with the paper's §4.1 configuration.
@@ -55,46 +55,52 @@ func NewSuite(rounds int, seed int64) *Suite {
 		Rounds:      rounds,
 		Seed:        seed,
 		searchCache: map[string]*search.Result{},
-		evalCache:   map[string]*sim.Result{},
+		pricing:     map[string]*search.Env{},
 	}
 }
 
-// env builds a search environment, failing fast on config errors.
-func (s *Suite) env(m *dnn.Model, cands []xbar.Shape, shared bool) (*search.Env, error) {
-	return search.NewEnv(s.Cfg, m, cands, shared)
-}
-
-// evalKey builds a cache key for a concrete strategy evaluation.
-func evalKey(m *dnn.Model, st accel.Strategy, shared bool) string {
-	return fmt.Sprintf("%s|%v|%t", m.Name, st.String(), shared)
-}
-
-// evaluate simulates a strategy with caching. Simulation runs outside the
-// lock; on a concurrent duplicate miss the first stored result wins so every
-// caller sees one stable pointer per key.
-func (s *Suite) evaluate(m *dnn.Model, st accel.Strategy, shared bool) (*sim.Result, error) {
-	key := evalKey(m, st, shared)
-	s.mu.Lock()
-	r, ok := s.evalCache[key]
-	s.mu.Unlock()
-	if ok {
-		return r, nil
-	}
-	p, err := accel.BuildPlan(s.Cfg, m, st, shared)
-	if err != nil {
-		return nil, err
-	}
-	r, err = sim.Simulate(p)
-	if err != nil {
-		return nil, err
-	}
+// pricingEnv returns the env that prices fixed strategies of m, one per
+// (model name, sharing), created on first use. They are kept apart from
+// runSearch's per-search envs so a search's Evals/CacheHits count its own
+// work only. EvalStrategy ignores the candidate list.
+func (s *Suite) pricingEnv(m *dnn.Model, shared bool) (*search.Env, error) {
+	key := fmt.Sprintf("%s|%t", m.Name, shared)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.evalCache[key]; ok {
-		return prev, nil
+	if env, ok := s.pricing[key]; ok {
+		return env, nil
 	}
-	s.evalCache[key] = r
-	return r, nil
+	env, err := search.NewEnv(s.Cfg, m, xbar.SquareCandidates(), shared)
+	if err != nil {
+		return nil, err
+	}
+	s.pricing[key] = env
+	return env, nil
+}
+
+// evaluate prices a strategy through the model's pricing env. Its result
+// need not carry a Plan; tables that read one use evaluatePlan.
+func (s *Suite) evaluate(m *dnn.Model, st accel.Strategy, shared bool) (*sim.Result, error) {
+	env, err := s.pricingEnv(m, shared)
+	if err != nil {
+		return nil, err
+	}
+	return env.Evaluator().EvalStrategy(st)
+}
+
+// evaluatePlan is evaluate with the tile plan attached by
+// Evaluator.Materialize.
+func (s *Suite) evaluatePlan(m *dnn.Model, st accel.Strategy, shared bool) (*sim.Result, error) {
+	env, err := s.pricingEnv(m, shared)
+	if err != nil {
+		return nil, err
+	}
+	ev := env.Evaluator()
+	r, err := ev.EvalStrategy(st)
+	if err != nil {
+		return nil, err
+	}
+	return ev.Materialize(r, st, nil)
 }
 
 // runSearch runs (or fetches) one RL search. Parallel generators fan out
@@ -108,7 +114,7 @@ func (s *Suite) runSearch(m *dnn.Model, cands []xbar.Shape, shared bool, tag str
 	if ok {
 		return r, nil
 	}
-	env, err := s.env(m, cands, shared)
+	env, err := search.NewEnv(s.Cfg, m, cands, shared)
 	if err != nil {
 		return nil, err
 	}
@@ -131,31 +137,19 @@ func (s *Suite) runSearch(m *dnn.Model, cands []xbar.Shape, shared bool, tag str
 	return res, nil
 }
 
-// bestHomogeneous returns the RUE-best homogeneous SXB build for m.
-func (s *Suite) bestHomogeneous(m *dnn.Model) (xbar.Shape, *sim.Result, error) {
-	bestShape := xbar.Shape{}
-	var best *sim.Result
-	for _, shape := range xbar.SquareCandidates() {
-		r, err := s.evaluate(m, accel.Homogeneous(m.NumMappable(), shape), false)
-		if err != nil {
-			return xbar.Shape{}, nil, err
-		}
-		if best == nil || r.RUE() > best.RUE() {
-			best, bestShape = r, shape
-		}
-	}
-	return bestShape, best, nil
-}
-
 // variantResult produces the strategy and result of one ablation stage.
 func (s *Suite) variantResult(m *dnn.Model, v Variant) (accel.Strategy, *sim.Result, error) {
 	switch v {
 	case Base:
-		shape, r, err := s.bestHomogeneous(m)
+		env, err := s.pricingEnv(m, false)
 		if err != nil {
 			return nil, nil, err
 		}
-		return accel.Homogeneous(m.NumMappable(), shape), r, nil
+		evals, best, err := search.BestHomogeneous(env, xbar.SquareCandidates())
+		if err != nil {
+			return nil, nil, err
+		}
+		return evals[best].Strategy, evals[best].Result, nil
 	case He:
 		res, err := s.runSearch(m, xbar.SquareCandidates(), false, "he")
 		if err != nil {

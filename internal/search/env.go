@@ -112,35 +112,10 @@ func (e *Env) LayerUtilization(k, idx int) float64 {
 	return xbar.Utilization(e.Model.Mappable()[k], e.Candidates[idx])
 }
 
-// EvalIndices builds and simulates the accelerator for a strategy given as
-// candidate indices, returning the hardware feedback.
-func (e *Env) EvalIndices(indices []int) (*sim.Result, error) {
-	st, err := accel.FromIndices(e.Candidates, indices)
-	if err != nil {
-		return nil, err
-	}
-	return e.EvalStrategy(st)
-}
-
-// EvalStrategy builds and simulates the accelerator for a strategy.
-func (e *Env) EvalStrategy(st accel.Strategy) (*sim.Result, error) {
-	return e.evalDirect(st, nil)
-}
-
-// EvalSpec builds and simulates the accelerator for a strategy given as
-// candidate indices plus per-layer weight bit-widths (the mixed-precision
-// extension; nil bits means full precision).
-func (e *Env) EvalSpec(indices []int, bits accel.Precision) (*sim.Result, error) {
-	st, err := accel.FromIndices(e.Candidates, indices)
-	if err != nil {
-		return nil, err
-	}
-	return e.evalDirect(st, bits)
-}
-
 // evalDirect is the uncached evaluation path: materialize the full tile
-// plan and simulate it. The Evaluator's fast path must stay bit-identical
-// to this (asserted in tests).
+// plan and simulate it. It backs NoCache and Materialize, and it is the
+// reference the Evaluator's fast path must stay bit-identical to (asserted
+// in tests). Programs price strategies through Evaluator only.
 func (e *Env) evalDirect(st accel.Strategy, bits accel.Precision) (*sim.Result, error) {
 	p, err := accel.Build(e.Cfg, e.Model, accel.PlanSpec{
 		Strategy:  st,

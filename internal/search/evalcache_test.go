@@ -65,39 +65,66 @@ func requireIdentical(t *testing.T, tag string, got, want *sim.Result) {
 	}
 }
 
-// TestEvaluatorBitIdentical sweeps SXB-only, RXB-heavy, and random mixed
-// strategies on VGG16 under both allocation schemes and asserts the cached
-// engine reproduces Env.EvalIndices bit-identically.
+// TestEvaluatorBitIdentical prices strategies on the Evaluator and on the
+// uncached evalDirect reference under both allocation schemes and asserts
+// bit-identical results, and that Materialize attaches a plan without
+// changing a metric. The cases are SXB, RXB and random mixed strategies on
+// VGG16 plus everything the experiments harness prices: every zoo model on
+// every SXB, the Fig. 3 manual strategy, the Fig. 5 single layer, and
+// BERT-Base over the LLM table's shapes.
 func TestEvaluatorBitIdentical(t *testing.T) {
-	m := dnn.VGG16()
-	cands := xbar.DefaultCandidates() // SXBs + RXBs
-	n := m.NumMappable()
-	rng := rand.New(rand.NewSource(7))
-	var cases [][]int
-	for i := range cands {
-		homo := make([]int, n)
-		for j := range homo {
-			homo[j] = i
-		}
-		cases = append(cases, homo)
+	type pricing struct {
+		tag string
+		m   *dnn.Model
+		st  accel.Strategy
 	}
+	homo := func(m *dnn.Model, shapes []xbar.Shape) []pricing {
+		var out []pricing
+		for _, s := range shapes {
+			out = append(out, pricing{m.Name + " " + s.String(), m, accel.Homogeneous(m.NumMappable(), s)})
+		}
+		return out
+	}
+	vgg := dnn.VGG16()
+	cands := xbar.DefaultCandidates() // SXBs + RXBs
+	cases := homo(vgg, cands)
+	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 8; i++ {
-		mixed := make([]int, n)
+		mixed := make([]int, vgg.NumMappable())
 		for j := range mixed {
 			mixed[j] = rng.Intn(len(cands))
 		}
-		cases = append(cases, mixed)
+		cases = append(cases, pricing{fmt.Sprintf("VGG16 mixed %d", i), vgg, mustStrategy(cands, mixed)})
 	}
+	for _, m := range dnn.Zoo() {
+		cases = append(cases, homo(m, xbar.SquareCandidates())...)
+	}
+	cases = append(cases, pricing{"VGG16 manual", vgg, accel.ManualHetero(16)})
+	fig5, err := dnn.NewFlatModel("layer:fig5", 8, 8, 12, []*dnn.Layer{{
+		Name: "fig5", Kind: dnn.Conv, K: 3, InC: 12, OutC: 128, Stride: 1, InH: 8, InW: 8,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, homo(fig5, []xbar.Shape{xbar.Square(64), xbar.Square(128)})...)
+	cases = append(cases, homo(dnn.BERTBase(), []xbar.Shape{
+		xbar.Square(128), xbar.Square(256), xbar.Square(512), xbar.Rect(288, 256), xbar.Rect(576, 512),
+	})...)
+
 	for _, shared := range []bool{false, true} {
-		env := testEnv(t, m, cands, shared)
-		ev := env.Evaluator()
-		for ci, indices := range cases {
-			tag := fmt.Sprintf("shared=%t case=%d", shared, ci)
-			want, err := env.EvalIndices(indices)
+		envs := map[*dnn.Model]*Env{}
+		for _, c := range cases {
+			tag := fmt.Sprintf("shared=%t %s", shared, c.tag)
+			env := envs[c.m]
+			if env == nil {
+				env = testEnv(t, c.m, cands, shared)
+				envs[c.m] = env
+			}
+			want, err := env.evalDirect(c.st, nil)
 			if err != nil {
 				t.Fatalf("%s: uncached: %v", tag, err)
 			}
-			got, err := ev.EvalIndices(indices)
+			got, err := env.Evaluator().EvalStrategy(c.st)
 			if err != nil {
 				t.Fatalf("%s: cached: %v", tag, err)
 			}
@@ -105,6 +132,14 @@ func TestEvaluatorBitIdentical(t *testing.T) {
 				t.Errorf("%s: fast-path result unexpectedly carries a plan", tag)
 			}
 			requireIdentical(t, tag, got, want)
+			full, err := env.Evaluator().Materialize(got, c.st, nil)
+			if err != nil {
+				t.Fatalf("%s: materialize: %v", tag, err)
+			}
+			if full.Plan == nil {
+				t.Errorf("%s: materialized result has no plan", tag)
+			}
+			requireIdentical(t, tag+" materialized", full, got)
 		}
 	}
 }
@@ -127,7 +162,7 @@ func TestEvaluatorMixedPrecisionBitIdentical(t *testing.T) {
 			bits[j] = choices[rng.Intn(len(choices))]
 		}
 		tag := fmt.Sprintf("mp case=%d", ci)
-		want, err := env.EvalSpec(indices, bits)
+		want, err := env.evalDirect(mustStrategy(cands, indices), bits)
 		if err != nil {
 			t.Fatalf("%s: uncached: %v", tag, err)
 		}
@@ -180,7 +215,7 @@ func TestEvaluatorOutOfRange(t *testing.T) {
 	env := testEnv(t, tinyModel(t), xbar.DefaultCandidates()[:3], true)
 	ev := env.Evaluator()
 	for _, indices := range [][]int{{0, 1, 99, 0}, {-1, 0, 0, 0}} {
-		_, wantErr := env.EvalIndices(indices)
+		_, wantErr := accel.FromIndices(env.Candidates, indices)
 		_, gotErr := ev.EvalIndices(indices)
 		if wantErr == nil || gotErr == nil {
 			t.Fatalf("indices %v: want errors, got %v / %v", indices, wantErr, gotErr)
@@ -281,7 +316,7 @@ func TestEvaluatorConcurrent(t *testing.T) {
 	}
 	refEnv := testEnv(t, m, cands, true)
 	for i, genes := range genomes {
-		want, err := refEnv.EvalIndices(genes)
+		want, err := refEnv.evalDirect(mustStrategy(cands, genes), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

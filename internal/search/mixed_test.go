@@ -93,7 +93,7 @@ func TestEvalSpecPrecisionScalesEnergy(t *testing.T) {
 	env := testEnv(t, tinyModel(t), xbar.DefaultCandidates()[:2], false)
 	n := env.NumLayers()
 	indices := make([]int, n)
-	full, err := env.EvalSpec(indices, nil)
+	full, err := env.Evaluator().EvalSpec(indices, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestEvalSpecPrecisionScalesEnergy(t *testing.T) {
 	for i := range bits {
 		bits[i] = 4
 	}
-	half, err := env.EvalSpec(indices, bits)
+	half, err := env.Evaluator().EvalSpec(indices, bits)
 	if err != nil {
 		t.Fatal(err)
 	}

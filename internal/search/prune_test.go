@@ -95,11 +95,11 @@ func TestPruningShrinksEnergyAndTiles(t *testing.T) {
 	}
 	env := testEnv(t, m, xbar.DefaultCandidates()[:1], true)
 	prunedEnv := testEnv(t, pruned, xbar.DefaultCandidates()[:1], true)
-	dense, err := env.EvalIndices([]int{0, 0, 0, 0, 0, 0, 0, 0})
+	dense, err := env.Evaluator().EvalIndices([]int{0, 0, 0, 0, 0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slim, err := prunedEnv.EvalIndices([]int{0, 0, 0, 0, 0, 0, 0, 0})
+	slim, err := prunedEnv.Evaluator().EvalIndices([]int{0, 0, 0, 0, 0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,7 +288,7 @@ func TestAutoHetProgressCallbackAndBestTracking(t *testing.T) {
 		t.Fatalf("progress calls %d", calls)
 	}
 	// Best must be achievable: re-evaluating it reproduces BestResult.
-	re, err := env.EvalStrategy(res.Best)
+	re, err := env.evalDirect(res.Best, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +308,10 @@ func TestAutoHetProgressCallbackAndBestTracking(t *testing.T) {
 
 func TestEvalIndicesErrors(t *testing.T) {
 	env := testEnv(t, tinyModel(t), xbar.DefaultCandidates(), false)
-	if _, err := env.EvalIndices([]int{0, 1, 2, 99}); err == nil {
+	if _, err := env.Evaluator().EvalIndices([]int{0, 1, 2, 99}); err == nil {
 		t.Fatal("bad index must error")
 	}
-	if _, err := env.EvalIndices([]int{0}); err == nil {
+	if _, err := env.Evaluator().EvalIndices([]int{0}); err == nil {
 		t.Fatal("short strategy must error")
 	}
 }
@@ -341,7 +341,7 @@ func TestRewardNormalization(t *testing.T) {
 func TestManualHeteroBeatsHomogeneous(t *testing.T) {
 	env := testEnv(t, dnn.VGG16(), xbar.SquareCandidates(), false)
 	manual := accel.ManualHetero(16)
-	mr, err := env.EvalStrategy(manual)
+	mr, err := env.Evaluator().EvalStrategy(manual)
 	if err != nil {
 		t.Fatal(err)
 	}

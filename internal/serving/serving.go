@@ -51,15 +51,19 @@ type Stats struct {
 	CapacityRPS float64
 }
 
+// positiveFinite reports whether x is a positive finite number; NaN fails
+// it, where a plain x <= 0 test would let NaN through.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 0) }
+
 // Serve simulates the workload against a pipelined accelerator.
 func Serve(pr *sim.PipelineResult, w Workload) (*Stats, error) {
-	if w.ArrivalRate <= 0 {
+	if !positiveFinite(w.ArrivalRate) {
 		return nil, fmt.Errorf("serving: arrival rate %v", w.ArrivalRate)
 	}
 	if w.Requests <= 0 {
 		return nil, fmt.Errorf("serving: request count %d", w.Requests)
 	}
-	if pr.IntervalNS <= 0 || pr.FillNS <= 0 {
+	if !positiveFinite(pr.IntervalNS) || !positiveFinite(pr.FillNS) {
 		return nil, fmt.Errorf("serving: degenerate pipeline (interval %v, fill %v)", pr.IntervalNS, pr.FillNS)
 	}
 	seed := w.Seed

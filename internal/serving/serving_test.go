@@ -116,15 +116,24 @@ func TestServeValidation(t *testing.T) {
 		{ArrivalRate: 0, Requests: 10},
 		{ArrivalRate: -1, Requests: 10},
 		{ArrivalRate: 100, Requests: 0},
+		{ArrivalRate: math.NaN(), Requests: 10},
+		{ArrivalRate: math.Inf(1), Requests: 10},
 	}
 	for _, w := range cases {
 		if _, err := Serve(pr, w); err == nil {
 			t.Errorf("workload %+v must error", w)
 		}
 	}
-	bad := &sim.PipelineResult{}
-	if _, err := Serve(bad, Workload{ArrivalRate: 1, Requests: 1}); err == nil {
-		t.Error("degenerate pipeline must error")
+	for _, bad := range []*sim.PipelineResult{
+		{},
+		{FillNS: math.NaN(), IntervalNS: 100},
+		{FillNS: math.Inf(1), IntervalNS: 100},
+		{FillNS: 1000, IntervalNS: math.NaN()},
+		{FillNS: 1000, IntervalNS: math.Inf(1)},
+	} {
+		if _, err := Serve(bad, Workload{ArrivalRate: 1, Requests: 1}); err == nil {
+			t.Errorf("degenerate pipeline (fill %v, interval %v) must error", bad.FillNS, bad.IntervalNS)
+		}
 	}
 }
 

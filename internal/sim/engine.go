@@ -411,6 +411,9 @@ func (e *Engine) runBatch(inputs []*dnn.Tensor, opts InferenceOptions, kb int) (
 	if len(inputs) == 0 {
 		return nil, InferenceStats{}, fmt.Errorf("sim: empty inference batch")
 	}
+	if err := checkInputBits(e.p.Cfg); err != nil {
+		return nil, InferenceStats{}, err
+	}
 	for _, input := range inputs {
 		if input.C != m.InC || input.H != m.InH || input.W != m.InW {
 			return nil, InferenceStats{}, fmt.Errorf("sim: input %dx%dx%d, model %q wants %dx%dx%d",

@@ -101,8 +101,8 @@ func ExecuteMVMScalar(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, in *
 // that cfg streams the quantizer's input width: the kernels read every one
 // of an input code's quant.InputBits digits.
 func checkMVMShapes(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, n int) error {
-	if cfg.InputBits != quant.InputBits {
-		return fmt.Errorf("sim: functional execution streams %d-bit input codes, config has InputBits %d", quant.InputBits, cfg.InputBits)
+	if err := checkInputBits(cfg); err != nil {
+		return err
 	}
 	l := la.Layer
 	if l.GroupCount() > 1 {
@@ -114,6 +114,15 @@ func checkMVMShapes(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, n int)
 	}
 	if n != rows {
 		return lengthErr(n, rows)
+	}
+	return nil
+}
+
+// checkInputBits rejects a config whose DAC stream length differs from the
+// quant.InputBits digits every functional kernel sums.
+func checkInputBits(cfg hw.Config) error {
+	if cfg.InputBits != quant.InputBits {
+		return fmt.Errorf("sim: functional execution streams %d-bit input codes, config has InputBits %d", quant.InputBits, cfg.InputBits)
 	}
 	return nil
 }

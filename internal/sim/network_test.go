@@ -130,6 +130,20 @@ func TestRunInferenceRejectsWrongInput(t *testing.T) {
 	if _, _, err := RunInference(p, dnn.NewTensor(1, 5, 5), InferenceOptions{}); err == nil {
 		t.Fatal("wrong input shape must error")
 	}
+	// The kernels sum all quant.InputBits digits of a code, so a config
+	// streaming fewer DAC cycles would bill less than it computes.
+	c := cfg()
+	c.InputBits = 4
+	p, err = accel.BuildPlan(c, m, accel.Homogeneous(3, xbar.Square(32)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := dnn.SyntheticTensor(m.InC, m.InH, m.InW, 1)
+	for _, bitExact := range []bool{false, true} {
+		if _, _, err := RunInference(p, in, InferenceOptions{Seed: 1, BitExact: bitExact}); err == nil {
+			t.Errorf("BitExact=%t: InputBits %d must error", bitExact, c.InputBits)
+		}
+	}
 }
 
 func TestRunInferenceFCOnlyModel(t *testing.T) {

@@ -112,17 +112,6 @@ func (m *Matrix) Scale(s float64) {
 	}
 }
 
-// Lerp moves m toward target: m = (1-tau)·m + tau·target. It implements the
-// DDPG soft target-network update.
-func (m *Matrix) Lerp(target *Matrix, tau float64) {
-	if m.Rows != target.Rows || m.Cols != target.Cols {
-		panic(fmt.Sprintf("mat: Lerp shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, target.Rows, target.Cols))
-	}
-	for i := range m.Data {
-		m.Data[i] = (1-tau)*m.Data[i] + tau*target.Data[i]
-	}
-}
-
 // MaxAbs returns the largest absolute element value, or 0 for an empty matrix.
 func (m *Matrix) MaxAbs() float64 {
 	var max float64

@@ -86,19 +86,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestLerp(t *testing.T) {
-	m := New(1, 2)
-	m.Set(0, 0, 0)
-	m.Set(0, 1, 10)
-	target := New(1, 2)
-	target.Set(0, 0, 10)
-	target.Set(0, 1, 0)
-	m.Lerp(target, 0.1)
-	if math.Abs(m.At(0, 0)-1) > 1e-12 || math.Abs(m.At(0, 1)-9) > 1e-12 {
-		t.Fatalf("Lerp = %v", m)
-	}
-}
-
 func TestXavierInitBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := New(50, 50)

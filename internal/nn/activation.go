@@ -9,7 +9,11 @@
 // search needs — dense layers with ReLU/tanh/sigmoid/linear activations.
 package nn
 
-import "math"
+import (
+	"math"
+
+	"autohet/internal/cpufeat"
+)
 
 // Activation names an element-wise nonlinearity applied after a dense layer.
 type Activation int
@@ -98,7 +102,8 @@ func (a Activation) Derivative(y float64) float64 {
 // mulDerivative multiplies every d[k] by the derivative at output y[k],
 // choosing the case once per slice. ReLU's derivative is selected without
 // a branch, since live and dead units mix at random; it is the same 1 or
-// +0 that Derivative returns, so every product is unchanged.
+// +0 that Derivative returns, so every product is unchanged. On AVX2
+// hardware reluDeriv4 computes every full block of four, the loop the rest.
 func (a Activation) mulDerivative(d, y []float64) {
 	y = y[:len(d)]
 	if a != ReLU {
@@ -107,7 +112,13 @@ func (a Activation) mulDerivative(d, y []float64) {
 		}
 		return
 	}
-	for k, v := range y {
+	k0 := 0
+	if cpufeat.AVX2 && len(d) >= 4 {
+		k0 = len(d) &^ 3
+		reluDeriv4(&d[0], &y[0], k0/4)
+	}
+	d = d[k0:]
+	for k, v := range y[k0:] {
 		var bits uint64 // of 1.0 where v > 0, of +0 elsewhere
 		if v > 0 {
 			bits = 0x3ff0000000000000

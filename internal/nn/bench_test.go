@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -37,15 +38,49 @@ func BenchmarkForwardBackward(b *testing.B) {
 	}
 }
 
+// BenchmarkAdamStep times Adam.Step alone on benchNet, the agent's
+// 11→64→64→1 critic, at the minibatch size. Before every step, with the
+// timer stopped, "normal" refills the same seeded gradients (the moments
+// follow them and stay normal), and "subnormal" leaves the gradients at
+// zero and sets every moment to a seeded subnormal value: the state of
+// units that get no gradient for thousands of updates, whose moments decay
+// by β1 and β2 per step. There the CPU's subnormal assists slow the step,
+// and no loop that keeps the bits can avoid them.
 func BenchmarkAdamStep(b *testing.B) {
-	n := benchNet(3)
-	opt := NewAdam(n, 1e-3)
-	x := make([]float64, 11)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := n.Forward(x)
-		n.Backward([]float64{out[0]})
-		opt.Step(n, 1)
+	for _, name := range []string{"normal", "subnormal"} {
+		b.Run(name, func(b *testing.B) {
+			n := benchNet(3)
+			opt := NewAdam(n, 1e-3)
+			rng := rand.New(rand.NewSource(3))
+			subnormal := func() float64 { return math.Float64frombits(uint64(rng.Int63n(1<<52-1)) + 1) }
+			var grads, moments [][]float64
+			for li, l := range n.Layers {
+				grads = append(grads, l.GW.Data, l.GB)
+				moments = append(moments, opt.mW[li].Data, opt.vW[li].Data, opt.mB[li], opt.vB[li])
+			}
+			seeded := make([][]float64, len(grads))
+			for i, g := range grads {
+				for range g {
+					seeded[i] = append(seeded[i], rng.NormFloat64())
+				}
+			}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if name == "normal" {
+					for j, g := range grads {
+						copy(g, seeded[j])
+					}
+				} else {
+					for _, m := range moments {
+						for j := range m {
+							m[j] = subnormal()
+						}
+					}
+				}
+				b.StartTimer()
+				opt.Step(n, 64)
+			}
+		})
 	}
 }
 

@@ -21,3 +21,30 @@ func dense4x8(wt, x, y, bias *float64, in, out, blocks int, relu bool)
 //
 //go:noescape
 func axpy32(acc, a *float64, off *int, s *float64, n int)
+
+// axpy8 and axpy4 are axpy32 for blocks of 8 and 4 columns.
+//
+//go:noescape
+func axpy8(acc, a *float64, off *int, s *float64, n int)
+
+//go:noescape
+func axpy4(acc, a *float64, off *int, s *float64, n int)
+
+// reluDeriv4 multiplies d[i] by 1 where y[i] > 0 and by +0 elsewhere, for
+// i < 4n, as Activation.mulDerivative's ReLU loop does. n must be ≥ 1. AVX2
+// only.
+//
+//go:noescape
+func reluDeriv4(d, y *float64, n int)
+
+// lerp4 sets d[i] = a·d[i] + b·s[i] for i < 4n, as lerp's loop does. n must
+// be ≥ 1. AVX2 only.
+//
+//go:noescape
+func lerp4(d, s *float64, n int, a, b float64)
+
+// adam4 runs adamCoef.stepGo's update on the first 4n parameters. n must be
+// ≥ 1. AVX2 only.
+//
+//go:noescape
+func adam4(w, m, v, gr *float64, n int, k *adamCoef)

@@ -204,7 +204,9 @@ func (l *Dense) forward(x, y, panels []float64) {
 			}
 		}
 	}
-	l.forwardScalar(x[:nk*in], y[:nk*out], ok)
+	if ok < out {
+		l.forwardScalar(x[:nk*in], y[:nk*out], ok)
+	}
 	l.forwardScalar(x[nk*in:], y[nk*out:], 0)
 }
 
@@ -224,10 +226,12 @@ func (l *Dense) packPanels(dst []float64, ok int) []float64 {
 }
 
 // forwardScalar computes outputs [j0, out) of every sample of x. Blocks of
-// two weight rows by four samples share each pass over the inputs; each of
-// the eight dot products stays one accumulator summed in k order, so the
+// two weight rows by four samples share each pass over the inputs, as do
+// the odd row's four samples and, past the last full block of samples,
+// each sample's blocks of four rows; the rows left over run one at a time.
+// Each dot product stays one accumulator summed from +0 in k order, so the
 // chains only overlap in time and every sum is bit-identical to the
-// one-sample loop, which computes the rows and samples left over.
+// one-sample loop.
 func (l *Dense) forwardScalar(x, y []float64, j0 int) {
 	in, out := l.W.Cols, l.W.Rows
 	w := l.W.Data
@@ -238,6 +242,10 @@ func (l *Dense) forwardScalar(x, y []float64, j0 int) {
 		x1 := x[(b+1)*in : (b+2)*in][:len(x0)]
 		x2 := x[(b+2)*in : (b+3)*in][:len(x0)]
 		x3 := x[(b+3)*in : (b+4)*in][:len(x0)]
+		y0 := y[b*out : (b+1)*out]
+		y1 := y[(b+1)*out : (b+2)*out][:len(y0)]
+		y2 := y[(b+2)*out : (b+3)*out][:len(y0)]
+		y3 := y[(b+3)*out : (b+4)*out][:len(y0)]
 		for j := j0; j < out2; j += 2 {
 			r0 := w[j*in : (j+1)*in][:len(x0)]
 			r1 := w[(j+1)*in : (j+2)*in][:len(x0)]
@@ -255,24 +263,46 @@ func (l *Dense) forwardScalar(x, y []float64, j0 int) {
 				s13 += u * a3
 			}
 			b0, b1 := l.B[j], l.B[j+1]
-			y[b*out+j], y[b*out+j+1] = s00+b0, s10+b1
-			y[(b+1)*out+j], y[(b+1)*out+j+1] = s01+b0, s11+b1
-			y[(b+2)*out+j], y[(b+2)*out+j+1] = s02+b0, s12+b1
-			y[(b+3)*out+j], y[(b+3)*out+j+1] = s03+b0, s13+b1
+			y0[j], y0[j+1] = s00+b0, s10+b1
+			y1[j], y1[j+1] = s01+b0, s11+b1
+			y2[j], y2[j+1] = s02+b0, s12+b1
+			y3[j], y3[j+1] = s03+b0, s13+b1
+		}
+		if j := out2; j < out {
+			var s0, s1, s2, s3 float64
+			for k, v := range w[j*in : (j+1)*in][:len(x0)] {
+				s0 += v * x0[k]
+				s1 += v * x1[k]
+				s2 += v * x2[k]
+				s3 += v * x3[k]
+			}
+			y0[j], y1[j], y2[j], y3[j] = s0+l.B[j], s1+l.B[j], s2+l.B[j], s3+l.B[j]
 		}
 	}
-	for b := 0; b < nb; b++ {
+	for b := nb4; b < nb; b++ {
 		xb := x[b*in : (b+1)*in]
+		yb := y[b*out : (b+1)*out]
 		j := j0
-		if b < nb4 {
-			j = out2
+		for ; j+4 <= out; j += 4 {
+			r0 := w[j*in : (j+1)*in][:len(xb)]
+			r1 := w[(j+1)*in : (j+2)*in][:len(xb)]
+			r2 := w[(j+2)*in : (j+3)*in][:len(xb)]
+			r3 := w[(j+3)*in : (j+4)*in][:len(xb)]
+			var s0, s1, s2, s3 float64
+			for k, a := range xb {
+				s0 += r0[k] * a
+				s1 += r1[k] * a
+				s2 += r2[k] * a
+				s3 += r3[k] * a
+			}
+			yb[j], yb[j+1], yb[j+2], yb[j+3] = s0+l.B[j], s1+l.B[j+1], s2+l.B[j+2], s3+l.B[j+3]
 		}
 		for ; j < out; j++ {
 			var s float64
 			for k, v := range w[j*in : (j+1)*in][:len(xb)] {
 				s += v * xb[k]
 			}
-			y[b*out+j] = s + l.B[j]
+			yb[j] = s + l.B[j]
 		}
 	}
 	if j0 == 0 {
@@ -402,21 +432,33 @@ func nonzero(off []int, scale, v []float64, step, count, stride int) int {
 
 // axpy adds the listed rows of a, scaled, into acc in list order:
 // acc[c] += scale[i]·a[off[i] + c] for every i, one rounded multiply and one
-// rounded add per row. On AVX2 hardware axpy32 computes every full block of
-// 32 columns; the loop below computes the columns left over, and
-// everything elsewhere, four rows per pass over acc.
+// rounded add per row. On AVX2 hardware axpy32, axpy8 and axpy4 compute
+// every full block of 32, then 8, then 4 columns, and axpyNarrow the one to
+// three columns left over; elsewhere the loop below computes four rows per
+// pass over acc, and axpyNarrow rows of one to three columns.
 func axpy(acc, a []float64, off []int, scale []float64) {
 	if len(off) == 0 {
 		return
 	}
-	k0 := 0
 	if cpufeat.AVX2 {
+		k0 := 0
 		for ; k0+32 <= len(acc); k0 += 32 {
 			axpy32(&acc[k0], &a[k0], &off[0], &scale[0], len(off))
 		}
+		for ; k0+8 <= len(acc); k0 += 8 {
+			axpy8(&acc[k0], &a[k0], &off[0], &scale[0], len(off))
+		}
+		if k0+4 <= len(acc) {
+			axpy4(&acc[k0], &a[k0], &off[0], &scale[0], len(off))
+			k0 += 4
+		}
+		acc, a = acc[k0:], a[k0:]
 	}
-	acc, a = acc[k0:], a[k0:]
 	w := len(acc)
+	if w < 4 {
+		axpyNarrow(acc, a, off, scale)
+		return
+	}
 	i := 0
 	for ; i+4 <= len(off); i += 4 {
 		s0, s1, s2, s3 := scale[i], scale[i+1], scale[i+2], scale[i+3]
@@ -437,6 +479,37 @@ func axpy(acc, a []float64, off []int, scale []float64) {
 		for c := range acc {
 			acc[c] += s * ai[c]
 		}
+	}
+}
+
+// axpyNarrow is axpy for zero to three columns: one pass over the list,
+// each column its own chain in a register.
+func axpyNarrow(acc, a []float64, off []int, scale []float64) {
+	scale = scale[:len(off)]
+	switch len(acc) {
+	case 1:
+		g0 := acc[0]
+		for i, o := range off {
+			g0 += scale[i] * a[o]
+		}
+		acc[0] = g0
+	case 2:
+		g0, g1 := acc[0], acc[1]
+		for i, o := range off {
+			r := a[o : o+2]
+			g0 += scale[i] * r[0]
+			g1 += scale[i] * r[1]
+		}
+		acc[0], acc[1] = g0, g1
+	case 3:
+		g0, g1, g2 := acc[0], acc[1], acc[2]
+		for i, o := range off {
+			r := a[o : o+3]
+			g0 += scale[i] * r[0]
+			g1 += scale[i] * r[1]
+			g2 += scale[i] * r[2]
+		}
+		acc[0], acc[1], acc[2] = g0, g1, g2
 	}
 }
 
@@ -470,15 +543,28 @@ func (n *Network) Clone() *Network {
 // SoftUpdate moves this network's parameters toward src:
 // θ ← (1−tau)·θ + tau·θ_src. It implements DDPG target-network tracking.
 func (n *Network) SoftUpdate(src *Network, tau float64) {
-	if len(n.Layers) != len(src.Layers) {
-		panic("nn: SoftUpdate layer count mismatch")
+	if !n.SameShape(src) {
+		panic("nn: SoftUpdate between networks of different shapes")
 	}
 	for i, l := range n.Layers {
 		s := src.Layers[i]
-		l.W.Lerp(s.W, tau)
-		for j := range l.B {
-			l.B[j] = (1-tau)*l.B[j] + tau*s.B[j]
-		}
+		lerp(l.W.Data, s.W.Data, tau)
+		lerp(l.B, s.B, tau)
+	}
+}
+
+// lerp sets d[i] = (1−tau)·d[i] + tau·s[i]: two rounded multiplies, then
+// one rounded add. On AVX2 hardware lerp4 computes every full block of
+// four, the loop the rest.
+func lerp(d, s []float64, tau float64) {
+	s = s[:len(d)]
+	a, i := 1-tau, 0
+	if cpufeat.AVX2 && len(d) >= 4 {
+		i = len(d) &^ 3
+		lerp4(&d[0], &s[0], i/4, a, tau)
+	}
+	for ; i < len(d); i++ {
+		d[i] = a*d[i] + tau*s[i]
 	}
 }
 

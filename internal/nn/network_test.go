@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -72,6 +74,42 @@ func TestSoftUpdateConverges(t *testing.T) {
 	for li := range a.Layers {
 		if !a.Layers[li].W.Equal(b.Layers[li].W, 1e-6) {
 			t.Fatalf("layer %d weights did not converge", li)
+		}
+	}
+}
+
+// TestSoftUpdateBits checks every parameter against (1−τ)·θ + τ·θ_src
+// computed in Go, bit for bit, on layers whose sizes leave every tail of
+// the 4-wide kernel and with −0, ±Inf and NaN among the parameters.
+func TestSoftUpdateBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	spec := []LayerSpec{{Out: 7, Act: ReLU}, {Out: 6, Act: Tanh}, {Out: 1, Act: Linear}}
+	a, b := NewNetwork(rng, 5, spec...), NewNetwork(rng, 5, spec...)
+	specials := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	var want [][]float64
+	const tau = 0.01
+	for i, l := range a.Layers {
+		for _, p := range [][2][]float64{{l.W.Data, b.Layers[i].W.Data}, {l.B, b.Layers[i].B}} {
+			d, s := p[0], p[1]
+			for j := range d {
+				if rng.Intn(8) == 0 {
+					d[j] = specials[rng.Intn(len(specials))]
+				}
+				s[j] += rng.NormFloat64()
+			}
+			w := make([]float64, len(d))
+			for j := range w {
+				w[j] = (1-tau)*d[j] + tau*s[j]
+			}
+			want = append(want, w)
+		}
+	}
+	a.SoftUpdate(b, tau)
+	for i, l := range a.Layers {
+		for p, got := range [][]float64{l.W.Data, l.B} {
+			if j := diffAt(got, want[2*i+p]); j >= 0 {
+				t.Fatalf("layer %d, %s[%d] = %v, want %v", i, [...]string{"W", "B"}[p], j, got[j], want[2*i+p][j])
+			}
 		}
 	}
 }
@@ -220,6 +258,40 @@ func TestAdamPanicsOnBadBatch(t *testing.T) {
 		}
 	}()
 	opt.Step(n, 0)
+}
+
+// TestAdamPanicsOnShapeMismatch steps an optimizer built for one network on
+// a network of the same depth with narrower layers: it must panic before
+// touching a parameter, not update a part of the network.
+func TestAdamPanicsOnShapeMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	opt := NewAdam(newTestNet(14), 1e-3)
+	narrow := NewNetwork(rng, 3,
+		LayerSpec{Out: 8, Act: ReLU},
+		LayerSpec{Out: 4, Act: Tanh},
+		LayerSpec{Out: 2, Act: Linear},
+	)
+	for _, l := range narrow.Layers {
+		for i := range l.GW.Data {
+			l.GW.Data[i] = 1
+		}
+	}
+	before := narrow.Clone()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Step on a narrower network did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "Adam built for") {
+			t.Fatalf("panic %q does not name the shape mismatch", msg)
+		}
+		for i, l := range narrow.Layers {
+			if !l.W.Equal(before.Layers[i].W, 0) {
+				t.Fatalf("layer %d updated before the panic", i)
+			}
+		}
+	}()
+	opt.Step(narrow, 1)
 }
 
 func TestActivationDerivativeMatchesNumeric(t *testing.T) {

@@ -46,29 +46,36 @@ func ConvRef(l *Layer, in *Tensor, w *mat.Matrix) *Tensor {
 	return out
 }
 
-// PoolMaxRef computes a max-pooling layer.
+// PoolMaxRef computes a max-pooling layer. Each output is the max of its
+// K×K window (clipped to the tensor), taken by v > best from the window's
+// top-left value in row-major order — so NaN wins only from the top-left,
+// and the first of equal values (+0 before −0, or the reverse) stays.
 func PoolMaxRef(l *Layer, in *Tensor) *Tensor {
 	if l.Kind != Pool {
 		panic("dnn: PoolMaxRef on non-POOL layer " + l.Name)
 	}
-	outH := convOut(in.H, l.K, l.Stride, 0)
-	outW := convOut(in.W, l.K, l.Stride, 0)
+	H, W, K, S := in.H, in.W, l.K, l.Stride
+	outH := convOut(H, K, S, 0)
+	outW := convOut(W, K, S, 0)
 	out := NewTensor(in.C, outH, outW)
 	for c := 0; c < in.C; c++ {
+		src := in.Data[c*H*W : (c+1)*H*W]
+		dst := out.Data[c*outH*outW : (c+1)*outH*outW]
 		for oy := 0; oy < outH; oy++ {
+			y0 := oy * S
+			y1 := min(y0+K, H)
 			for ox := 0; ox < outW; ox++ {
-				best := in.At(c, oy*l.Stride, ox*l.Stride)
-				for ky := 0; ky < l.K; ky++ {
-					for kx := 0; kx < l.K; kx++ {
-						y, x := oy*l.Stride+ky, ox*l.Stride+kx
-						if y < in.H && x < in.W {
-							if v := in.At(c, y, x); v > best {
-								best = v
-							}
+				x0 := ox * S
+				x1 := min(x0+K, W)
+				best := src[y0*W+x0]
+				for y := y0; y < y1; y++ {
+					for _, v := range src[y*W+x0 : y*W+x1] {
+						if v > best {
+							best = v
 						}
 					}
 				}
-				out.Set(c, oy, ox, best)
+				dst[oy*outW+ox] = best
 			}
 		}
 	}

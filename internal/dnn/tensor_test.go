@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -162,6 +163,66 @@ func TestPoolMaxRef(t *testing.T) {
 		for x := range want[y] {
 			if out.At(0, y, x) != want[y][x] {
 				t.Fatalf("pool(%d,%d) = %v, want %v", y, x, out.At(0, y, x), want[y][x])
+			}
+		}
+	}
+}
+
+// poolMaxAt is PoolMaxRef's oracle: the same window walk through At, with
+// the window clipped by bounds checks.
+func poolMaxAt(l *Layer, in *Tensor) *Tensor {
+	outH := convOut(in.H, l.K, l.Stride, 0)
+	outW := convOut(in.W, l.K, l.Stride, 0)
+	out := NewTensor(in.C, outH, outW)
+	for c := 0; c < in.C; c++ {
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				best := in.At(c, oy*l.Stride, ox*l.Stride)
+				for ky := 0; ky < l.K; ky++ {
+					for kx := 0; kx < l.K; kx++ {
+						y, x := oy*l.Stride+ky, ox*l.Stride+kx
+						if y < in.H && x < in.W {
+							if v := in.At(c, y, x); v > best {
+								best = v
+							}
+						}
+					}
+				}
+				out.Set(c, oy, ox, best)
+			}
+		}
+	}
+	return out
+}
+
+// PoolMaxRef indexes its slices directly; it must keep the At walk's
+// result bit for bit — which value of a tie or a NaN wins included — over
+// windows that do not tile the map, overlapping windows, maps smaller than
+// the window, and maps full of NaN, ±0 and ±Inf.
+func TestPoolMaxRefMatchesAtWalk(t *testing.T) {
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), -1.5, 2.25}
+	rng := rand.New(rand.NewSource(5))
+	for _, kS := range [][2]int{{2, 2}, {3, 2}, {3, 3}, {2, 1}, {3, 1}, {4, 3}} {
+		for _, hw := range [][2]int{{4, 4}, {5, 7}, {7, 5}, {1, 1}, {2, 3}, {9, 9}} {
+			in := NewTensor(3, hw[0], hw[1])
+			for i := range in.Data {
+				if rng.Intn(2) == 0 {
+					in.Data[i] = specials[rng.Intn(len(specials))]
+				} else {
+					in.Data[i] = rng.NormFloat64()
+				}
+			}
+			l := pool("p", kS[0], kS[1])
+			got, want := PoolMaxRef(l, in), poolMaxAt(l, in)
+			if got.C != want.C || got.H != want.H || got.W != want.W {
+				t.Fatalf("K=%d S=%d on %dx%d: shape %dx%dx%d, want %dx%dx%d", kS[0], kS[1], hw[0], hw[1],
+					got.C, got.H, got.W, want.C, want.H, want.W)
+			}
+			for i, w := range want.Data {
+				if g := got.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("K=%d S=%d on %dx%d: out[%d] = %v (%#x), want %v (%#x)", kS[0], kS[1], hw[0], hw[1],
+						i, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
 			}
 		}
 	}

@@ -24,3 +24,12 @@ func maddBlock(w *int8, u *uint16, acc *int32, rowPairs int)
 //
 //go:noescape
 func maddBlock4(w *int8, u *uint16, acc *int32, rowPairs, stride int)
+
+// windowCodes is WindowCodes' AVX2 kernel (window_amd64.s): the codes of
+// chans×rows rows of width activations under scale, read at src with the
+// srcRow/srcChan strides and written at dst with the dstRow/dstChan
+// strides (all in elements), and the sum of their rounded values. chans,
+// rows and width must be ≥ 1, scale > 0, and both extents in bounds.
+//
+//go:noescape
+func windowCodes(dst *uint8, src *float64, scale float64, chans, rows, width, srcRow, srcChan, dstRow, dstChan int) (sum float64)

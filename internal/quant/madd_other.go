@@ -13,3 +13,7 @@ func maddBlock(w *int8, u *uint16, acc *int32, rowPairs int) {
 func maddBlock4(w *int8, u *uint16, acc *int32, rowPairs, stride int) {
 	panic("quant: maddBlock4 called without AVX2 support")
 }
+
+func windowCodes(dst *uint8, src *float64, scale float64, chans, rows, width, srcRow, srcChan, dstRow, dstChan int) float64 {
+	panic("quant: windowCodes called without AVX2 support")
+}

@@ -211,7 +211,10 @@ func (a *Agent) targets(batch []Transition) []float64 {
 // Every network pass covers the whole minibatch at once (nn.ForwardBatch),
 // and every number equals that of passing the samples one at a time in
 // order: the passes are exact and gradients accumulate in sample order
-// (DESIGN.md §17).
+// (DESIGN.md §17). Both networks' gradients are +0 on entry — fresh
+// networks start there and Adam.Step clears what each backward pass
+// accumulated — so no ZeroGrad precedes the backward passes
+// (TestUpdateLeavesGradientsZero).
 func (a *Agent) Update() float64 {
 	if a.Pool.Len() < a.cfg.Batch {
 		return 0
@@ -226,7 +229,6 @@ func (a *Agent) Update() float64 {
 		copy(cin[i*(sd+1):], t.State)
 		cin[i*(sd+1)+sd] = t.Action
 	}
-	a.Critic.ZeroGrad()
 	var tdSum float64
 	for i, q := range a.Critic.ForwardBatch(a.criticBatch, len(batch)) {
 		td := q - y[i]
@@ -256,7 +258,6 @@ func (a *Agent) Update() float64 {
 	for i, dQda := range a.grad {
 		a.grad[i] = -dQda // minimize −Q
 	}
-	a.Actor.ZeroGrad()
 	a.Actor.BackwardBatch(a.actorBatch, a.grad)
 	a.actorOpt.Step(a.Actor, a.cfg.Batch)
 

@@ -1,9 +1,13 @@
 package rl
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"autohet/internal/nn"
 )
 
 func TestReplayRing(t *testing.T) {
@@ -270,4 +274,47 @@ func TestNewAgentPanicsOnBadDim(t *testing.T) {
 		}
 	}()
 	NewAgent(AgentConfig{StateDim: 0})
+}
+
+// Update runs no ZeroGrad: it relies on every actor and critic gradient
+// being +0 on entry — after NewAgent, after LoadAgent, and after each
+// update, whose Adam steps clear what the backward passes accumulated.
+func TestUpdateLeavesGradientsZero(t *testing.T) {
+	checkZero := func(when string, a *Agent) {
+		t.Helper()
+		for name, net := range map[string]*nn.Network{"actor": a.Actor, "critic": a.Critic} {
+			for li, l := range net.Layers {
+				for i, g := range append(append([]float64(nil), l.GW.Data...), l.GB...) {
+					if math.Float64bits(g) != 0 {
+						t.Fatalf("%s: %s layer %d gradient %d = %v, want +0", when, name, li, i, g)
+					}
+				}
+			}
+		}
+	}
+	cfg := DefaultAgentConfig(3)
+	cfg.Batch = 8
+	a := NewAgent(cfg)
+	checkZero("after NewAgent", a)
+	rng := rand.New(rand.NewSource(6))
+	train := func(a *Agent, tag string) {
+		for i := 0; i < 24; i++ {
+			s := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+			next := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+			a.Remember(Transition{State: s, Action: a.ActNoisy(s), Reward: rng.Float64(), NextState: next, Done: i%5 == 0})
+			a.Update()
+			checkZero(fmt.Sprintf("%s, after update %d", tag, a.Updates()), a)
+		}
+	}
+	train(a, "new agent")
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadAgent(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkZero("after LoadAgent", back)
+	train(back, "loaded agent")
 }

@@ -16,7 +16,8 @@ import (
 //     Max is exact in any order, the map uses QuantizeMember's own v > m
 //     comparison from 0 (NaN never wins, −0 never replaces +0), and padding
 //     pixels would contribute 0 — the floor every max starts from;
-//   - codes are quantized in the column's own order by quant.ActivationCode,
+//   - codes are quantized by quant.WindowCodes, one call per window, which
+//     codes exactly as quant.ActivationCode in the column's own order does,
 //     so codes, scales and code sums are bit-identical to PatchInto followed
 //     by quant.QuantizeBatchFlatInto (FuzzFusedPatchCodes asserts it).
 
@@ -43,8 +44,13 @@ func quantizeWindow(pb *quant.PackedBatch, k int, t *dnn.Tensor, cmax []float64,
 	// Rows [ya, yb) and columns [xa, xb) of the window lie inside t.
 	ya, yb := max(y0, 0), min(y0+K, H)
 	xa, xb := max(x0, 0), min(x0+K, W)
-	if xa >= xb {
-		yb = ya // the window lies wholly in the padding
+	u := pb.Member(k)
+	if ya != y0 || yb != y0+K || xa != x0 || xb != x0+K {
+		clear(u) // padding codes
+	}
+	if ya >= yb || xa >= xb {
+		pb.SetMember(k, quant.ActivationScale(0), 0) // wholly in the padding
+		return
 	}
 	var maxV float64
 	for y := ya; y < yb; y++ {
@@ -55,24 +61,13 @@ func quantizeWindow(pb *quant.PackedBatch, k int, t *dnn.Tensor, cmax []float64,
 		}
 	}
 	scale := quant.ActivationScale(maxV)
-	u := pb.Member(k)
-	if ya != y0 || yb != y0+K || xa != x0 || xb != x0+K {
-		clear(u) // padding codes
-	}
-	// A padding zero adds +0 to the code sum, which never changes it (the
-	// sum starts at +0 and only grows or turns NaN), so padding is skipped.
-	var sum float64
-	for c := 0; c < t.C; c++ {
-		for y := ya; y < yb; y++ {
-			src := t.Data[(c*H+y)*W+xa : (c*H+y)*W+xb]
-			dst := u[(c*K+y-y0)*K+xa-x0:][:len(src)]
-			for i, v := range src {
-				code, r := quant.ActivationCode(v, scale)
-				dst[i] = code
-				sum += r
-			}
-		}
-	}
+	// One call codes the part inside t, all channels. A padding zero would
+	// add +0 to the code sum, which never changes it (the sum starts at +0
+	// and only grows or turns NaN), so padding is skipped.
+	sum := quant.WindowCodes(u[(ya-y0)*K+xa-x0:], t.Data[ya*W+xa:], scale, quant.Window{
+		Chans: t.C, Rows: yb - ya, Width: xb - xa,
+		SrcRow: W, SrcChan: H * W, DstRow: K, DstChan: K * K,
+	})
 	pb.SetMember(k, scale, sum)
 }
 

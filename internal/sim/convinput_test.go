@@ -21,7 +21,9 @@ func channelMaxMap(t *dnn.Tensor) []float64 {
 // fuzzTensor fills a C×H×W tensor from rng. mode picks the value mix:
 // 0 mixes positives with zeros, −0, negatives, NaN and ±Inf; 1 is all
 // zero; 2 holds no positive value at all (zeros, −0, negatives, NaN);
-// 3 is positives with sparse zeros, as after a ReLU.
+// 3 is positives with sparse zeros, as after a ReLU; 4 is near ties: a
+// window holding the peak 3.7 quantizes under scale s = 3.7/255, and the
+// other values are the ties (k+0.5)·s and their float neighbours.
 func fuzzTensor(rng *rand.Rand, c, h, w, mode int) *dnn.Tensor {
 	t := dnn.NewTensor(c, h, w)
 	for i := range t.Data {
@@ -54,6 +56,13 @@ func fuzzTensor(rng *rand.Rand, c, h, w, mode int) *dnn.Tensor {
 		case 3:
 			if rng.Intn(3) != 0 {
 				v = rng.Float64()
+			}
+		case 4:
+			const peak = 3.7
+			v = peak
+			if rng.Intn(8) != 0 {
+				v = (float64(rng.Intn(255)) + 0.5) * quant.ActivationScale(peak)
+				v = math.Nextafter(v, v+float64(rng.Intn(3)-1))
 			}
 		}
 		t.Data[i] = v
@@ -110,7 +119,9 @@ func samePackedBatch(t *testing.T, what string, got, want *quant.PackedBatch) {
 // path's codes-only batch, QuantizeBatchFlatInto with the digit slab for
 // the bit-serial modes — over shapes, strides, paddings (including windows
 // wholly in the padding), several inputs, and batches starting anywhere
-// in the (input, position) index space.
+// in the (input, position) index space. Kernels up to 11 wide on maps up
+// to 16×16 give window rows of several four-lane chunks and every masked
+// tail length.
 func FuzzFusedPatchCodes(f *testing.F) {
 	// c, h, w, k, stride, pad, inputs, lo, bs, mode, seed
 	f.Add(uint8(3), uint8(8), uint8(8), uint8(3), uint8(1), uint8(1), uint8(1), uint8(0), uint8(32), uint8(3), int64(1))
@@ -119,9 +130,11 @@ func FuzzFusedPatchCodes(f *testing.F) {
 	f.Add(uint8(5), uint8(6), uint8(6), uint8(1), uint8(1), uint8(0), uint8(2), uint8(30), uint8(9), uint8(1), int64(4))
 	f.Add(uint8(7), uint8(4), uint8(9), uint8(5), uint8(3), uint8(2), uint8(1), uint8(2), uint8(7), uint8(2), int64(5))
 	f.Add(uint8(8), uint8(9), uint8(9), uint8(3), uint8(1), uint8(1), uint8(3), uint8(70), uint8(32), uint8(0), int64(6))
+	f.Add(uint8(3), uint8(16), uint8(13), uint8(11), uint8(2), uint8(3), uint8(2), uint8(5), uint8(32), uint8(4), int64(7))
+	f.Add(uint8(2), uint8(15), uint8(16), uint8(7), uint8(1), uint8(2), uint8(1), uint8(40), uint8(24), uint8(4), int64(8))
 	f.Fuzz(func(t *testing.T, cB, hB, wB, kB, strideB, padB, inputsB, loB, bsB, mode uint8, seed int64) {
-		C, H, W := 1+int(cB%8), 1+int(hB%9), 1+int(wB%9)
-		K, stride, pad := 1+int(kB%5), 1+int(strideB%3), int(padB%4)
+		C, H, W := 1+int(cB%8), 1+int(hB%16), 1+int(wB%16)
+		K, stride, pad := 1+int(kB%11), 1+int(strideB%3), int(padB%4)
 		if H+2*pad < K || W+2*pad < K {
 			return
 		}
@@ -131,7 +144,7 @@ func FuzzFusedPatchCodes(f *testing.F) {
 		curs := make([]*dnn.Tensor, 1+int(inputsB%3))
 		var cmax []float64
 		for i := range curs {
-			curs[i] = fuzzTensor(rng, C, H, W, int(mode%4))
+			curs[i] = fuzzTensor(rng, C, H, W, int(mode%5))
 			cmax = append(cmax, channelMaxMap(curs[i])...)
 		}
 		positions := l.OutH * l.OutW

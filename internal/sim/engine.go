@@ -443,19 +443,12 @@ func (e *Engine) runBatch(inputs []*dnn.Tensor, opts InferenceOptions, kb int) (
 			for i := range outs {
 				outs[i] = dnn.NewTensor(l.OutC, l.OutH, l.OutW)
 			}
-			if err := e.streamPatchBatches(le, l, curs, outs, kb, &stats); err != nil {
+			if err := e.streamPatchBatches(le, l, curs, outs, kb, l != last, &stats); err != nil {
 				return nil, stats, err
 			}
 			curs = outs
-			if l != last {
-				for _, c := range curs {
-					dnn.ReLU(c.Data)
-				}
-			}
 		case dnn.Pool:
-			for i := range curs {
-				curs[i] = dnn.PoolMaxRef(l, curs[i])
-			}
+			curs = e.poolBatch(l, curs, &stats)
 		case dnn.FC:
 			if flats == nil {
 				flats = make([][]float64, len(curs))
@@ -495,8 +488,10 @@ func (e *Engine) runBatch(inputs []*dnn.Tensor, opts InferenceOptions, kb int) (
 // out across a bounded worker pool; chunk boundaries are deterministic and
 // members never mix, so results are schedule-independent. Both passes run
 // on the pool when the layer's MACs pass parallelWorth. kb shrinks toward
-// n/workers so small layers still occupy the pool.
-func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*dnn.Tensor, kb int, stats *InferenceStats) error {
+// n/workers so small layers still occupy the pool. With relu set, the
+// scatter applies the ReLU as it writes (v < 0 → +0, so −0 and NaN pass
+// as dnn.ReLU leaves them).
+func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*dnn.Tensor, kb int, relu bool, stats *InferenceStats) error {
 	defer simStageStream.AddSince(time.Now())
 	positions := l.OutH * l.OutW
 	patchLen := curs[0].C * l.K * l.K
@@ -539,13 +534,59 @@ func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*d
 			for ch := 0; ch < cols; ch++ {
 				row := data[ch*positions+pos:][:run]
 				for j := range row {
-					row[j] = out[(i+j)*cols+ch]
+					v := out[(i+j)*cols+ch]
+					if relu && v < 0 {
+						v = 0
+					}
+					row[j] = v
 				}
 			}
 			i += run
 		}
 	})
 	return nil
+}
+
+// minParallelPool is the input element count below which a pooling layer
+// stays serial: 2¹² values take ~30 µs to pool (2×2 windows of random
+// values, whose compares mispredict; 2-vCPU Xeon), over ten times the
+// ~2 µs it takes to start and join a two-worker pool.
+const minParallelPool = 1 << 12
+
+// poolBatch max-pools every input through dnn.PoolMaxRef on the worker
+// pool, in (input, channel-block) chunks: a C-major tensor holds each
+// channel block contiguously, so a chunk pools its block as a tensor of its
+// own. Pooling is per channel, so chunking changes no value. On the pool,
+// inputs split into enough blocks to occupy it even at batch 1; a chunk
+// that covers a whole input keeps PoolMaxRef's tensor, a smaller one
+// copies its result into the input's output tensor.
+func (e *Engine) poolBatch(l *dnn.Layer, curs []*dnn.Tensor, stats *InferenceStats) []*dnn.Tensor {
+	C, plane := curs[0].C, curs[0].H*curs[0].W
+	parallel := len(curs)*C*plane >= minParallelPool
+	blocks, cb := 1, C
+	if parallel {
+		blocks = min(C, (runtime.GOMAXPROCS(0)+len(curs)-1)/len(curs))
+		cb = (C + blocks - 1) / blocks
+		blocks = (C + cb - 1) / cb
+	}
+	outs := make([]*dnn.Tensor, len(curs))
+	if blocks > 1 {
+		for i := range outs {
+			outs[i] = dnn.NewTensor(C, l.OutH, l.OutW)
+		}
+	}
+	e.runChunks(len(curs)*blocks, parallel, stats, func(_ *batchScratch, c int, _ *InferenceStats) {
+		i, c0 := c/blocks, c%blocks*cb
+		c1 := min(c0+cb, C)
+		in := curs[i]
+		p := dnn.PoolMaxRef(l, &dnn.Tensor{C: c1 - c0, H: in.H, W: in.W, Data: in.Data[c0*plane : c1*plane]})
+		if blocks == 1 {
+			outs[i] = p
+		} else {
+			copy(outs[i].Data[c0*p.H*p.W:], p.Data)
+		}
+	})
+	return outs
 }
 
 // runFCBatches runs one FC layer over every input's flattened activations,

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"autohet/internal/accel"
@@ -288,5 +291,107 @@ func TestEngineRunAllocsBounded(t *testing.T) {
 	// scratch), never per patch.
 	if allocs > float64(patches) {
 		t.Fatalf("warm run allocates %v (> %d patches); per-patch scratch is leaking", allocs, patches)
+	}
+}
+
+// The conv output scatter applies the ReLU as it writes, in place of a
+// dnn.ReLU pass over the finished layer: the two must agree bit for bit,
+// −0 and NaN outputs included. Rows 0–3 of the input are subnormal, so
+// their windows quantize under a scale whose product with the weight scale
+// underflows to +0 and negative sums come out −0; windows holding +Inf
+// quantize under scale +Inf and come out NaN, and in bit-exact mode the
+// NaN pixel's code sum turns its windows NaN too.
+func TestConvScatterReLUMatchesDNNReLU(t *testing.T) {
+	p := singleLayerPlan(t, 3, 4, 16, xbar.Square(64))
+	l := p.Model.Mappable()[0]
+	rng := rand.New(rand.NewSource(1))
+	in := dnn.NewTensor(4, 8, 8)
+	for i := range in.Data {
+		in.Data[i] = rng.NormFloat64()
+		if i%64 < 32 {
+			in.Data[i] = 1e-321 * rng.Float64()
+		}
+	}
+	in.Set(1, 6, 2, math.Inf(1))
+	in.Set(2, 5, 6, math.NaN())
+	for _, opts := range []InferenceOptions{{Seed: 1}, {Seed: 1, BitExact: true}} {
+		e := NewEngine(p)
+		le, err := e.prepareLayer(l, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, fused := dnn.NewTensor(l.OutC, l.OutH, l.OutW), dnn.NewTensor(l.OutC, l.OutH, l.OutW)
+		var st InferenceStats
+		for _, run := range []struct {
+			out  *dnn.Tensor
+			relu bool
+		}{{raw, false}, {fused, true}} {
+			if err := e.streamPatchBatches(le, l, []*dnn.Tensor{in}, []*dnn.Tensor{run.out}, DefaultKernelBatch, run.relu, &st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var negZero, nan, neg int
+		for _, v := range raw.Data {
+			switch {
+			case math.IsNaN(v):
+				nan++
+			case v == 0 && math.Signbit(v):
+				negZero++
+			case v < 0:
+				neg++
+			}
+		}
+		if negZero == 0 || nan == 0 || neg == 0 {
+			t.Fatalf("%+v: raw outputs hold %d −0, %d NaN, %d negatives; the test needs each", opts, negZero, nan, neg)
+		}
+		want := dnn.ReLU(append([]float64(nil), raw.Data...))
+		for i, w := range want {
+			if g := fused.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%+v: out[%d] = %v (%#x), dnn.ReLU gives %v (%#x)", opts, i, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// poolBatch splits inputs into channel blocks on the worker pool — several
+// per input at batch 1, ragged when the pool does not divide the channels —
+// and must return exactly what dnn.PoolMaxRef returns per input.
+func TestPoolBatchMatchesPoolMaxRef(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	e := NewEngine(parallelCNN(t))
+	rng := rand.New(rand.NewSource(2))
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1)}
+	for _, c := range []struct{ batch, C, H, K, S int }{
+		{1, 64, 24, 2, 2}, // parallel, 4 blocks of 16
+		{1, 10, 48, 3, 2}, // parallel, blocks of 3, 3, 3, 1
+		{3, 10, 24, 3, 2}, // parallel, 2 blocks of 5 per input
+		{5, 7, 24, 2, 2},  // parallel, one block per input
+		{1, 3, 8, 2, 2},   // serial, one block
+	} {
+		out := (c.H-c.K)/c.S + 1
+		l := &dnn.Layer{Name: "p", Kind: dnn.Pool, K: c.K, Stride: c.S, OutH: out, OutW: out}
+		curs := make([]*dnn.Tensor, c.batch)
+		for i := range curs {
+			curs[i] = dnn.NewTensor(c.C, c.H, c.H)
+			for j := range curs[i].Data {
+				curs[i].Data[j] = rng.NormFloat64()
+				if rng.Intn(4) == 0 {
+					curs[i].Data[j] = specials[rng.Intn(len(specials))]
+				}
+			}
+		}
+		var st InferenceStats
+		got := e.poolBatch(l, curs, &st)
+		for i, in := range curs {
+			want := dnn.PoolMaxRef(l, in)
+			if g := got[i]; g.C != want.C || g.H != want.H || g.W != want.W {
+				t.Fatalf("%+v input %d: shape %dx%dx%d, want %dx%dx%d", c, i, g.C, g.H, g.W, want.C, want.H, want.W)
+			}
+			for j, w := range want.Data {
+				if g := got[i].Data[j]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%+v input %d: out[%d] = %v, want %v", c, i, j, g, w)
+				}
+			}
+		}
 	}
 }

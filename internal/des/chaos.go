@@ -2,7 +2,7 @@ package des
 
 import "autohet/internal/chaos"
 
-// Chaos injection and client-side resilience on the event heap. Fault
+// Chaos injection and client-side resilience on the event queue. Fault
 // events (Config.Chaos) fire at their virtual timestamps: a crash
 // fail-stops a replica (queued copies bounce or fail; the in-flight batch,
 // already committed to the pipeline, completes), a restart returns it with

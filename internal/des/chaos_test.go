@@ -329,7 +329,7 @@ func TestAdmissionShedPerClusterSums(t *testing.T) {
 
 // NewFleet rejects chaos events the core cannot apply: before, a NaN
 // fail-slow factor ran to completion reporting NaN latencies, and NaN
-// timestamps landed on the heap and counted as applied.
+// timestamps landed in the queue and counted as applied.
 func TestChaosScheduleValidation(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	cases := []struct {

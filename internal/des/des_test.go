@@ -2,6 +2,7 @@ package des
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -126,7 +127,7 @@ func TestStaleHandleCannotTouchReusedSlot(t *testing.T) {
 }
 
 // Cancelling an interior event must not disturb the firing order of the
-// rest — the heap removal restores the invariant.
+// rest — unlinking an event from its bucket keeps each list sorted.
 func TestCancelKeepsOrder(t *testing.T) {
 	e := New()
 	var got []int
@@ -184,7 +185,7 @@ func TestHalt(t *testing.T) {
 	}
 }
 
-// An open-loop chain (each event schedules its successor) keeps the heap
+// An open-loop chain (each event schedules its successor) keeps the queue
 // tiny no matter how many events flow through.
 func TestChainedEventsBoundedHeap(t *testing.T) {
 	e := New()
@@ -197,13 +198,88 @@ func TestChainedEventsBoundedHeap(t *testing.T) {
 			e.Schedule(1, next)
 		}
 		if p := e.Pending(); p > 1 {
-			t.Fatalf("heap grew to %d entries on a chained workload", p)
+			t.Fatalf("queue grew to %d entries on a chained workload", p)
 		}
 	}
 	e.Schedule(1, next)
 	e.Run()
 	if count != n || e.Now() != float64(n) {
 		t.Fatalf("ran %d events to t=%v, want %d to %d", count, e.Now(), n, n)
+	}
+}
+
+// The calendar doubles as events pile up and halves as they drain, the
+// firing order survives every refile, and growing back to an earlier size
+// reuses the buckets and scratch already allocated.
+func TestCalendarGrowsAndShrinks(t *testing.T) {
+	e := New()
+	var got []int64
+	e.SetHandler(func(kind uint16, i int64, x float64, p any) { got = append(got, i) })
+	if e.buckets != nil {
+		t.Fatal("buckets allocated before the first schedule")
+	}
+	const n = 4096
+	at := func(i int) float64 { return float64(i * 2654435761 % n / 4) } // shuffled, 4-way ties
+	for i := 0; i < n; i++ {
+		e.AtEvent(at(i), 1, int64(i), 0, nil)
+	}
+	if len(e.buckets) < n/4 {
+		t.Fatalf("%d buckets for %d events, want the calendar grown", len(e.buckets), n)
+	}
+	for i := 0; i < n-8; i++ {
+		e.Step()
+	}
+	if len(e.buckets) > 16 {
+		t.Fatalf("%d buckets for 8 events, want the calendar shrunk", len(e.buckets))
+	}
+	e.Run()
+	want := make([]int64, n)
+	for i := range want {
+		want[i] = int64(i)
+	}
+	sort.Slice(want, func(a, b int) bool {
+		ta, tb := at(int(want[a])), at(int(want[b]))
+		return ta < tb || ta == tb && want[a] < want[b]
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("events fired out of (time, schedule) order across resizes")
+	}
+	e.SetHandler(func(uint16, int64, float64, any) {})
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < n; i++ {
+			e.ScheduleEvent(at(i), 1, 0, 0, nil)
+		}
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("regrowing the calendar allocates %.0f times", allocs)
+	}
+}
+
+// A width that no longer fits the pending times is re-estimated even when
+// the event count never crosses a resize threshold: here the queue holds
+// 1000 events throughout, first 1 ns apart and then spread over 1 ms.
+func TestCalendarRewidthsAfterShift(t *testing.T) {
+	e := New()
+	spread := 1000.0
+	lcg := uint64(1)
+	e.SetHandler(func(uint16, int64, float64, any) {
+		lcg = lcg*6364136223846793005 + 1442695040888963407
+		e.ScheduleEvent(spread*float64(lcg>>11)/(1<<53), 1, 0, 0, nil)
+	})
+	for i := 0; i < 1000; i++ {
+		e.ScheduleEvent(float64(i), 1, 0, 0, nil)
+	}
+	dense := 1 / e.invWidth
+	spread = 1e6
+	for i := 0; i < 5000; i++ {
+		e.Step()
+	}
+	if e.Pending() != 1000 {
+		t.Fatalf("%d pending, want 1000", e.Pending())
+	}
+	if sparse := 1 / e.invWidth; !(sparse > 100*dense) {
+		t.Fatalf("bucket width %g ns after the shift, still %g ns from the dense phase", sparse, dense)
 	}
 }
 

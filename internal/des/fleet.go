@@ -19,7 +19,7 @@ import (
 // two-level dispatch policies, bounded admission queues, shedding, dynamic
 // batching, latency budgets, stage chaining, chaos, fault injection with
 // online self-repair, and retry routing — all advanced by popping events
-// off the virtual-time heap. Two drivers run it:
+// off the virtual-time event queue. Two drivers run it:
 //
 //   - RunTrace (and Run) feed a whole arrival trace and pop events as fast
 //     as the host allows: a 10k-replica fleet under a million-request trace
@@ -66,7 +66,7 @@ type Config struct {
 	// while any replica has undetected faults, every period each replica
 	// runs one detection/repair sweep (default 1 ms). Negative disables the
 	// loop; Fleet.Sweep then steps repair by hand. Sweeps never keep a run
-	// alive: a run ends when only sweeps remain on the heap.
+	// alive: a run ends when only sweeps remain in the queue.
 	HealthSweepNS float64
 	// Shards splits the replicas into that many contiguous pipeline-parallel
 	// stages (default 1 = every replica hosts the whole model), mirroring
@@ -95,7 +95,7 @@ type Config struct {
 	// request is shed (admission control).
 	Admit Admitter
 	// Chaos, when set, is a fault-injection schedule replayed on the event
-	// heap: each event fires at its virtual timestamp (crash/restart,
+	// queue: each event fires at its virtual timestamp (crash/restart,
 	// fail-slow, degraded link, fault storms — see internal/chaos). The
 	// schedule participates in the determinism contract: same config, same
 	// seeds, same schedule → byte-identical event log.
@@ -533,7 +533,7 @@ type Fleet struct {
 	totalRequests int
 	nextArrivalAt float64
 
-	// sched is the Config.Chaos events the heap fires. sweepArmed marks a
+	// sched is the Config.Chaos events the engine fires. sweepArmed marks a
 	// pending health sweep (at most one is ever scheduled).
 	sched      []chaos.Event
 	sweepArmed bool
@@ -756,7 +756,9 @@ func (f *Fleet) runSerial(gen trace.Generator, requests int, budgetNS float64, w
 	for f.eng.Pending() > f.background() {
 		f.eng.Step()
 	}
-	return f.compileResult(requests, f.eng.Events(), time.Since(wallStart))
+	wall := time.Since(wallStart)
+	sort.Float64s(f.latencies)
+	return f.compileResult(requests, f.eng.Events(), wall)
 }
 
 // start schedules a run's setup events — the autoscaler tick, the chaos
@@ -929,6 +931,8 @@ type ClusterStats struct {
 	AdmissionShed int64
 }
 
+// compileResult summarizes the run from the fleet's counters and its
+// latencies, which the caller has sorted after taking the run's wall time.
 func (f *Fleet) compileResult(requests int, events int64, wall time.Duration) *Result {
 	b := &f.base
 	res := &Result{
@@ -964,7 +968,6 @@ func (f *Fleet) compileResult(requests int, events int64, wall time.Duration) *R
 	} else {
 		res.MeanBatch = 0
 	}
-	sort.Float64s(f.latencies)
 	res.LatenciesNS = f.latencies
 	if n := len(f.latencies); n > 0 {
 		var sum float64

@@ -111,7 +111,7 @@ func TestRepairSweepsHealAndStop(t *testing.T) {
 
 // A ledger whose residue halves each sweep (miss rate 0.5) disarms the
 // loop once the residue underflows and a sweep detects nothing, so an idle
-// fleet's heap runs dry instead of sweeping forever.
+// fleet's queue runs dry instead of sweeping forever.
 func TestRepairLoopDisarmsAtUnderflow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HealthSweepNS = 1

@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -116,7 +117,9 @@ func (f *Fleet) Finished() (*Result, error) {
 		return nil, nil
 	}
 	o.run = false
-	res := f.compileResult(o.runN, f.eng.Events(), time.Since(o.runWall))
+	wall := time.Since(o.runWall)
+	sort.Float64s(f.latencies)
+	res := f.compileResult(o.runN, f.eng.Events(), wall)
 	f.latencies = nil
 	return res, res.Check()
 }

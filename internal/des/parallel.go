@@ -135,8 +135,9 @@ func (g *replayGen) NextGapNS() float64 {
 // lane is one worker's shard: a sub-fleet over a contiguous cluster range.
 type lane struct {
 	f   *Fleet
-	cLo int // global index of the lane's first cluster
-	rLo int // global index of the lane's first replica
+	cLo int       // global index of the lane's first cluster
+	rLo int       // global index of the lane's first replica
+	end time.Time // when the lane's event loop finished
 }
 
 // runParallel is the coordinator. It either completes the sharded run and
@@ -212,17 +213,22 @@ func (f *Fleet) runParallel(gen trace.Generator, requests int, budgetNS float64,
 		return f.runSerial(&replayGen{gaps: gaps}, requests, budgetNS, wallStart)
 	}
 
-	// Run every lane to completion concurrently.
+	// Run every lane to completion concurrently. Each lane notes when its
+	// event loop ended, then sorts its own latencies while the others may
+	// still run.
 	var wg sync.WaitGroup
 	for _, ln := range lanes {
 		wg.Add(1)
-		go func(lf *Fleet) {
+		go func(ln *lane) {
 			defer wg.Done()
+			lf := ln.f
 			if len(lf.laneArrivals) > 0 {
 				lf.eng.AtEvent(lf.laneArrivals[0].at, evLaneArrival, 0, 0, nil)
 			}
 			lf.eng.Run()
-		}(ln.f)
+			ln.end = time.Now()
+			sort.Float64s(lf.latencies)
+		}(ln)
 	}
 	wg.Wait()
 	for _, ln := range lanes {
@@ -243,7 +249,9 @@ func (f *Fleet) runParallel(gen trace.Generator, requests int, budgetNS float64,
 	// with the serial arithmetic (identical iteration orders throughout).
 	var events int64
 	endNow := 0.0
-	for _, ln := range lanes {
+	runs := make([][]float64, len(lanes))
+	loopEnd := wallStart
+	for l, ln := range lanes {
 		lf := ln.f
 		for j, lr := range lf.replicas {
 			pr := f.replicas[ln.rLo+j]
@@ -260,7 +268,10 @@ func (f *Fleet) runParallel(gen trace.Generator, requests int, budgetNS float64,
 		}
 		events += lf.eng.Events()
 		endNow = max(endNow, lf.eng.Now())
-		f.latencies = append(f.latencies, lf.latencies...)
+		runs[l] = lf.latencies
+		if ln.end.After(loopEnd) {
+			loopEnd = ln.end
+		}
 		f.makespan = max(f.makespan, lf.makespan)
 		f.submitted.Add(lf.submitted.Load())
 		// A lane never sheds or fails a request (it aborts instead), so
@@ -273,10 +284,42 @@ func (f *Fleet) runParallel(gen trace.Generator, requests int, budgetNS float64,
 	}
 	f.lastArrival = arrival
 	f.eng.setNow(endNow)
+	f.latencies = mergeSorted(runs)
 
-	res := f.compileResult(requests, events, time.Since(wallStart))
+	res := f.compileResult(requests, events, loopEnd.Sub(wallStart))
 	res.Lanes = W
 	return res
+}
+
+// mergeSorted merges ascending, NaN-free runs into one new slice of
+// exactly their total length: the lanes' sorted latencies become the
+// sorted latencies of the whole run, equal to sorting their concatenation.
+func mergeSorted(runs [][]float64) []float64 {
+	n := 0
+	live := make([][]float64, 0, len(runs))
+	for _, r := range runs {
+		n += len(r)
+		if len(r) > 0 {
+			live = append(live, r)
+		}
+	}
+	out := make([]float64, 0, n)
+	for len(live) > 1 {
+		m := 0
+		for j := 1; j < len(live); j++ {
+			if live[j][0] < live[m][0] {
+				m = j
+			}
+		}
+		out = append(out, live[m][0])
+		if live[m] = live[m][1:]; len(live[m]) == 0 {
+			live = append(live[:m], live[m+1:]...)
+		}
+	}
+	for _, r := range live {
+		out = append(out, r...)
+	}
+	return out
 }
 
 // mergeLaneLogs orders every lane's lines by (time, lane) and concatenates

@@ -2,7 +2,10 @@ package des
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"autohet/internal/chaos"
@@ -117,6 +120,46 @@ func TestParallelIneligibleFallsBack(t *testing.T) {
 				t.Fatal("workers=4 fallback log diverged from serial")
 			}
 		})
+	}
+}
+
+// mergeSorted equals sort.Float64s of the concatenated runs, bit for bit:
+// 2–8 runs, some empty, of unequal lengths, with ties inside and across
+// runs. Values are non-negative and NaN-free, as latencies are (the sort
+// may order -0 and +0 either way, so they have no bit-exact answer).
+func TestMergeSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		runs := make([][]float64, 2+rng.Intn(7))
+		var all []float64
+		for l := range runs {
+			n := 0
+			if rng.Intn(4) > 0 {
+				n = rng.Intn(60)
+			}
+			for i := 0; i < n; i++ {
+				v := float64(rng.Intn(16)) * 0.25 // a coarse grid: ties
+				switch rng.Intn(8) {
+				case 0:
+					v = rng.ExpFloat64() * 1e6
+				case 1:
+					v = math.Inf(1)
+				}
+				runs[l] = append(runs[l], v)
+			}
+			sort.Float64s(runs[l])
+			all = append(all, runs[l]...)
+		}
+		sort.Float64s(all)
+		got := mergeSorted(runs)
+		if len(got) != len(all) || cap(got) != len(all) {
+			t.Fatalf("trial %d: merged len %d cap %d, want exactly %d", trial, len(got), cap(got), len(all))
+		}
+		for i := range all {
+			if math.Float64bits(got[i]) != math.Float64bits(all[i]) {
+				t.Fatalf("trial %d: merged[%d] = %v, sorted concatenation has %v", trial, i, got[i], all[i])
+			}
+		}
 	}
 }
 

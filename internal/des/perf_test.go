@@ -11,13 +11,15 @@ package des
 //  2. Engine.Now/Events/Pending are safe to read from other goroutines
 //     while a run is in flight (metrics exposition does exactly that); the
 //     hammer test makes `go test -race` the enforcement.
-//  3. The 4-ary pooled heap with generation-checked cancellation pops in
-//     exactly (time, FIFO-seq) order — fuzzed against a sorted-slice model.
+//  3. The calendar queue threaded through the arena, with generation-checked
+//     cancellation, fires in exactly (time, FIFO-seq) order through every
+//     interleaving of schedules, pops, peeks, horizons, cancels and bucket
+//     resizes — fuzzed against a sorted-slice model.
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -113,29 +115,57 @@ func BenchmarkFleetSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRaw is the bare arena/heap cycle: schedule one typed event,
-// pop it, re-arm — the floor every fleet event pays.
+// BenchmarkEngineRaw is the bare arena/queue cycle: pop one typed event,
+// schedule its successor — the floor every fleet event pays — with a
+// fixed number of events pending. ns/op is ns per event. The cases hold
+// exponential delays (1 ms mean) at four depths, a coarse grid where
+// hundreds of events tie at each instant, and 10 far-future events that
+// never fire among 10k near ones.
 func BenchmarkEngineRaw(b *testing.B) {
-	e := New()
-	remaining := b.N
-	lcg := uint64(0x9e3779b97f4a7c15)
-	e.SetHandler(func(kind uint16, i int64, x float64, p any) {
-		if remaining == 0 {
-			return
-		}
-		remaining--
-		lcg = lcg*6364136223846793005 + 1442695040888963407
-		e.ScheduleEvent(float64(lcg>>40), 1, 0, 0, nil)
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	// Seed a small pending set so the heap has real depth to sift.
-	for i := 0; i < 64 && remaining > 0; i++ {
-		remaining--
-		e.ScheduleEvent(float64(i), 1, 0, 0, nil)
+	exp := func(lcg *uint64) float64 {
+		*lcg = *lcg*6364136223846793005 + 1442695040888963407
+		return -math.Log(float64(*lcg>>11+1)/(1<<53)) * 1e6
 	}
-	e.Run()
-	b.ReportMetric(float64(e.Events())/b.Elapsed().Seconds(), "events/sec")
+	grid := func(lcg *uint64) float64 {
+		*lcg = *lcg*6364136223846793005 + 1442695040888963407
+		return float64(1+*lcg>>61) * 1e6
+	}
+	cases := []struct {
+		name       string
+		depth, far int
+		delay      func(*uint64) float64
+	}{
+		{"exp/depth=64", 64, 0, exp},
+		{"exp/depth=1k", 1000, 0, exp},
+		{"exp/depth=10k", 10_000, 0, exp},
+		{"exp/depth=100k", 100_000, 0, exp},
+		{"ties/depth=10k", 10_000, 0, grid},
+		{"far/depth=10k", 10_000, 10, exp},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			e := New()
+			lcg := uint64(0x9e3779b97f4a7c15)
+			remaining := b.N
+			e.SetHandler(func(kind uint16, i int64, x float64, p any) {
+				if remaining == 0 {
+					e.Halt()
+					return
+				}
+				remaining--
+				e.ScheduleEvent(c.delay(&lcg), 1, 0, 0, nil)
+			})
+			for i := 0; i < c.depth; i++ {
+				e.ScheduleEvent(c.delay(&lcg), 1, 0, 0, nil)
+			}
+			for i := 0; i < c.far; i++ {
+				e.AtEvent(1e15*float64(i+1), 1, 0, 0, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
+	}
 }
 
 // TestEngineConcurrentReads hammers the read-side API from other goroutines
@@ -192,64 +222,153 @@ func TestEngineConcurrentReads(t *testing.T) {
 	}
 }
 
-// FuzzEventHeap drives the pooled 4-ary heap + free-list + generation
-// machinery with arbitrary schedule/cancel sequences and checks the pop
-// order against a naive sorted-slice model: stable sort by time, FIFO among
-// ties. Cancels recycle arena slots mid-sequence, so stale-handle reuse is
-// exercised on every input that mixes the two ops.
+// FuzzEventHeap drives the calendar queue, the free list and the
+// generation machinery with arbitrary interleavings of schedules, pops,
+// peeks, horizons and cancels, and checks every firing against a naive
+// sorted-slice model ordered by (time, schedule order). Schedules land at
+// Now, at tiny offsets, on a coarse grid of exact ties, at 1e15 and at
+// +Inf, so buckets fill, empty, resize and alias across calendar years;
+// cancels hit live events and stale handles whose slots were recycled.
 func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 10, 2, 5, 3, 0, 0, 7}, int64(1))
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 3, 0, 3, 0}, int64(42))
 	f.Add([]byte{2, 255, 1, 0, 3, 3, 2, 128, 0, 128}, int64(7))
-	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
-		type ref struct {
-			at float64
-			id int64
+	f.Add([]byte{4, 9, 5, 0, 8, 3, 9, 1, 2, 7, 10, 40, 11, 0, 6, 2, 9, 0, 10, 255}, int64(3))
+	f.Add([]byte{7, 0, 6, 0, 2, 1, 2, 2, 9, 0, 9, 0, 11, 1, 5, 1, 9, 0, 8, 0}, int64(5))
+	f.Fuzz(checkQueue)
+}
+
+// checkQueue runs one FuzzEventHeap input: data is a sequence of
+// (operation, argument) byte pairs, and seed picks the cancel victims.
+func checkQueue(t *testing.T, data []byte, seed int64) {
+	type ref struct {
+		at float64
+		id int64
+	}
+	e := New()
+	var got []int64
+	e.SetHandler(func(kind uint16, i int64, x float64, p any) {
+		got = append(got, i)
+	})
+	rng := rand.New(rand.NewSource(seed))
+	var (
+		model   []ref // pending events, unordered
+		now     float64
+		nextID  int64
+		handles = map[int64]Handle{}
+		dead    []Handle // handles of fired and cancelled events
+	)
+	earliest := func() int {
+		m := 0
+		for j, r := range model {
+			if r.at < model[m].at || r.at == model[m].at && r.id < model[m].id {
+				m = j
+			}
 		}
-		e := New()
-		var got []int64
-		e.SetHandler(func(kind uint16, i int64, x float64, p any) {
-			got = append(got, i)
-		})
-		rng := rand.New(rand.NewSource(seed))
-		var model []ref
-		handles := map[int64]Handle{}
-		var nextID int64
-		for k := 0; k+1 < len(data); k += 2 {
-			if data[k]%4 == 3 {
-				// Cancel a random live event (no-op on an empty model).
-				if len(model) > 0 {
-					j := rng.Intn(len(model))
-					victim := model[j]
-					if !e.Cancel(handles[victim.id]) {
-						t.Fatalf("cancel of live event %d failed", victim.id)
-					}
-					delete(handles, victim.id)
-					model = append(model[:j], model[j+1:]...)
+		return m
+	}
+	// fire removes the model's earliest event and checks that the
+	// engine fired the same one next.
+	fire := func() {
+		t.Helper()
+		m := earliest()
+		want := model[m]
+		model = append(model[:m], model[m+1:]...)
+		if len(got) == 0 || got[0] != want.id {
+			t.Fatalf("fired %v, model's next is event %d at %g", got, want.id, want.at)
+		}
+		got = got[1:]
+		now = want.at
+		dead = append(dead, handles[want.id])
+		delete(handles, want.id)
+	}
+	schedule := func(at float64) {
+		if !(at >= now) {
+			at = now
+		}
+		handles[nextID] = e.AtEvent(at, 1, nextID, 0, nil)
+		model = append(model, ref{at: at, id: nextID})
+		nextID++
+	}
+	for k := 0; k+1 < len(data); k += 2 {
+		arg := data[k+1]
+		switch data[k] % 12 {
+		case 0: // at Now
+			schedule(now)
+		case 1: // a tiny offset
+			schedule(now + float64(arg)*1e-7)
+		case 2: // a coarse grid: exact ties across schedules
+			schedule(math.Ceil(now/64)*64 + 64*float64(arg%4))
+		case 3: // a half-ns grid over a 128 ns span
+			schedule(float64(arg) * 0.5)
+		case 4:
+			schedule(1e15 + float64(arg))
+		case 5:
+			schedule(math.Inf(1))
+		case 6, 7:
+			if len(model) == 0 {
+				if e.Step() {
+					t.Fatal("Step fired on an empty queue")
 				}
 				continue
 			}
-			// Coarse times (half-ns grid over a 128ns span) force plenty of
-			// exact ties, which is where FIFO order earns its keep.
-			at := float64(data[k+1]) * 0.5
-			handles[nextID] = e.AtEvent(at, 1, nextID, 0, nil)
-			model = append(model, ref{at: at, id: nextID})
-			nextID++
-		}
-		e.Run()
-		sort.SliceStable(model, func(a, b int) bool { return model[a].at < model[b].at })
-		if len(got) != len(model) {
-			t.Fatalf("popped %d events, model has %d", len(got), len(model))
-		}
-		for i := range model {
-			if got[i] != model[i].id {
-				t.Fatalf("pop %d: got event %d, model says %d", i, got[i], model[i].id)
+			if !e.Step() {
+				t.Fatalf("Step found nothing, model holds %d", len(model))
+			}
+			fire()
+		case 8:
+			at, ok := e.PeekAt()
+			if ok != (len(model) > 0) || ok && at != model[earliest()].at {
+				t.Fatalf("PeekAt = %g, %t; model holds %d", at, ok, len(model))
+			}
+		case 9: // RunUntil a horizon a few grid steps ahead
+			h := now + 16*float64(arg%8)
+			e.RunUntil(h)
+			for len(model) > 0 && model[earliest()].at <= h {
+				fire()
+			}
+			if len(got) != 0 {
+				t.Fatalf("RunUntil(%g) fired %d events past the model", h, len(got))
+			}
+			now = math.Max(now, h)
+			if e.Now() != now {
+				t.Fatalf("Now %g after RunUntil(%g), model %g", e.Now(), h, now)
+			}
+		case 10: // cancel a live event
+			if len(model) == 0 {
+				continue
+			}
+			j := rng.Intn(len(model))
+			victim := model[j]
+			h := handles[victim.id]
+			if !e.Cancel(h) {
+				t.Fatalf("cancel of live event %d failed", victim.id)
+			}
+			model = append(model[:j], model[j+1:]...)
+			dead = append(dead, h)
+			delete(handles, victim.id)
+		case 11: // cancel a stale handle
+			if len(dead) == 0 {
+				continue
+			}
+			if h := dead[rng.Intn(len(dead))]; e.Active(h) || e.Cancel(h) {
+				t.Fatal("stale handle is active or cancellable")
 			}
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("%d events still pending after drain", e.Pending())
+		if e.Pending() != len(model) {
+			t.Fatalf("op %d: %d pending, model holds %d", k/2, e.Pending(), len(model))
 		}
-	})
+	}
+	// Drain: the rest fire in model order.
+	if n := e.Run(); n != int64(len(model)) {
+		t.Fatalf("drain fired %d events, model holds %d", n, len(model))
+	}
+	for len(model) > 0 {
+		fire()
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events still pending after drain", e.Pending())
+	}
 }
 
 // FuzzPickIndex drives the JSQ and LO tournament trees with arbitrary

@@ -123,7 +123,7 @@ func (f *Fleet) signal() Signal {
 // controlTick is the autoscaling control loop: measure the last period's
 // arrival rate, ask the scaler for a desired active count, and apply it.
 // The loop re-arms while the trace is still arriving or work remains, so
-// the event heap drains (and Run returns) once the system is idle.
+// the event queue drains (and Run returns) once the system is idle.
 func (f *Fleet) controlTick() {
 	f.arrivalRate = float64(f.arrivalsTick) / f.cfg.ControlPeriodNS * 1e9
 	f.arrivalsTick = 0

@@ -3,26 +3,23 @@
 package cpufeat
 
 // AVX2 reports whether the CPU executes AVX2 and the OS saves YMM state
-// across context switches. Detection is hand-rolled CPUID rather than a
-// dependency: AVX2 requires leaf-7 EBX bit 5 *and* an OS that enabled YMM
-// state (CPUID leaf-1 ECX OSXSAVE, then XGETBV XCR0 bits 1–2).
-var AVX2 = detectAVX2()
+// across context switches; VNNI whether it also executes EVEX VPDPBUSD on
+// YMM registers with AVX-512 state OS-enabled (see decode). Detection is
+// hand-rolled CPUID rather than a dependency.
+var AVX2, VNNI = detect()
 
-func detectAVX2() bool {
+func detect() (hasAVX2, hasVNNI bool) {
 	maxID, _, _, _ := cpuidlow(0, 0)
 	if maxID < 7 {
-		return false
+		return false, false
 	}
-	_, _, c, _ := cpuidlow(1, 0)
-	const osxsave = 1 << 27
-	if c&osxsave == 0 {
-		return false
+	_, _, ecx1, _ := cpuidlow(1, 0)
+	var xcr0 uint32
+	if ecx1&osxsave != 0 {
+		xcr0, _ = xgetbv0()
 	}
-	if eax, _ := xgetbv0(); eax&0x6 != 0x6 { // XMM and YMM state OS-enabled
-		return false
-	}
-	_, b, _, _ := cpuidlow(7, 0)
-	return b&(1<<5) != 0 // AVX2
+	_, ebx7, ecx7, _ := cpuidlow(7, 0)
+	return decode(maxID, ecx1, xcr0, ebx7, ecx7)
 }
 
 //go:noescape

@@ -1,4 +1,4 @@
-// CPUID and XGETBV for detectAVX2 (cpufeat_amd64.go).
+// CPUID and XGETBV for detect (cpufeat_amd64.go).
 
 #include "textflag.h"
 

@@ -2,5 +2,9 @@
 
 package cpufeat
 
-// AVX2 is false off amd64: the kernels that need it are amd64 assembly.
-const AVX2 = false
+// AVX2 and VNNI are false off amd64: the kernels that need them are amd64
+// assembly.
+const (
+	AVX2 = false
+	VNNI = false
+)

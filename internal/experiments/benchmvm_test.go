@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"autohet/internal/dnn"
+	"autohet/internal/quant"
 )
 
 func TestBenchMVMTinyModel(t *testing.T) {
@@ -90,7 +91,7 @@ func TestBenchMVMTinyModel(t *testing.T) {
 	if len(back.KernelBatch) != len(b.KernelBatch) || back.KernelBatchLeg(32) == nil {
 		t.Fatalf("JSON round trip lost kernel batch legs: %+v", back.KernelBatch)
 	}
-	if back.Machine != b.Machine || b.Machine.GOMAXPROCS < 1 || b.Machine.NumCPU < 1 || b.Machine.GoVersion == "" || b.Machine.CPU == "" {
+	if back.Machine != b.Machine || b.Machine.GOMAXPROCS < 1 || b.Machine.NumCPU < 1 || b.Machine.GoVersion == "" || b.Machine.CPU == "" || b.Machine.IntKernel != quant.IntKernel() {
 		t.Fatalf("machine stamp missing or lost in JSON round trip: %+v, back %+v", b.Machine, back.Machine)
 	}
 }

@@ -2,60 +2,113 @@ package quant
 
 import "fmt"
 
-// SIMD-blocked signed integer kernel — the widest fast path. The blocked
-// layout feeds an AVX2 VPMADDWD micro-kernel that performs 16
-// multiply-accumulates per instruction: weights are stored as signed int8
-// with two consecutive rows interleaved per 16-column block,
+// SIMD-blocked signed integer kernel — the widest fast path. Weights are
+// stored as signed int8 per 16-column block, with each group of consecutive
+// rows interleaved column by column. The group size is the layout, chosen
+// once per matrix by what the CPU executes:
 //
-//	Data[blk][pair][2j+0] = q[2p][j0+j]    (j0 = 16·blk)
-//	Data[blk][pair][2j+1] = q[2p+1][j0+j]
+//   - Quad layout (AVX512_VNNI + AVX512VL). Four rows per group, 64 bytes:
 //
-// so one VPMOVSXBW widens 16 bytes to 16 int16 lanes and one VPMADDWD
-// against the broadcast pair (u[2p] | u[2p+1]<<16) adds q[2p][j]·u[2p] +
-// q[2p+1][j]·u[2p+1] into 8 of 16 int32 column accumulators. The
-// micro-kernel is register-blocked over memberBlock = 4 batch members: each
-// row pair's weights are widened once and multiply-added against all four
-// members' broadcast pairs, so one pass over a weight block serves four
-// members (maddBlock4); the B mod 4 leftover members take the one-member
-// maddBlock. Unlike the bit-plane kernels, this computes the *signed*
-// product Σ_i q_i·u_i directly — no offset-binary correction term — which
-// is exactly the fast path's contract (integerMVMInto). Every intermediate
-// is an exact integer, so the result is bit-identical to the scalar
-// reference; equivalence is asserted by FuzzBatchedMVM and the sim engine
-// oracle tests.
+//     Data[blk][quad][4j+r] = q[4·quad+r][j0+j]    (j0 = 16·blk, r = 0…3)
+//
+//     One VPDPBUSD multiplies a broadcast dword of four uint8 input codes
+//     (u[4p] … u[4p+3], the unsigned source) by a register of 32 weights (the
+//     signed source) and adds the four exact u8×s8 products of each column
+//     into its int32 lane: 32 multiply-accumulates in one instruction, with no
+//     widening and no separate add (dpQuad4/dpQuad). This is the crossbar's
+//     own int8×uint8 arithmetic.
+//   - Pair layout (AVX2). Two rows per group, 32 bytes:
+//
+//     Data[blk][pair][2j+r] = q[2·pair+r][j0+j]    (r = 0, 1)
+//
+//     One VPMOVSXBW widens 16 bytes to 16 int16 lanes and one VPMADDWD
+//     against the broadcast pair (u[2p] | u[2p+1]<<16) adds q[2p][j]·u[2p] +
+//     q[2p+1][j]·u[2p+1] into 8 of 16 int32 column accumulators: 16
+//     multiply-accumulates per VPMADDWD, plus a VPADDD and the codes widened
+//     to uint16 once per batch (maddBlock4/maddBlock).
+//
+// Both micro-kernels are register-blocked over memberBlock = 4 batch
+// members: each group's weights are loaded once and used by all four
+// members, so one pass over a weight block serves four members; the B mod 4
+// leftover members take the one-member kernel. The rows past the last full
+// group (N mod 2 or N mod 4) and the Cols mod 16 trailing columns are
+// finished by scalar sweeps over the source codes. Unlike the bit-plane
+// kernels, this computes the *signed* product Σ_i q_i·u_i directly — no
+// offset-binary correction term — which is exactly the fast path's contract
+// (integerMVMInto). Every intermediate is an exact integer, so the result is
+// bit-identical to the scalar reference on either layout; equivalence is
+// asserted by FuzzBatchedMVM, which runs every layout the CPU executes, and
+// the sim engine oracle tests.
 //
 // The kernel is gated at runtime: Blocked() returns nil unless the CPU
 // reports AVX2 with OS-enabled YMM state (see cpufeat.AVX2), the row count
 // fits the int32 accumulator bound, and the matrix is at least one block
-// wide. Callers fall back to the scalar batch kernel on nil.
+// wide; it builds the quad layout where cpufeat.VNNI holds and the pair
+// layout otherwise. Callers fall back to the scalar batch kernel on nil.
 
 // maxBlockedRows bounds the row count for which a 16-lane int32 accumulator
-// cannot overflow: one row-pair VPMADDWD step contributes at most
-// 2·128·255 = 65280 per lane (|q| ≤ 128, u ≤ 255), int32 absorbs
-// ⌊(2³¹−1)/65280⌋ = 32896 such steps, and the odd tail row adds at most
-// half of one more: 65793 rows, worst case −32640·65793 = −2147483520.
-const maxBlockedRows = 2*((1<<31-1)/65280) + 1
+// cannot overflow on either layout. Each product is at most 128·255 = 32640
+// in magnitude (|q| ≤ 128, u ≤ 255) and every step adds exact products —
+// a pair (VPMADDWD, ≤ 65280 per lane), a quad (VPDPBUSD, wrapping and
+// never saturating, ≤ 130560) or one scalar tail row — so every partial
+// sum is bounded by rows·32640. int32 holds ⌊(2³¹−1)/32640⌋ = 65793 rows:
+// 32896 pairs plus a tail row, or 16448 quads plus a tail row, worst case
+// −32640·65793 = −2147483520.
+const maxBlockedRows = (1<<31 - 1) / (128 * 255)
 
-// blockedColWidth is the column width of one kernel block: 16 int8 codes
-// widen into sixteen 16-bit lanes of one YMM register.
+// blockedColWidth is the column width of one kernel block: two YMM
+// registers of eight int32 column accumulators.
 const blockedColWidth = 16
 
-// memberBlock is the number of batch members maddBlock4 runs per weight
-// pass: four members × two YMM accumulators, two widened weight registers
-// and their broadcast/product temporaries fill the 16 YMM registers.
+// memberBlock is the number of batch members the four-member kernels run
+// per weight pass: four members × two YMM accumulators, two weight
+// registers and their broadcast/product temporaries fill the 16 YMM
+// registers. (Eight members on EVEX's Y16–Y31 measured no faster.)
 const memberBlock = 4
 
-// BlockedMatrix is the row-pair-interleaved signed int8 packing of a
-// quantized weight matrix, consumed by the AVX2 maddBlock4/maddBlock
-// micro-kernels.
-// The trailing Cols%16 columns and (for odd Rows) the last row are not
-// blocked; MulBatch finishes them with scalar sweeps over q.
+// blockLayout is a BlockedMatrix's row grouping; its value is the number of
+// rows per group, so one group of a block is 16·layout bytes.
+type blockLayout int
+
+const (
+	layoutPair blockLayout = 2 // AVX2: maddBlock4/maddBlock (VPMADDWD)
+	layoutQuad blockLayout = 4 // AVX512_VNNI: dpQuad4/dpQuad (VPDPBUSD)
+)
+
+// hostLayout is the layout Blocked builds on the running CPU.
+func hostLayout() blockLayout {
+	if hasVNNI {
+		return layoutQuad
+	}
+	return layoutPair
+}
+
+// IntKernel names the integer MVM kernel the fast path runs on this CPU
+// for matrices Blocked accepts: "avx512vnni" (quad layout), "avx2" (pair
+// layout) or "scalar" (no blocked kernel). Kernel-dependent artifacts
+// record it.
+func IntKernel() string {
+	switch {
+	case !hasAVX2:
+		return "scalar"
+	case hostLayout() == layoutQuad:
+		return "avx512vnni"
+	default:
+		return "avx2"
+	}
+}
+
+// BlockedMatrix is the row-group-interleaved signed int8 packing of a
+// quantized weight matrix, in the quad or pair layout above.
+// The trailing Cols%16 columns and the rows past the last full group are
+// not blocked; MulBatch finishes them with scalar sweeps over q.
 type BlockedMatrix struct {
 	Rows, Cols int
 	Blocks     int    // full 16-column blocks
-	RowPairs   int    // ⌊Rows/2⌋ interleaved row pairs per block
-	Data       []int8 // Blocks × RowPairs × 32 bytes, layout above
+	Groups     int    // ⌊Rows/layout⌋ interleaved row groups per block
+	Data       []int8 // Blocks × Groups × 16·layout bytes, layout above
 	q          []int8 // source row-major codes, for the row/column tails
+	layout     blockLayout
 }
 
 // Blocked returns the matrix's SIMD-blocked packing, built once and
@@ -70,34 +123,67 @@ func (m *Matrix) Blocked() *BlockedMatrix {
 	m.memo.Lock()
 	defer m.memo.Unlock()
 	if m.memo.blocked == nil {
-		m.memo.blocked = buildBlocked(m)
+		m.memo.blocked = buildBlocked(m, hostLayout())
 	}
 	return m.memo.blocked
 }
 
-func buildBlocked(m *Matrix) *BlockedMatrix {
+// buildBlocked packs m in the given layout. It walks the source in one
+// row-major pass, a group of rows at a time, and writes each (group, block)
+// destination as one contiguous 16·layout-byte run, so both the reads and
+// the writes stream.
+func buildBlocked(m *Matrix, layout blockLayout) *BlockedMatrix {
+	g := int(layout)
+	gb := g * blockedColWidth
 	nb := m.Cols / blockedColWidth
-	rp := m.Rows / 2
+	ng := m.Rows / g
 	bm := &BlockedMatrix{
 		Rows: m.Rows, Cols: m.Cols,
-		Blocks: nb, RowPairs: rp,
-		Data: make([]int8, nb*rp*2*blockedColWidth),
-		q:    m.Q,
+		Blocks: nb, Groups: ng,
+		Data:   make([]int8, nb*ng*gb),
+		q:      m.Q,
+		layout: layout,
 	}
-	for bi := 0; bi < nb; bi++ {
-		j0 := bi * blockedColWidth
-		dst := bm.Data[bi*rp*2*blockedColWidth:]
-		for p := 0; p < rp; p++ {
-			r0 := m.Q[(2*p)*m.Cols+j0 : (2*p)*m.Cols+j0+blockedColWidth]
-			r1 := m.Q[(2*p+1)*m.Cols+j0 : (2*p+1)*m.Cols+j0+blockedColWidth]
-			d := dst[p*2*blockedColWidth : (p+1)*2*blockedColWidth]
-			for j := 0; j < blockedColWidth; j++ {
-				d[2*j] = r0[j]
-				d[2*j+1] = r1[j]
+	blkStride := ng * gb
+	for p := 0; p < ng; p++ {
+		src := m.Q[p*g*m.Cols : (p+1)*g*m.Cols]
+		for bi := 0; bi < nb; bi++ {
+			d := bm.Data[bi*blkStride+p*gb : bi*blkStride+(p+1)*gb]
+			j0 := bi * blockedColWidth
+			if layout == layoutQuad {
+				interleave4(d, src[j0:], m.Cols)
+			} else {
+				interleave2(d, src[j0:], m.Cols)
 			}
 		}
 	}
 	return bm
+}
+
+// interleave4 writes d[4j+r] = src[r·stride+j] for 16 columns j and 4 rows r.
+func interleave4(d, src []int8, stride int) {
+	d = d[:4*blockedColWidth]
+	r0 := src[:blockedColWidth]
+	r1 := src[stride : stride+blockedColWidth]
+	r2 := src[2*stride : 2*stride+blockedColWidth]
+	r3 := src[3*stride : 3*stride+blockedColWidth]
+	for j := range blockedColWidth {
+		d[4*j] = r0[j]
+		d[4*j+1] = r1[j]
+		d[4*j+2] = r2[j]
+		d[4*j+3] = r3[j]
+	}
+}
+
+// interleave2 writes d[2j+r] = src[r·stride+j] for 16 columns j and 2 rows r.
+func interleave2(d, src []int8, stride int) {
+	d = d[:2*blockedColWidth]
+	r0 := src[:blockedColWidth]
+	r1 := src[stride : stride+blockedColWidth]
+	for j := range blockedColWidth {
+		d[2*j] = r0[j]
+		d[2*j+1] = r1[j]
+	}
 }
 
 // checkBlockedShapes validates pb/out/scratch agreement for one batched
@@ -109,7 +195,7 @@ func (bm *BlockedMatrix) checkBlockedShapes(pb *PackedBatch, outLen, scratchLen 
 	if outLen != pb.B*bm.Cols {
 		panic(fmt.Sprintf("quant: batched output %d, want %dx%d", outLen, pb.B, bm.Cols))
 	}
-	if scratchLen < pb.B*pb.N {
+	if bm.layout == layoutPair && scratchLen < pb.B*pb.N {
 		panic(fmt.Sprintf("quant: blocked scratch %d, want %dx%d", scratchLen, pb.B, pb.N))
 	}
 }
@@ -120,27 +206,30 @@ func (bm *BlockedMatrix) checkBlockedShapes(pb *PackedBatch, outLen, scratchLen 
 //
 // (note: no offset term — this is the fast path's signed contract, equal to
 // the offset-binary kernels' result minus offset·Σu). out is member-major
-// (length B·Cols, overwritten); u16 is caller scratch of length ≥ B·N that
-// holds the batch's input codes widened to the uint16 lanes VPMADDWD
-// consumes. The weight block is the outer loop, so each block's RowPairs×32
-// bytes stay cache-resident while the members reuse them. Members go
-// through the block four at a time (maddBlock4, one weight pass per four
-// members, reading member k+m's codes at a stride of 2·N bytes); the
-// B mod 4 leftover members take one pass each (maddBlock).
+// (length B·Cols, overwritten). u16 is caller scratch of length ≥ B·N that
+// the pair layout fills with the batch's input codes widened to the uint16
+// lanes VPMADDWD consumes; the quad layout reads the uint8 codes in pb.U
+// directly and ignores it (it may be nil there). The weight block is the
+// outer loop, so each block's Groups×16·layout bytes stay cache-resident
+// while the members reuse them. Members go through the block four at a time
+// (one weight pass per four members, reading member k+m's codes at a stride
+// of one member's codes); the B mod 4 leftover members take one pass each.
 func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) {
 	bm.checkBlockedShapes(pb, len(out), len(u16))
 	N, B := pb.N, pb.B
-	cols, nb, rp := bm.Cols, bm.Blocks, bm.RowPairs
-	u16 = u16[:B*N]
-	for i, c := range pb.U {
-		u16[i] = uint16(c)
+	cols, nb, ng := bm.Cols, bm.Blocks, bm.Groups
+	if bm.layout == layoutPair {
+		u16 = u16[:B*N]
+		for i, c := range pb.U {
+			u16[i] = uint16(c)
+		}
 	}
-	blkStride := rp * 2 * blockedColWidth
+	blkStride := ng * int(bm.layout) * blockedColWidth
 	var acc [memberBlock][blockedColWidth]int32
 	for bi := 0; bi < nb; bi++ {
 		j0 := bi * blockedColWidth
 		var wblk []int8
-		if rp > 0 {
+		if ng > 0 {
 			wblk = bm.Data[bi*blkStride : (bi+1)*blkStride]
 		}
 		for k := 0; k < B; {
@@ -150,11 +239,15 @@ func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) 
 			}
 			acc = [memberBlock][blockedColWidth]int32{}
 			switch {
-			case rp == 0:
+			case ng == 0:
+			case bm.layout == layoutQuad && g == memberBlock:
+				dpQuad4(&wblk[0], &pb.U[k*N], &acc[0][0], ng, N)
+			case bm.layout == layoutQuad:
+				dpQuad(&wblk[0], &pb.U[k*N], &acc[0][0], ng)
 			case g == memberBlock:
-				maddBlock4(&wblk[0], &u16[k*N], &acc[0][0], rp, 2*N)
+				maddBlock4(&wblk[0], &u16[k*N], &acc[0][0], ng, 2*N)
 			default:
-				maddBlock(&wblk[0], &u16[k*N], &acc[0][0], rp)
+				maddBlock(&wblk[0], &u16[k*N], &acc[0][0], ng)
 			}
 			for m := 0; m < g; m++ {
 				bm.finishBlock(&acc[m], pb.U[(k+m)*N:(k+m+1)*N], out[(k+m)*cols+j0:(k+m)*cols+j0+blockedColWidth], j0)
@@ -189,13 +282,13 @@ func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) 
 	}
 }
 
-// finishBlock adds one member's odd tail row (scalar) to its 16 column
-// sums of the block starting at column j0 and writes them to o.
+// finishBlock adds one member's tail rows — those past the last full row
+// group — (scalar) to its 16 column sums of the block starting at column j0
+// and writes them to o.
 func (bm *BlockedMatrix) finishBlock(acc *[blockedColWidth]int32, u []uint8, o []float64, j0 int) {
-	N := len(u)
-	if 2*bm.RowPairs < N {
-		if uv := int32(u[N-1]); uv != 0 {
-			row := bm.q[(N-1)*bm.Cols+j0 : (N-1)*bm.Cols+j0+blockedColWidth]
+	for i := bm.Groups * int(bm.layout); i < len(u); i++ {
+		if uv := int32(u[i]); uv != 0 {
+			row := bm.q[i*bm.Cols+j0 : i*bm.Cols+j0+blockedColWidth]
 			for j, q := range row {
 				acc[j] += int32(q) * uv
 			}

@@ -15,10 +15,12 @@ import (
 // (3) the per-cycle band reads (ColRangeSumBatch, the crossbar-banded form
 // the sim engine executes) split at an arbitrary row sum to the
 // full-height sweep; and
-// (4) the AVX2 blocked kernel (BlockedMatrix.MulBatch, the fast path)
-// produces the identical signed integers: popcount sums − offset·Σu.
+// (4) the blocked kernel (BlockedMatrix.MulBatch, the fast path) produces
+// the identical signed integers, popcount sums − offset·Σu, in every
+// layout the CPU executes (pair on AVX2, quad on AVX512-VNNI too).
 // Column counts reach past two 16-column blocks so full blocks, column
-// tails and odd-row tails all occur; (4) is skipped where Blocked() is nil.
+// tails and the 1–3 row tails past the last pair or quad all occur; (4) is
+// skipped on a CPU without the blocked kernels.
 func FuzzBatchedMVM(f *testing.F) {
 	f.Add(uint8(8), uint8(3), uint8(4), uint8(30), []byte{1, 255, 0, 127, 128, 5}, []byte{9, 0, 255})
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), []byte{0, 1, 2}, []byte{7})
@@ -83,14 +85,14 @@ func FuzzBatchedMVM(f *testing.F) {
 
 		out := make([]int64, B*cols)
 		pm.MulBatch(pb, out)
-		if bw := m.Blocked(); bw != nil {
+		for _, l := range runnableLayouts() {
 			bout := make([]float64, B*cols)
-			bw.MulBatch(pb, bout, make([]uint16, B*rows))
+			buildBlocked(m, l).MulBatch(pb, bout, make([]uint16, B*rows))
 			for k := 0; k < B; k++ {
 				corr := int64(off) * int64(pb.USums[k])
 				for j := 0; j < cols; j++ {
 					if got, want := int64(bout[k*cols+j]), out[k*cols+j]-corr; got != want {
-						t.Fatalf("member %d col %d: blocked %d, popcount − offset·Σu %d", k, j, got, want)
+						t.Fatalf("%v member %d col %d: blocked %d, popcount − offset·Σu %d", l, k, j, got, want)
 					}
 				}
 			}

@@ -4,8 +4,12 @@ package quant
 
 import "autohet/internal/cpufeat"
 
-// hasAVX2 gates the blocked kernel at runtime (see cpufeat.AVX2).
-var hasAVX2 = cpufeat.AVX2
+// hasAVX2 gates the blocked kernel at runtime (see cpufeat.AVX2), hasVNNI
+// its quad layout (see cpufeat.VNNI).
+var (
+	hasAVX2 = cpufeat.AVX2
+	hasVNNI = cpufeat.VNNI
+)
 
 // maddBlock accumulates one member's signed MVM over one 16-column weight
 // block into acc[0:16] (int32, read-modified-written): for each of rowPairs
@@ -24,6 +28,22 @@ func maddBlock(w *int8, u *uint16, acc *int32, rowPairs int)
 //
 //go:noescape
 func maddBlock4(w *int8, u *uint16, acc *int32, rowPairs, stride int)
+
+// dpQuad is maddBlock on the quad layout: for each of quads row quads it
+// broadcasts the four input codes at u[4q:4q+4] and VPDPBUSDs them against
+// the 64 interleaved int8 weights at w[64q:64q+64], accumulating into
+// acc[0:16]. quads must be ≥ 1 and the row count within maxBlockedRows.
+// AVX512_VNNI + AVX512VL only — callers gate on hasVNNI.
+//
+//go:noescape
+func dpQuad(w *int8, u *uint8, acc *int32, quads int)
+
+// dpQuad4 is dpQuad for four batch members sharing one pass over the weight
+// block: member m's codes start at u + m·stride bytes and its 16
+// accumulators are acc[16m : 16m+16]. Same preconditions as dpQuad.
+//
+//go:noescape
+func dpQuad4(w *int8, u *uint8, acc *int32, quads, stride int)
 
 // windowCodes is WindowCodes' AVX2 kernel (window_amd64.s): the codes of
 // chans×rows rows of width activations under scale, read at src with the

@@ -1,12 +1,14 @@
 // Command gcprog compiles a DNN mapping into the accelerator's Global
 // Controller instruction stream (paper §3.1), and can disassemble, save,
-// load, and execute the binary program against the functional simulator.
+// load and price the binary program. Every program, compiled or loaded, is
+// first checked against the plan with isa.Validate; -run then computes the
+// inference the program describes on sim.Engine.
 //
 // Usage:
 //
 //	gcprog -model AlexNet -shape 64x64 -dis           # compile + disassemble
 //	gcprog -model AlexNet -shape 64x64 -o prog.gc     # save binary
-//	gcprog -model AlexNet -shape 64x64 -run           # compile + execute
+//	gcprog -model AlexNet -shape 64x64 -run           # validate + run on sim.Engine
 //	gcprog -in prog.gc -model AlexNet -shape 64x64 -run
 package main
 
@@ -19,6 +21,7 @@ import (
 	"autohet/internal/dnn"
 	"autohet/internal/hw"
 	"autohet/internal/isa"
+	"autohet/internal/sim"
 	"autohet/internal/xbar"
 )
 
@@ -29,7 +32,7 @@ func main() {
 	dis := flag.Bool("dis", false, "disassemble the program to stdout")
 	out := flag.String("o", "", "write the binary program to this file")
 	in := flag.String("in", "", "load the binary program from this file instead of compiling")
-	run := flag.Bool("run", false, "execute the program on a synthetic input")
+	run := flag.Bool("run", false, "run the program's inference on a synthetic input")
 	timeIt := flag.Bool("time", false, "price the program instruction by instruction")
 	seed := flag.Int64("seed", 1, "synthetic weight/input seed")
 	flag.Parse()
@@ -78,6 +81,9 @@ func mainErr(modelName, shapeText, strategyText string, dis bool, out, in string
 			return err
 		}
 	}
+	if err := isa.Validate(prog, plan); err != nil {
+		return err
+	}
 	fmt.Printf("program: %d instructions (%d bytes encoded)\n", len(prog.Instrs), len(prog.Bytes()))
 
 	if dis {
@@ -115,8 +121,7 @@ func mainErr(modelName, shapeText, strategyText string, dis bool, out, in string
 	}
 	if run {
 		input := dnn.SyntheticTensor(m.InC, m.InH, m.InW, seed)
-		ctl := isa.NewController(plan, seed)
-		outVec, err := ctl.Run(prog, input)
+		outVec, _, err := sim.NewEngine(plan).Run(input, sim.InferenceOptions{Seed: seed})
 		if err != nil {
 			return err
 		}

@@ -2,8 +2,9 @@
 // (paper §3.1): "a global controller (GC) decodes CPU instructions and
 // controls the heterogeneous DNN mapping and inference. The GC receives
 // instructions and signals the input/output buffer and tiles through the
-// bus." A compiled allocation plan becomes a binary instruction stream; the
-// controller validates and executes it against the functional simulator.
+// bus." A compiled allocation plan becomes a binary instruction stream.
+// Validate checks a stream against the plan's protocol statically and Time
+// prices it; computing the inference itself is sim.Engine's job.
 //
 // Instructions are layer-granular macro-operations — one FIRE signals a
 // tile to sweep all of a layer's output positions — matching the GC's role

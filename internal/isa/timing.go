@@ -1,10 +1,7 @@
 package isa
 
 import (
-	"fmt"
-
 	"autohet/internal/accel"
-	"autohet/internal/dnn"
 	"autohet/internal/hw"
 )
 
@@ -36,11 +33,10 @@ type TimedProgram struct {
 	InferenceNS float64
 }
 
-// Time prices prog against plan. The program must be structurally valid
-// (Compile output or equivalent); protocol errors surface as pricing
-// errors.
+// Time prices prog against plan. It checks the program with Validate
+// first, so a protocol error surfaces before any pricing.
 func Time(prog *Program, plan *accel.Plan) (*TimedProgram, error) {
-	if err := plan.Validate(); err != nil {
+	if err := Validate(prog, plan); err != nil {
 		return nil, err
 	}
 	cfg := plan.Cfg
@@ -55,10 +51,7 @@ func Time(prog *Program, plan *accel.Plan) (*TimedProgram, error) {
 			// by this placement's slot share, marking all but the longest
 			// as overlapped. Simplification: every LDW shows its own
 			// tile-local time; the prologue total is the max (parallel).
-			la, err := layerOf(plan, in.A)
-			if err != nil {
-				return nil, fmt.Errorf("isa: pc %d: %w", i, err)
-			}
+			la := plan.Layers[in.A]
 			bits := la.WeightBits
 			if bits < 1 {
 				bits = cfg.WeightBits
@@ -71,18 +64,12 @@ func Time(prog *Program, plan *accel.Plan) (*TimedProgram, error) {
 				tp.ProgramNS = cost.Latency
 			}
 		case OpSETIN:
-			la, err := layerOf(plan, in.A)
-			if err != nil {
-				return nil, fmt.Errorf("isa: pc %d: %w", i, err)
-			}
 			// Stream the input feature map into the buffer, one byte/ns.
-			cost.Latency = float64(la.Layer.InputSize()*la.Layer.InC) * 0.001
+			l := plan.Layers[in.A].Layer
+			cost.Latency = float64(l.InputSize()*l.InC) * 0.001
 			tp.InferenceNS += cost.Latency
 		case OpFIRE:
-			la, err := layerOf(plan, in.A)
-			if err != nil {
-				return nil, fmt.Errorf("isa: pc %d: %w", i, err)
-			}
+			la := plan.Layers[in.A]
 			copies := la.Copies
 			if copies < 1 {
 				copies = 1
@@ -98,10 +85,7 @@ func Time(prog *Program, plan *accel.Plan) (*TimedProgram, error) {
 				tp.InferenceNS += cost.Latency
 			}
 		case OpMERGE:
-			la, err := layerOf(plan, in.A)
-			if err != nil {
-				return nil, fmt.Errorf("isa: pc %d: %w", i, err)
-			}
+			la := plan.Layers[in.A]
 			tiles := plan.LayerTiles(la.Layer.Index)
 			mvms := float64(la.Layer.OutputPositions())
 			copies := la.Copies
@@ -111,36 +95,17 @@ func Time(prog *Program, plan *accel.Plan) (*TimedProgram, error) {
 			cost.Latency = mvms * cfg.MergeLatency(la.Mapping.GridRows, tiles) / float64(copies)
 			tp.InferenceNS += cost.Latency
 		case OpACT, OpSTORE:
-			la, err := layerOf(plan, in.A)
-			if err != nil {
-				return nil, fmt.Errorf("isa: pc %d: %w", i, err)
-			}
-			cost.Latency = float64(la.Layer.OutC*la.Layer.OutputPositions()) * 0.0005
+			l := plan.Layers[in.A].Layer
+			cost.Latency = float64(l.OutC*l.OutputPositions()) * 0.0005
 			tp.InferenceNS += cost.Latency
 		case OpPOOL:
-			mi := int(in.A)
-			if mi < 0 || mi >= len(plan.Model.Layers) || plan.Model.Layers[mi].Kind != dnn.Pool {
-				return nil, fmt.Errorf("isa: pc %d: POOL on non-pool layer %d", i, mi)
-			}
-			l := plan.Model.Layers[mi]
+			l := plan.Model.Layers[in.A]
 			cost.Latency = float64(l.OutputPositions()*l.K*l.K*l.InC) * 0.0002
 			tp.InferenceNS += cost.Latency
-		case OpHALT:
-			// free
-		default:
-			return nil, fmt.Errorf("isa: pc %d: cannot price opcode %d", i, in.Op)
 		}
 		tp.Costs = append(tp.Costs, cost)
 	}
 	return tp, nil
-}
-
-// layerOf resolves a layer operand against the plan.
-func layerOf(plan *accel.Plan, a int32) (*accel.LayerAlloc, error) {
-	if a < 0 || int(a) >= len(plan.Layers) {
-		return nil, fmt.Errorf("layer operand %d out of range [0,%d)", a, len(plan.Layers))
-	}
-	return plan.Layers[int(a)], nil
 }
 
 // CriticalPath returns the costs on the inference critical path (not

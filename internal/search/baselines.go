@@ -19,8 +19,9 @@ type Evaluation struct {
 
 // BestHomogeneous evaluates one homogeneous accelerator per shape (in
 // parallel — the shapes are independent) and returns them all plus the index
-// of the RUE-best (the paper's Best-Homo). The results carry concrete plans,
-// as callers inspect them (Pareto fronts, per-layer tables).
+// of the RUE-best (the paper's Best-Homo). The results are the Evaluator's
+// fast-path results, with Plan == nil; call Materialize on one that needs
+// its concrete tile plan.
 func BestHomogeneous(env *Env, shapes []xbar.Shape) ([]Evaluation, int, error) {
 	if len(shapes) == 0 {
 		return nil, -1, fmt.Errorf("search: no shapes")
@@ -28,12 +29,7 @@ func BestHomogeneous(env *Env, shapes []xbar.Shape) ([]Evaluation, int, error) {
 	n := env.NumLayers()
 	engine := env.Evaluator()
 	results, best, err := homogeneousSweep(n, shapes, func(indices []int) (*sim.Result, error) {
-		st := mustStrategy(shapes, indices)
-		r, err := engine.EvalStrategy(st)
-		if err != nil {
-			return nil, err
-		}
-		return engine.Materialize(r, st, nil)
+		return engine.EvalStrategy(mustStrategy(shapes, indices))
 	}, (*sim.Result).RUE)
 	if err != nil {
 		return nil, -1, err

@@ -421,10 +421,29 @@ func (e *Engine) runBatch(inputs []*dnn.Tensor, opts InferenceOptions, kb int) (
 		}
 	}
 	var stats InferenceStats
-	for _, l := range m.Mappable() {
+	// Each layer must take exactly what its predecessor produces: a flat
+	// model with skip branches (ResNet18, ResNet152) is not a chain.
+	c, h, w, flattened := m.InC, m.InH, m.InW, false
+	for _, l := range m.Layers {
 		if l.GroupCount() > 1 {
 			return nil, stats, fmt.Errorf("sim: functional inference does not support grouped convolutions (layer %s); metrics via Simulate do", l.Name)
 		}
+		var chained bool
+		switch l.Kind {
+		case dnn.Conv:
+			chained = !flattened && l.InC == c && l.InH == h && l.InW == w
+		case dnn.Pool:
+			chained = !flattened && l.InH == h && l.InW == w
+		case dnn.FC:
+			chained = l.InC == c*h*w
+		}
+		if !chained {
+			return nil, stats, fmt.Errorf("sim: functional inference needs a chained model (layer %s does not take its predecessor's %dx%dx%d output); metrics via Simulate do", l.Name, c, h, w)
+		}
+		if l.Kind != dnn.Pool {
+			c = l.OutC
+		}
+		h, w, flattened = l.OutH, l.OutW, flattened || l.Kind == dnn.FC
 	}
 	simInferences.Add(int64(len(inputs)))
 	mappables := m.Mappable()

@@ -79,22 +79,6 @@ func RunInference(p *accel.Plan, input *dnn.Tensor, opts InferenceOptions) ([]fl
 	return NewEngine(p).Run(input, opts)
 }
 
-// LayerMVM executes one quantized MVM for layer la on one input patch using
-// the fast integer path and returns the dequantized outputs. It is the
-// building block the Global Controller interpreter (package isa) drives.
-func LayerMVM(p *accel.Plan, la *accel.LayerAlloc, w *quant.Matrix, patch []float64) ([]float64, error) {
-	in := quant.QuantizeInput(patch)
-	if in.N != w.Rows {
-		return nil, lengthErr(in.N, w.Rows)
-	}
-	out := make([]float64, w.Cols)
-	integerMVMInto(out, make([]int64, w.Cols), w, in.U)
-	for j := range out {
-		out[j] = w.ScaleFor(j) * in.Scale * out[j]
-	}
-	return out, nil
-}
-
 // integerMVM computes the exact integer product qᵀ·u — the scalar form the
 // engines are asserted against in tests.
 func integerMVM(w *quant.Matrix, in *quant.Input) []float64 {

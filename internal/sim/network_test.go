@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"autohet/internal/accel"
@@ -143,6 +144,43 @@ func TestRunInferenceRejectsWrongInput(t *testing.T) {
 		if _, _, err := RunInference(p, in, InferenceOptions{Seed: 1, BitExact: bitExact}); err == nil {
 			t.Errorf("BitExact=%t: InputBits %d must error", bitExact, c.InputBits)
 		}
+	}
+}
+
+// A flat model whose layers do not chain is refused before any layer runs,
+// naming the first layer that does not take its predecessor's output.
+func TestRunInferenceRejectsUnchainedModel(t *testing.T) {
+	m := dnn.ResNet18()
+	p, err := accel.BuildPlan(cfg(), m, accel.Homogeneous(m.NumMappable(), xbar.Square(128)), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := dnn.SyntheticTensor(m.InC, m.InH, m.InW, 1)
+	// pool1 leaves 55×55; res2_1_3x3a declares a 56×56 input.
+	_, st, err := RunInference(p, in, InferenceOptions{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "chained model (layer res2_1_3x3a ") {
+		t.Fatalf("ResNet18: error %v, want the chain error naming res2_1_3x3a", err)
+	}
+	if st.MVMs != 0 {
+		t.Fatalf("ResNet18: %d MVMs ran before the chain error", st.MVMs)
+	}
+
+	// A skip branch: "down" reads the 4-channel model input, not the
+	// 8-channel output of "a" before it.
+	m, err = dnn.NewFlatModel("branch", 8, 8, 4, []*dnn.Layer{
+		{Name: "a", Kind: dnn.Conv, K: 3, InC: 4, OutC: 8, Stride: 1, Pad: 1, InH: 8, InW: 8},
+		{Name: "down", Kind: dnn.Conv, K: 1, InC: 4, OutC: 8, Stride: 1, InH: 8, InW: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err = accel.BuildPlan(cfg(), m, accel.Homogeneous(2, xbar.Square(32)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err = RunInference(p, dnn.SyntheticTensor(4, 8, 8, 1), InferenceOptions{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "layer down does not take its predecessor's 8x8x8 output") || st.MVMs != 0 {
+		t.Fatalf("branch: error %v after %d MVMs, want the chain error naming down", err, st.MVMs)
 	}
 }
 

@@ -113,9 +113,9 @@ func main() {
 			}
 			fmt.Printf("  %s serving sweep (fast kernels; bit-exact pipeline %.2f inf/s):\n",
 				b.EndToEnd.Model, b.EndToEnd.BitExactInfPerSec)
-			fmt.Printf("    %6s  %12s  %12s\n", "batch", "s/inf", "inf/s")
+			fmt.Printf("    %6s  %12s  %12s  %10s  %12s\n", "batch", "s/inf", "inf/s", "IQR/med", "bytes/inf")
 			for _, sl := range b.EndToEnd.ServeBatch {
-				fmt.Printf("    %6d  %12.4f  %12.2f\n", sl.Batch, sl.WallSecondsPerInf, sl.InferencesPerSec)
+				fmt.Printf("    %6d  %12.4f  %12.2f  %9.1f%%  %12.0f\n", sl.Batch, sl.WallSecondsPerInf, sl.InferencesPerSec, 100*sl.IQRRel, sl.AllocBytesPerInf)
 			}
 		case "fleet":
 			b, err := experiments.BenchFleet(*seed)

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 
 	"autohet/internal/accel"
 	"autohet/internal/dnn"
 	"autohet/internal/hw"
+	"autohet/internal/obs"
 	"autohet/internal/quant"
 	"autohet/internal/sim"
 	"autohet/internal/xbar"
@@ -48,11 +50,18 @@ type MVMKernelBatchLeg struct {
 }
 
 // MVMServeLeg records end-to-end inference throughput on the serving path
-// (Engine.RunBatch, fast integer kernels) at one batch size.
+// (Engine.RunBatch, fast integer kernels) at one batch size, from Runs
+// warm RunBatch calls timed one by one: the per-inference figures are the
+// median call's, IQRRel is the calls' interquartile range over their
+// median, and AllocBytesPerInf the bytes the calls allocated
+// (runtime.MemStats.TotalAlloc) per inference.
 type MVMServeLeg struct {
 	Batch             int     `json:"batch"`
+	Runs              int     `json:"runs"`
 	WallSecondsPerInf float64 `json:"wall_seconds_per_inference"`
 	InferencesPerSec  float64 `json:"inferences_per_sec"`
+	IQRRel            float64 `json:"iqr_over_median"`
+	AllocBytesPerInf  float64 `json:"alloc_bytes_per_inference"`
 }
 
 // MVMEndToEndLeg records whole-network inference throughput. The headline
@@ -259,7 +268,8 @@ func benchMVMKernelBatch(seed int64, reps int) ([]MVMKernelBatchLeg, error) {
 // benchMVMEndToEnd runs whole-network inference through a warm Engine. It
 // verifies fast == bit-exact outputs, times the bit-exact pipeline (the
 // historical headline), then sweeps the serving path over batch sizes,
-// counting allocations per sliding-window MVM on the batch-1 leg. The scalar
+// timing each RunBatch call on its own and counting allocated bytes per
+// inference, and allocations per sliding-window MVM on the batch-1 leg. The scalar
 // engine's cost is estimated per layer and scaled by patch counts — running
 // it outright takes minutes.
 func benchMVMEndToEnd(m *dnn.Model, seed int64) (MVMEndToEndLeg, error) {
@@ -312,25 +322,28 @@ func benchMVMEndToEnd(m *dnn.Model, seed int64) (MVMEndToEndLeg, error) {
 		if _, _, err := eng.RunBatch(inputs, fastOpts); err != nil { // warm
 			return leg, err
 		}
-		const runs = 5
+		const runs = 7
+		calls := make([]float64, runs)
 		var ms0, ms1 runtime.MemStats
-		if B == 1 {
-			runtime.ReadMemStats(&ms0)
-		}
-		start := time.Now()
-		for r := 0; r < runs; r++ {
+		runtime.ReadMemStats(&ms0)
+		for r := range calls {
+			start := time.Now()
 			if _, _, err := eng.RunBatch(inputs, fastOpts); err != nil {
 				return leg, err
 			}
+			calls[r] = time.Since(start).Seconds()
 		}
-		wall := time.Since(start).Seconds()
-		sl := MVMServeLeg{Batch: B, WallSecondsPerInf: wall / float64(runs*B)}
-		if wall > 0 {
-			sl.InferencesPerSec = float64(runs*B) / wall
+		runtime.ReadMemStats(&ms1)
+		sort.Float64s(calls)
+		med := obs.Percentile(calls, 0.5)
+		sl := MVMServeLeg{Batch: B, Runs: runs, WallSecondsPerInf: med / float64(B),
+			AllocBytesPerInf: float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(runs*B)}
+		if med > 0 {
+			sl.InferencesPerSec = float64(B) / med
+			sl.IQRRel = (obs.Percentile(calls, 0.75) - obs.Percentile(calls, 0.25)) / med
 		}
 		leg.ServeBatch = append(leg.ServeBatch, sl)
 		if B == 1 {
-			runtime.ReadMemStats(&ms1)
 			leg.WallSecondsPerInf = sl.WallSecondsPerInf
 			leg.InferencesPerSec = sl.InferencesPerSec
 			if stats.MVMs > 0 {

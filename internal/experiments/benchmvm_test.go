@@ -64,8 +64,14 @@ func TestBenchMVMTinyModel(t *testing.T) {
 	}
 	for i, B := range []int{1, 8, 32} {
 		sl := e.ServeBatch[i]
-		if sl.Batch != B || sl.InferencesPerSec <= 0 {
+		if sl.Batch != B || sl.InferencesPerSec <= 0 || sl.Runs < 5 {
 			t.Fatalf("serve leg %d malformed: %+v", i, sl)
+		}
+		if sl.WallSecondsPerInf*sl.InferencesPerSec < 0.999 || sl.WallSecondsPerInf*sl.InferencesPerSec > 1.001 {
+			t.Fatalf("serve leg B=%d: %.6g s/inf and %.6g inf/s are not one median call", B, sl.WallSecondsPerInf, sl.InferencesPerSec)
+		}
+		if sl.IQRRel < 0 || sl.AllocBytesPerInf <= 0 {
+			t.Fatalf("serve leg B=%d: spread %v or allocated bytes %v missing", B, sl.IQRRel, sl.AllocBytesPerInf)
 		}
 	}
 	if e.ServeBatch[0].InferencesPerSec != e.InferencesPerSec {
@@ -87,6 +93,9 @@ func TestBenchMVMTinyModel(t *testing.T) {
 	}
 	if back.Kernel.Speedup != b.Kernel.Speedup || back.EndToEnd.Model != "tiny" {
 		t.Fatalf("JSON round trip lost fields: %+v", back)
+	}
+	if back.EndToEnd.ServeBatch[2] != e.ServeBatch[2] {
+		t.Fatalf("JSON round trip lost serve leg fields: %+v, want %+v", back.EndToEnd.ServeBatch[2], e.ServeBatch[2])
 	}
 	if len(back.KernelBatch) != len(b.KernelBatch) || back.KernelBatchLeg(32) == nil {
 		t.Fatalf("JSON round trip lost kernel batch legs: %+v", back.KernelBatch)

@@ -45,6 +45,9 @@ import "fmt"
 // fits the int32 accumulator bound, and the matrix is at least one block
 // wide; it builds the quad layout where cpufeat.VNNI holds and the pair
 // layout otherwise. Callers fall back to the scalar batch kernel on nil.
+// A quad-layout matrix built on a CPU without VNNI (tests build every
+// layout) runs dpQuadModel, the Go model of dpQuad4/dpQuad, so the quad
+// layout, its row tails and its column tails are checked on every host.
 
 // maxBlockedRows bounds the row count for which a 16-lane int32 accumulator
 // cannot overflow on either layout. Each product is at most 128·255 = 32640
@@ -104,10 +107,11 @@ func IntKernel() string {
 // not blocked; MulBatch finishes them with scalar sweeps over q.
 type BlockedMatrix struct {
 	Rows, Cols int
-	Blocks     int    // full 16-column blocks
-	Groups     int    // ⌊Rows/layout⌋ interleaved row groups per block
-	Data       []int8 // Blocks × Groups × 16·layout bytes, layout above
-	q          []int8 // source row-major codes, for the row/column tails
+	Blocks     int       // full 16-column blocks
+	Groups     int       // ⌊Rows/layout⌋ interleaved row groups per block
+	Data       []int8    // Blocks × Groups × 16·layout bytes, layout above
+	q          []int8    // source row-major codes, for the row/column tails
+	scales     []float64 // ScaleFor(j) of the source matrix, per column
 	layout     blockLayout
 }
 
@@ -142,7 +146,11 @@ func buildBlocked(m *Matrix, layout blockLayout) *BlockedMatrix {
 		Blocks: nb, Groups: ng,
 		Data:   make([]int8, nb*ng*gb),
 		q:      m.Q,
+		scales: make([]float64, m.Cols),
 		layout: layout,
+	}
+	for j := range bm.scales {
+		bm.scales[j] = m.ScaleFor(j)
 	}
 	blkStride := ng * gb
 	for p := 0; p < ng; p++ {
@@ -200,21 +208,25 @@ func (bm *BlockedMatrix) checkBlockedShapes(pb *PackedBatch, outLen, scratchLen 
 	}
 }
 
-// MulBatch computes the batched signed MVM
+// MulBatch computes the batched signed MVM and dequantizes it:
 //
-//	out[k*Cols+j] = Σ_i q[i][j] · u_k[i]
+//	out[k*Cols+j] = (s_j·f_k) · Σ_i q[i][j]·u_k[i]
 //
-// (note: no offset term — this is the fast path's signed contract, equal to
-// the offset-binary kernels' result minus offset·Σu). out is member-major
-// (length B·Cols, overwritten). u16 is caller scratch of length ≥ B·N that
-// the pair layout fills with the batch's input codes widened to the uint16
-// lanes VPMADDWD consumes; the quad layout reads the uint8 codes in pb.U
-// directly and ignores it (it may be nil there). The weight block is the
-// outer loop, so each block's Groups×16·layout bytes stay cache-resident
-// while the members reuse them. Members go through the block four at a time
-// (one weight pass per four members, reading member k+m's codes at a stride
-// of one member's codes); the B mod 4 leftover members take one pass each.
-func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) {
+// where s_j is the source matrix's ScaleFor(j) and f_k member k's
+// activation scale pb.Scales[k]; with relu, a result v < 0 is written as
+// +0, so −0 and NaN pass as dnn.ReLU leaves them. The sum is the fast
+// path's signed contract (no offset term: the offset-binary kernels' result
+// minus offset·Σu) and is exact, so a unit scale writes the integer itself.
+// out is member-major (length B·Cols, overwritten). u16 is caller scratch
+// of length ≥ B·N that the pair layout fills with the batch's input codes
+// widened to the uint16 lanes VPMADDWD consumes; the quad layout reads the
+// uint8 codes in pb.U directly and ignores it (it may be nil there). The
+// weight block is the outer loop, so each block's Groups×16·layout bytes
+// stay cache-resident while the members reuse them. Members go through the
+// block four at a time (one weight pass per four members, reading member
+// k+m's codes at a stride of one member's codes); the B mod 4 leftover
+// members take one pass each.
+func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16, relu bool) {
 	bm.checkBlockedShapes(pb, len(out), len(u16))
 	N, B := pb.N, pb.B
 	cols, nb, ng := bm.Cols, bm.Blocks, bm.Groups
@@ -240,6 +252,8 @@ func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) 
 			acc = [memberBlock][blockedColWidth]int32{}
 			switch {
 			case ng == 0:
+			case bm.layout == layoutQuad && !hasVNNI:
+				dpQuadModel(wblk, pb.U[k*N:], &acc, ng, g, N)
 			case bm.layout == layoutQuad && g == memberBlock:
 				dpQuad4(&wblk[0], &pb.U[k*N], &acc[0][0], ng, N)
 			case bm.layout == layoutQuad:
@@ -250,7 +264,7 @@ func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) 
 				maddBlock(&wblk[0], &u16[k*N], &acc[0][0], ng)
 			}
 			for m := 0; m < g; m++ {
-				bm.finishBlock(&acc[m], pb.U[(k+m)*N:(k+m+1)*N], out[(k+m)*cols+j0:(k+m)*cols+j0+blockedColWidth], j0)
+				bm.finishBlock(&acc[m], pb.U[(k+m)*N:(k+m+1)*N], out[(k+m)*cols+j0:(k+m)*cols+j0+blockedColWidth], j0, pb.Scales[k+m], relu)
 			}
 			k += g
 		}
@@ -275,17 +289,19 @@ func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16) 
 				}
 			}
 			o := out[k*cols+t0 : (k+1)*cols]
-			for j := range o {
-				o[j] = float64(tacc[j])
+			f := pb.Scales[k]
+			for j, s := range bm.scales[t0:] {
+				o[j] = dequant(float64(tacc[j]), s, f, relu)
 			}
 		}
 	}
 }
 
 // finishBlock adds one member's tail rows — those past the last full row
-// group — (scalar) to its 16 column sums of the block starting at column j0
-// and writes them to o.
-func (bm *BlockedMatrix) finishBlock(acc *[blockedColWidth]int32, u []uint8, o []float64, j0 int) {
+// group — (scalar) to its 16 column sums of the block starting at column
+// j0 and writes them to o through the epilogue, under the member's
+// activation scale f.
+func (bm *BlockedMatrix) finishBlock(acc *[blockedColWidth]int32, u []uint8, o []float64, j0 int, f float64, relu bool) {
 	for i := bm.Groups * int(bm.layout); i < len(u); i++ {
 		if uv := int32(u[i]); uv != 0 {
 			row := bm.q[i*bm.Cols+j0 : i*bm.Cols+j0+blockedColWidth]
@@ -294,7 +310,29 @@ func (bm *BlockedMatrix) finishBlock(acc *[blockedColWidth]int32, u []uint8, o [
 			}
 		}
 	}
+	s := bm.scales[j0 : j0+blockedColWidth]
+	o = o[:blockedColWidth]
 	for j := range o {
-		o[j] = float64(acc[j])
+		o[j] = dequant(float64(acc[j]), s[j], f, relu)
+	}
+}
+
+// dpQuadModel is the Go model of dpQuad4 (members = 4) and dpQuad
+// (members = 1) over the quad layout: for each of quads row quads and each
+// of the 16 columns, member m's lane adds the four exact products
+// w[64q+4j+r]·u[m·stride+4q+r], r = 0…3, with int32's wrapping add — the
+// arithmetic VPDPBUSD performs (TestKernelsWrapLikeInt32 pins the two
+// against each other on CPUs that run both).
+func dpQuadModel(w []int8, u []uint8, acc *[memberBlock][blockedColWidth]int32, quads, members, stride int) {
+	for m := 0; m < members; m++ {
+		um := u[m*stride:]
+		a := &acc[m]
+		for q := 0; q < quads; q++ {
+			wq := w[q*4*blockedColWidth : (q+1)*4*blockedColWidth]
+			u0, u1, u2, u3 := int32(um[4*q]), int32(um[4*q+1]), int32(um[4*q+2]), int32(um[4*q+3])
+			for j := range a {
+				a[j] += int32(wq[4*j])*u0 + int32(wq[4*j+1])*u1 + int32(wq[4*j+2])*u2 + int32(wq[4*j+3])*u3
+			}
+		}
 	}
 }

@@ -7,16 +7,14 @@ import (
 	"testing"
 )
 
-// runnableLayouts lists the blocked layouts whose kernels this CPU
-// executes, so every test runs each one the host can run, not only the one
-// Blocked() picks.
+// runnableLayouts lists the blocked layouts MulBatch runs on this CPU, so
+// every test runs each one, not only the one Blocked() picks: the pair
+// layout where AVX2 runs, and the quad layout everywhere — on VPDPBUSD
+// where the CPU has AVX512-VNNI, else on dpQuadModel.
 func runnableLayouts() []blockLayout {
-	var ls []blockLayout
+	ls := []blockLayout{layoutQuad}
 	if hasAVX2 {
 		ls = append(ls, layoutPair)
-	}
-	if hasVNNI {
-		ls = append(ls, layoutQuad)
 	}
 	return ls
 }
@@ -34,11 +32,9 @@ func (l blockLayout) String() string {
 // the quad layout's 1–3 scalar tail rows), N < 4 (no quad at all), cols % 16
 // ≠ 0 (scalar column tail), extreme codes (±128, 255), and B mod 4 ∈
 // {0,1,2,3}, so four-member groups meet a remainder of one-member passes
-// together with the row and column tails.
+// together with the row and column tails. Where the CPU has AVX2 it also
+// checks that Blocked() builds the host's layout.
 func TestBlockedMatchesReference(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("no AVX2 blocked kernel on this CPU")
-	}
 	shapes := []struct{ rows, cols, B int }{
 		{2, 16, 1},
 		{3, 16, 2},
@@ -79,16 +75,14 @@ func TestBlockedMatchesReference(t *testing.T) {
 			ins[k] = &Input{N: sh.rows, Scale: 1, U: u}
 		}
 		pb := PackInputs(ins)
-		bw := m.Blocked()
-		if bw == nil {
+		if bw := m.Blocked(); hasAVX2 && bw == nil {
 			t.Fatalf("%dx%d: Blocked() returned nil with AVX2 available", sh.rows, sh.cols)
-		}
-		if bw.layout != hostLayout() {
+		} else if hasAVX2 && bw.layout != hostLayout() {
 			t.Fatalf("%dx%d: Blocked() built the %v layout, host runs %v", sh.rows, sh.cols, bw.layout, hostLayout())
 		}
 		for _, l := range runnableLayouts() {
 			out := make([]float64, sh.B*sh.cols)
-			buildBlocked(m, l).MulBatch(pb, out, make([]uint16, sh.B*sh.rows))
+			buildBlocked(m, l).MulBatch(pb, out, make([]uint16, sh.B*sh.rows), false)
 			for k := 0; k < sh.B; k++ {
 				for j := 0; j < sh.cols; j++ {
 					var want int64
@@ -130,9 +124,6 @@ func TestBlockedRowBound(t *testing.T) {
 // members through the four-member kernel and one through the one-member
 // kernel; the 17th column goes through the scalar column sweep.
 func TestBlockedWorstCaseAtRowBound(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("no AVX2 blocked kernel on this CPU")
-	}
 	const rows, cols, B = maxBlockedRows, 17, 5
 	const want = -128 * 255 * rows
 	if rows != 65793 || want != -2147483520 {
@@ -142,7 +133,7 @@ func TestBlockedWorstCaseAtRowBound(t *testing.T) {
 	for i := range m.Q {
 		m.Q[i] = -128
 	}
-	if m.Blocked() == nil {
+	if hasAVX2 && m.Blocked() == nil {
 		t.Fatalf("Blocked() refused %d rows (bound %d)", rows, maxBlockedRows)
 	}
 	ins := make([]*Input, B)
@@ -156,10 +147,78 @@ func TestBlockedWorstCaseAtRowBound(t *testing.T) {
 	pb := PackInputs(ins)
 	for _, l := range runnableLayouts() {
 		out := make([]float64, B*cols)
-		buildBlocked(m, l).MulBatch(pb, out, make([]uint16, B*rows))
+		buildBlocked(m, l).MulBatch(pb, out, make([]uint16, B*rows), false)
 		for i, v := range out {
 			if v != want {
 				t.Fatalf("%v member %d col %d: %v, want %d", l, i/cols, i%cols, v, want)
+			}
+		}
+	}
+}
+
+// TestBlockedEpilogue checks MulBatch's fused epilogue in every runnable
+// layout against the integer reference dequantized as the engine always
+// did it, (ScaleFor(j)·f_k)·Σ_i q_i·u_k[i], by bits: per-tensor and
+// per-column weight scales, subnormal activation scales whose products
+// underflow to ±0, and ReLU on and off — with ReLU, v < 0 becomes +0 and
+// −0 stays −0. The shapes carry 1–3 tail rows past the last quad, a column
+// tail and a B mod 4 remainder.
+func TestBlockedEpilogue(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, sh := range []struct{ rows, cols, B int }{{27, 40, 6}, {66, 16, 5}, {7, 35, 9}, {4, 17, 4}} {
+		for _, perCol := range []bool{false, true} {
+			m := &Matrix{Rows: sh.rows, Cols: sh.cols, Bits: 8, Scale: 0.0123, Q: make([]int8, sh.rows*sh.cols)}
+			for i := range m.Q {
+				m.Q[i] = int8(rng.Intn(256) - 128)
+			}
+			if perCol {
+				m.ColScales = make([]float64, sh.cols)
+				for j := range m.ColScales {
+					m.ColScales[j] = rng.Float64() / 64
+				}
+			}
+			pb := &PackedBatch{}
+			pb.Reset(sh.rows, sh.B, false)
+			for k := 0; k < sh.B; k++ {
+				u := pb.Member(k)
+				var sum float64
+				for i := range u {
+					u[i] = uint8(rng.Intn(256))
+					sum += float64(u[i])
+				}
+				f := rng.Float64() / 255
+				if k%3 == 2 {
+					f = math.SmallestNonzeroFloat64 // s·f underflows to +0: −0 for negative sums
+				}
+				pb.SetMember(k, f, sum)
+			}
+			for _, relu := range []bool{false, true} {
+				for _, l := range runnableLayouts() {
+					out := make([]float64, sh.B*sh.cols)
+					buildBlocked(m, l).MulBatch(pb, out, make([]uint16, sh.B*sh.rows), relu)
+					var negZero int
+					for k := 0; k < sh.B; k++ {
+						for j := 0; j < sh.cols; j++ {
+							var acc int64
+							for i, c := range pb.Member(k) {
+								acc += int64(m.Q[i*sh.cols+j]) * int64(c)
+							}
+							want := m.ScaleFor(j) * pb.Scales[k] * float64(acc)
+							if relu && want < 0 {
+								want = 0
+							}
+							if want == 0 && math.Signbit(want) {
+								negZero++
+							}
+							if got := out[k*sh.cols+j]; math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%v %dx%d perCol=%v relu=%v member %d col %d: %v, want %v", l, sh.rows, sh.cols, perCol, relu, k, j, got, want)
+							}
+						}
+					}
+					if negZero == 0 {
+						t.Fatalf("%v %dx%d perCol=%v relu=%v: no −0 output; the test needs one", l, sh.rows, sh.cols, perCol, relu)
+					}
+				}
 			}
 		}
 	}
@@ -173,7 +232,9 @@ func TestBlockedWorstCaseAtRowBound(t *testing.T) {
 // (VPDPBUSD, VPADDD), never a saturating one (VPDPBUSDS), with the codes as
 // the unsigned operand; MulBatch never gets near the limits (maxBlockedRows),
 // so only a direct call can tell the two adds apart. The member stride is
-// wider than the rows the kernel reads, as a conv batch's is.
+// wider than the rows the kernel reads, as a conv batch's is. The quad
+// layout runs dpQuadModel, and on a CPU with AVX512-VNNI dpQuad4/dpQuad
+// too, from the same preloaded lanes, which pins the model to the kernel.
 func TestKernelsWrapLikeInt32(t *testing.T) {
 	const groups, N = 5, 23
 	rng := rand.New(rand.NewSource(7))
@@ -206,6 +267,16 @@ func TestKernelsWrapLikeInt32(t *testing.T) {
 					for i := 0; i < rows; i++ {
 						want[k][j] += int32(m.Q[i*blockedColWidth+j]) * int32(u[k*N+i])
 					}
+				}
+			}
+			if l == layoutQuad {
+				model := acc
+				dpQuadModel(w, u, &model, groups, members, N)
+				if model != want {
+					t.Fatalf("quad model, %d members: lanes %v, int32 reference %v", members, model, want)
+				}
+				if !hasVNNI {
+					continue
 				}
 			}
 			switch {
@@ -256,7 +327,7 @@ func BenchmarkBlockedMulBatchConv4(b *testing.B) {
 			b.Run(fmt.Sprintf("%v/B=%d", l, B), func(b *testing.B) {
 				b.SetBytes(macs)
 				for i := 0; i < b.N; i++ {
-					bw.MulBatch(pb, out, u16)
+					bw.MulBatch(pb, out, u16, false)
 				}
 				b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})

@@ -17,10 +17,10 @@ import (
 // full-height sweep; and
 // (4) the blocked kernel (BlockedMatrix.MulBatch, the fast path) produces
 // the identical signed integers, popcount sums − offset·Σu, in every
-// layout the CPU executes (pair on AVX2, quad on AVX512-VNNI too).
-// Column counts reach past two 16-column blocks so full blocks, column
-// tails and the 1–3 row tails past the last pair or quad all occur; (4) is
-// skipped on a CPU without the blocked kernels.
+// layout MulBatch runs (the quad layout everywhere, on VPDPBUSD or its Go
+// model, and the pair layout on AVX2). Column counts reach past two
+// 16-column blocks so full blocks, column tails and the 1–3 row tails past
+// the last pair or quad all occur.
 func FuzzBatchedMVM(f *testing.F) {
 	f.Add(uint8(8), uint8(3), uint8(4), uint8(30), []byte{1, 255, 0, 127, 128, 5}, []byte{9, 0, 255})
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), []byte{0, 1, 2}, []byte{7})
@@ -87,7 +87,7 @@ func FuzzBatchedMVM(f *testing.F) {
 		pm.MulBatch(pb, out)
 		for _, l := range runnableLayouts() {
 			bout := make([]float64, B*cols)
-			buildBlocked(m, l).MulBatch(pb, bout, make([]uint16, B*rows))
+			buildBlocked(m, l).MulBatch(pb, bout, make([]uint16, B*rows), false)
 			for k := 0; k < B; k++ {
 				corr := int64(off) * int64(pb.USums[k])
 				for j := 0; j < cols; j++ {

@@ -58,6 +58,38 @@ func (m *Matrix) ScaleFor(j int) float64 {
 	return m.Scale
 }
 
+// Epilogue dequantizes one member's exact integer column sums o in place,
+// under the member's activation scale f: o[j] becomes (ScaleFor(j)·f)·o[j],
+// and with relu a result v < 0 becomes +0 (−0 and NaN pass, as dnn.ReLU
+// leaves them). BlockedMatrix.MulBatch applies the same step as it writes.
+func (m *Matrix) Epilogue(o []float64, f float64, relu bool) {
+	for j, v := range o {
+		o[j] = dequant(v, m.ScaleFor(j), f, relu)
+	}
+}
+
+// dequant is the fast kernels' epilogue for one exact sum v of a column
+// with weight scale s, under activation scale f.
+func dequant(v, s, f float64, relu bool) float64 {
+	v = s * f * v
+	if relu {
+		v = reluOf(v)
+	}
+	return v
+}
+
+// reluOf returns +0 for v < 0 and v otherwise. It selects between bit
+// patterns, which compiles to a conditional move: half the sums of a layer
+// are negative in no predictable order, and a branch on the sign
+// mispredicts on every other one.
+func reluOf(v float64) float64 {
+	b := math.Float64bits(v)
+	if v < 0 {
+		b = 0
+	}
+	return math.Float64frombits(b)
+}
+
 // PlaneCount returns the number of bit planes the matrix slices into.
 func (m *Matrix) PlaneCount() int {
 	if m.Bits == 0 {

@@ -5,11 +5,17 @@ import (
 	"autohet/internal/quant"
 )
 
-// The fused conv input path. A crossbar takes a conv layer as one unrolled
-// input column per sliding-window position (dnn.Tensor.PatchInto's
-// (c, ky, kx) order, zero outside the tensor). The engine writes each
-// window's uint8 codes straight from the activation tensor, with no float64
-// copy of the column in between:
+// The fused input path. A crossbar takes a conv layer as one unrolled
+// input column per sliding-window position, zero outside the map; which
+// row holds which (c, ky, kx) tap is a mapping choice, and the engine's
+// fast mode makes it (ky, kx, c): its activations are channels-last, so a
+// K×K window is K runs of K·C contiguous values, and its weight rows are
+// permuted to match once per memoized matrix (permuteRows). The bit-serial
+// modes keep the model's C-major rows — crossbar row bands, stuck-at maps
+// and repair remaps are positional — and gather each window's codes
+// through the layer's cmajorOrder table. The engine writes each window's
+// uint8 codes straight from the activations, with no float64 copy of the
+// column in between:
 //
 //   - a window's quantization max is the max over its K×K pixels of the
 //     input's per-pixel channel-max map, built once per (layer, input).
@@ -17,71 +23,129 @@ import (
 //     comparison from 0 (NaN never wins, −0 never replaces +0), and padding
 //     pixels would contribute 0 — the floor every max starts from;
 //   - codes are quantized by quant.WindowCodes, one call per window, which
-//     codes exactly as quant.ActivationCode in the column's own order does,
-//     so codes, scales and code sums are bit-identical to PatchInto followed
-//     by quant.QuantizeBatchFlatInto (FuzzFusedPatchCodes asserts it).
+//     codes each value exactly as quant.ActivationCode does, and the code
+//     sum adds exact integers, so it does not depend on the order; codes
+//     (up to the row permutation), scales and code sums are bit-identical
+//     to PatchInto followed by quant.QuantizeBatchFlatInto
+//     (FuzzFusedPatchCodes asserts it).
+//
+// An FC layer's input is the flattened activations of the layer before it,
+// channels-last when that layer is spatial; its member is quantized the
+// same way, as one window of one row.
 
-// channelMaxRow fills dst (length t.W) with row y of t's channel-max map:
-// the max over channels of each pixel, taken from 0 by v > m.
-func channelMaxRow(dst []float64, t *dnn.Tensor, y int) {
-	clear(dst)
-	plane := t.H * t.W
-	for c := 0; c < t.C; c++ {
-		row := t.Data[c*plane+y*t.W:][:len(dst)]
-		for x, v := range row {
-			if v > dst[x] {
-				dst[x] = v
+// cmajorOrder returns the table that takes codes of C channels × S
+// spatial taps from channels-last order (tap-major, index s·C+c) to the
+// model's C-major order (channel-major, index c·S+s): order[c·S+s] = s·C+c.
+// It returns nil when the two orders coincide (C or S is 1), as for a 1×1
+// conv or an FC layer after another FC layer.
+func cmajorOrder(C, S int) []int32 {
+	if C == 1 || S == 1 {
+		return nil
+	}
+	order := make([]int32, C*S)
+	for c := 0; c < C; c++ {
+		for s := 0; s < S; s++ {
+			order[c*S+s] = int32(s*C + c)
+		}
+	}
+	return order
+}
+
+// permuteRows returns w with its C-major row i moved to row order[i], the
+// channels-last order — w itself, shared and not copied, when order is
+// nil. Rows are whole columns of integer weights and a dot product of
+// integers is exact in any order, so the permuted matrix against
+// channels-last codes gives every sum the original gives against C-major
+// codes.
+func permuteRows(w *quant.Matrix, order []int32) *quant.Matrix {
+	if order == nil {
+		return w
+	}
+	p := &quant.Matrix{Rows: w.Rows, Cols: w.Cols, Bits: w.Bits, Scale: w.Scale, ColScales: w.ColScales,
+		Q: make([]int8, len(w.Q))}
+	cols := w.Cols
+	for i, o := range order {
+		copy(p.Q[int(o)*cols:(int(o)+1)*cols], w.Q[i*cols:(i+1)*cols])
+	}
+	return p
+}
+
+// channelMax fills dst with the channel-max of each of the len(dst) pixels
+// of the channels-last row src (C values a pixel): the max over the pixel's
+// channels, taken from 0 by v > m.
+func channelMax(dst, src []float64, C int) {
+	for x := range dst {
+		var m float64
+		for _, v := range src[x*C : (x+1)*C] {
+			if v > m {
+				m = v
 			}
 		}
+		dst[x] = m
 	}
 }
 
-// quantizeWindow quantizes t's K×K window with top-left (y0, x0) — which
-// may lie in the zero padding — as member k of pb. cmax is t's channel-max
-// map.
-func quantizeWindow(pb *quant.PackedBatch, k int, t *dnn.Tensor, cmax []float64, K, y0, x0 int) {
-	H, W := t.H, t.W
-	// Rows [ya, yb) and columns [xa, xb) of the window lie inside t.
+// quantizeWindow quantizes the K×K window with top-left (y0, x0) — which
+// may lie in the zero padding — of input i of in into dst (K·K·C codes in
+// channels-last order) and returns its scale and code sum. cmax holds
+// every input's channel-max map.
+func quantizeWindow(dst []uint8, in acts, i int, cmax []float64, K, y0, x0 int) (scale, sum float64) {
+	H, W, C := in.h, in.w, in.c
+	// Rows [ya, yb) and columns [xa, xb) of the window lie inside the map.
 	ya, yb := max(y0, 0), min(y0+K, H)
 	xa, xb := max(x0, 0), min(x0+K, W)
-	u := pb.Member(k)
 	if ya != y0 || yb != y0+K || xa != x0 || xb != x0+K {
-		clear(u) // padding codes
+		clear(dst) // padding codes
 	}
 	if ya >= yb || xa >= xb {
-		pb.SetMember(k, quant.ActivationScale(0), 0) // wholly in the padding
-		return
+		return quant.ActivationScale(0), 0 // wholly in the padding
 	}
 	var maxV float64
 	for y := ya; y < yb; y++ {
-		for _, v := range cmax[y*W+xa : y*W+xb] {
+		for _, v := range cmax[(i*H+y)*W+xa : (i*H+y)*W+xb] {
 			if v > maxV {
 				maxV = v
 			}
 		}
 	}
-	scale := quant.ActivationScale(maxV)
-	// One call codes the part inside t, all channels. A padding zero would
-	// add +0 to the code sum, which never changes it (the sum starts at +0
-	// and only grows or turns NaN), so padding is skipped.
-	sum := quant.WindowCodes(u[(ya-y0)*K+xa-x0:], t.Data[ya*W+xa:], scale, quant.Window{
-		Chans: t.C, Rows: yb - ya, Width: xb - xa,
-		SrcRow: W, SrcChan: H * W, DstRow: K, DstChan: K * K,
+	scale = quant.ActivationScale(maxV)
+	// One call codes the part inside the map: a run of (xb−xa)·C values per
+	// window row. A padding zero would add +0 to the code sum, which never
+	// changes it (the sum starts at +0 and only grows or turns NaN), so
+	// padding is skipped.
+	sum = quant.WindowCodes(dst[((ya-y0)*K+xa-x0)*C:], in.data[((i*H+ya)*W+xa)*C:], scale, quant.Window{
+		Chans: 1, Rows: yb - ya, Width: (xb - xa) * C, SrcRow: W * C, DstRow: K * C,
 	})
-	pb.SetMember(k, scale, sum)
+	return scale, sum
 }
 
-// quantizeConvBatch resets pb to bs members and quantizes the conv windows
-// lo, …, lo+bs-1 of the global (input, position) index space into it, with
-// a digit slab when digits is set. cmax holds every input's channel-max map
-// back to back.
-func quantizeConvBatch(pb *quant.PackedBatch, l *dnn.Layer, curs []*dnn.Tensor, cmax []float64, lo, bs int, digits bool) {
+// quantizeConvBatch resets s.pb to bs members and quantizes the conv
+// windows lo, …, lo+bs-1 of the global (input, position) index space of
+// in into it, in the code order and with the digit slab le's mode takes.
+// cmax holds every input's channel-max map back to back.
+func quantizeConvBatch(s *batchScratch, le *layerExec, l *dnn.Layer, in acts, cmax []float64, lo, bs int) {
 	positions := l.OutH * l.OutW
-	plane := curs[0].H * curs[0].W
-	pb.Reset(curs[0].C*l.K*l.K, bs, digits)
-	for i := 0; i < bs; i++ {
-		ii, pos := (lo+i)/positions, (lo+i)%positions
+	s.pb.Reset(in.c*l.K*l.K, bs, le.digits())
+	for k := 0; k < bs; k++ {
+		i, pos := (lo+k)/positions, (lo+k)%positions
 		oy, ox := pos/l.OutW, pos%l.OutW
-		quantizeWindow(pb, i, curs[ii], cmax[ii*plane:(ii+1)*plane], l.K, oy*l.Stride-l.Pad, ox*l.Stride-l.Pad)
+		scale, sum := quantizeWindow(s.memberCodes(le, k), in, i, cmax, l.K, oy*l.Stride-l.Pad, ox*l.Stride-l.Pad)
+		s.setMember(le, k, scale, sum)
 	}
+}
+
+// quantizeVector quantizes x, one input's flattened activations, as
+// member k of s.pb in the code order le's mode takes: the scale from x's
+// max (taken from 0 by v > m), the codes and code sum by quant.WindowCodes
+// over one row — as QuantizeMember would.
+func quantizeVector(s *batchScratch, le *layerExec, k int, x []float64) {
+	var maxV float64
+	for _, v := range x {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	scale := quant.ActivationScale(maxV)
+	sum := quant.WindowCodes(s.memberCodes(le, k), x, scale, quant.Window{Chans: 1, Rows: 1, Width: len(x)})
+	s.setMember(le, k, scale, sum)
 }

@@ -9,12 +9,22 @@ import (
 	"autohet/internal/quant"
 )
 
-// channelMaxMap returns t's whole channel-max map.
-func channelMaxMap(t *dnn.Tensor) []float64 {
-	m := make([]float64, t.H*t.W)
-	for y := 0; y < t.H; y++ {
-		channelMaxRow(m[y*t.W:(y+1)*t.W], t, y)
+// channelsLastActs returns the C-major tensors ts, which share one shape,
+// as a channels-last batch, the layout the engine keeps activations in.
+func channelsLastActs(ts []*dnn.Tensor) acts {
+	t0 := ts[0]
+	a := acts{n: len(ts), c: t0.C, h: t0.H, w: t0.W}
+	a.data = make([]float64, a.len())
+	for i, t := range ts {
+		transpose(a.input(i), t.Data, t.C)
 	}
+	return a
+}
+
+// channelMaxMap returns every input's channel-max map, back to back.
+func channelMaxMap(a acts) []float64 {
+	m := make([]float64, a.n*a.h*a.w)
+	channelMax(m, a.data, a.c)
 	return m
 }
 
@@ -113,15 +123,17 @@ func samePackedBatch(t *testing.T, what string, got, want *quant.PackedBatch) {
 }
 
 // FuzzFusedPatchCodes: the fused conv input path (quantizeConvBatch from
-// the input tensors and their channel-max maps) must build exactly the
-// batch that extracting the same windows with Tensor.PatchInto and
-// quantizing the slab builds — QuantizeBatchFlatCodesInto for the fast
-// path's codes-only batch, QuantizeBatchFlatInto with the digit slab for
-// the bit-serial modes — over shapes, strides, paddings (including windows
-// wholly in the padding), several inputs, and batches starting anywhere
-// in the (input, position) index space. Kernels up to 11 wide on maps up
-// to 16×16 give window rows of several four-lane chunks and every masked
-// tail length.
+// the channels-last activations and their channel-max maps) must build
+// exactly the batch that extracting the same windows with Tensor.PatchInto
+// and quantizing the slab builds — over shapes, strides, paddings
+// (including windows wholly in the padding), several inputs, and batches
+// starting anywhere in the (input, position) index space. The fast mode's
+// codes-only batch is compared with QuantizeBatchFlatCodesInto through the
+// documented row permutation: PatchInto's row (c, ky, kx) is the fast
+// mode's row (ky, kx, c). A bit-serial mode's batch, gathered back into
+// C-major order, is compared directly with QuantizeBatchFlatInto, digit
+// slab included. Kernels up to 11 wide on maps up to 16×16 give window
+// rows of several four-lane chunks and every masked tail length.
 func FuzzFusedPatchCodes(f *testing.F) {
 	// c, h, w, k, stride, pad, inputs, lo, bs, mode, seed
 	f.Add(uint8(3), uint8(8), uint8(8), uint8(3), uint8(1), uint8(1), uint8(1), uint8(0), uint8(32), uint8(3), int64(1))
@@ -142,11 +154,11 @@ func FuzzFusedPatchCodes(f *testing.F) {
 			InH: H, InW: W, OutH: (H+2*pad-K)/stride + 1, OutW: (W+2*pad-K)/stride + 1}
 		rng := rand.New(rand.NewSource(seed))
 		curs := make([]*dnn.Tensor, 1+int(inputsB%3))
-		var cmax []float64
 		for i := range curs {
 			curs[i] = fuzzTensor(rng, C, H, W, int(mode%5))
-			cmax = append(cmax, channelMaxMap(curs[i])...)
 		}
+		in := channelsLastActs(curs)
+		cmax := channelMaxMap(in)
 		positions := l.OutH * l.OutW
 		n := len(curs) * positions
 		lo := int(loB) % n
@@ -160,14 +172,26 @@ func FuzzFusedPatchCodes(f *testing.F) {
 		}
 		// One batch serves both fills, as an engine worker's does, and starts
 		// with stale codes that must not survive into the padding.
-		got := &quant.PackedBatch{}
-		got.Reset(rows, bs, false)
-		for i := range got.U {
-			got.U[i] = 0xff
+		got := &batchScratch{}
+		got.pb.Reset(rows, bs, false)
+		for i := range got.pb.U {
+			got.pb.U[i] = 0xff
 		}
-		quantizeConvBatch(got, l, curs, cmax, lo, bs, false)
-		samePackedBatch(t, "codes", got, quant.QuantizeBatchFlatCodesInto(nil, flat, rows, bs))
-		quantizeConvBatch(got, l, curs, cmax, lo, bs, true)
-		samePackedBatch(t, "digits", got, quant.QuantizeBatchFlatInto(nil, flat, rows, bs))
+		quantizeConvBatch(got, &layerExec{mode: modeFast}, l, in, cmax, lo, bs)
+		want := quant.QuantizeBatchFlatCodesInto(nil, flat, rows, bs)
+		cl := make([]uint8, len(want.U))
+		for k := 0; k < bs; k++ {
+			for c := 0; c < C; c++ {
+				for ky := 0; ky < K; ky++ {
+					for kx := 0; kx < K; kx++ {
+						cl[k*rows+(ky*K+kx)*C+c] = want.U[k*rows+(c*K+ky)*K+kx]
+					}
+				}
+			}
+		}
+		want.U = cl
+		samePackedBatch(t, "fast codes", &got.pb, want)
+		quantizeConvBatch(got, &layerExec{mode: modeBitExact, order: cmajorOrder(C, K*K)}, l, in, cmax, lo, bs)
+		samePackedBatch(t, "bit-serial digits", &got.pb, quant.QuantizeBatchFlatInto(nil, flat, rows, bs))
 	})
 }

@@ -27,23 +27,33 @@ import (
 // are aggregated race-free. Safe for concurrent use.
 type Engine struct {
 	p *accel.Plan
+	// chainErr is why the model is not a chain RunBatch can run (nil if it
+	// is); orders[i] is mappable layer i's cmajorOrder.
+	chainErr error
+	orders   [][]int32
 
 	mu       sync.Mutex
-	weights  map[weightKey][]*quant.Matrix
+	weights  map[weightKey][]layerWeights
 	faulted  map[faultKey]*quant.PackedMatrix
 	repaired map[repairKey]*RepairedLayer
 
-	// scratchMu guards a free list of batch scratch buffers reused across
-	// chunks, layers, and inferences — a plain list rather than sync.Pool so
-	// the warm path's zero-allocation invariant cannot be voided by a GC
-	// cycle emptying the pool mid-measurement.
-	scratchMu   sync.Mutex
-	scratchFree []*batchScratch
+	// Batch scratch buffers are reused across chunks, layers and
+	// inferences, activation slabs across inferences.
+	scratch freeList[batchScratch]
+	slabs   freeList[activations]
 }
 
 type weightKey struct {
 	seed   int64
 	perCol bool
+}
+
+// layerWeights is one layer's quantized weights: w in the model's C-major
+// row order, and fast, the same matrix with its rows in the channels-last
+// order the fast mode's codes take (built on first use; w itself when the
+// two orders coincide).
+type layerWeights struct {
+	w, fast *quant.Matrix
 }
 
 type faultKey struct {
@@ -59,12 +69,49 @@ type repairKey struct {
 
 // NewEngine binds an engine to a plan.
 func NewEngine(p *accel.Plan) *Engine {
-	return &Engine{
+	e := &Engine{
 		p:        p,
-		weights:  map[weightKey][]*quant.Matrix{},
+		weights:  map[weightKey][]layerWeights{},
 		faulted:  map[faultKey]*quant.PackedMatrix{},
 		repaired: map[repairKey]*RepairedLayer{},
 	}
+	e.orders, e.chainErr = chainOrders(p.Model)
+	return e
+}
+
+// chainOrders checks that each layer of m takes exactly what its
+// predecessor produces — a flat model with skip branches (ResNet18,
+// ResNet152) is not a chain, and grouped convolutions are refused — and
+// returns every mappable layer's cmajorOrder: a conv layer's over its InC
+// channels of K·K taps, an FC layer's over the channels and pixels of the
+// activations it flattens (one pixel after another FC layer).
+func chainOrders(m *dnn.Model) ([][]int32, error) {
+	orders := make([][]int32, m.NumMappable())
+	c, h, w, flattened := m.InC, m.InH, m.InW, false
+	for _, l := range m.Layers {
+		if l.GroupCount() > 1 {
+			return nil, fmt.Errorf("sim: functional inference does not support grouped convolutions (layer %s); metrics via Simulate do", l.Name)
+		}
+		var chained bool
+		switch l.Kind {
+		case dnn.Conv:
+			chained = !flattened && l.InC == c && l.InH == h && l.InW == w
+			orders[l.Index] = cmajorOrder(c, l.K*l.K)
+		case dnn.Pool:
+			chained = !flattened && l.InH == h && l.InW == w
+		case dnn.FC:
+			chained = l.InC == c*h*w
+			orders[l.Index] = cmajorOrder(c, h*w)
+		}
+		if !chained {
+			return nil, fmt.Errorf("sim: functional inference needs a chained model (layer %s does not take its predecessor's %dx%dx%d output); metrics via Simulate do", l.Name, c, h, w)
+		}
+		if l.Kind != dnn.Pool {
+			c = l.OutC
+		}
+		h, w, flattened = l.OutH, l.OutW, flattened || l.Kind == dnn.FC
+	}
+	return orders, nil
 }
 
 // minParallelMACs is the layer work below which runChunks stays serial:
@@ -86,37 +133,56 @@ func parallelWorth(mvms, rows, cols int) bool {
 // than typical core counts.
 const DefaultKernelBatch = 32
 
-// getScratch pops a warm batch scratch off the engine's free list (or
-// allocates the first time). putScratch returns it.
-func (e *Engine) getScratch() *batchScratch {
-	e.scratchMu.Lock()
-	defer e.scratchMu.Unlock()
-	if n := len(e.scratchFree); n > 0 {
-		s := e.scratchFree[n-1]
-		e.scratchFree = e.scratchFree[:n-1]
-		return s
-	}
-	return &batchScratch{pb: &quant.PackedBatch{}}
+// freeList is a stack of reusable buffers — a plain list rather than
+// sync.Pool so the warm path's allocation bounds cannot be voided by a GC
+// cycle emptying the pool mid-measurement. get pops one (a zero T the
+// first time); put returns it.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
 }
 
-func (e *Engine) putScratch(s *batchScratch) {
-	e.scratchMu.Lock()
-	defer e.scratchMu.Unlock()
-	e.scratchFree = append(e.scratchFree, s)
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free = l.free[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.free = append(l.free, x)
+}
+
+// grow returns *buf resized to n elements, reallocating only when its
+// capacity falls short; the contents are stale.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // weightsFor returns the layer's quantized weight matrix under opts,
-// memoized across calls and inferences.
-func (e *Engine) weightsFor(l *dnn.Layer, opts InferenceOptions) *quant.Matrix {
+// memoized across calls and inferences, and — with fast set — the same
+// weights in channels-last row order (see layerWeights).
+func (e *Engine) weightsFor(l *dnn.Layer, opts InferenceOptions, fast bool) (w, fw *quant.Matrix) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	k := weightKey{seed: opts.Seed, perCol: opts.PerColumnScales}
 	qw := e.weights[k]
 	if qw == nil {
-		qw = make([]*quant.Matrix, len(e.p.Layers))
+		qw = make([]layerWeights, len(e.p.Layers))
 		e.weights[k] = qw
 	}
-	if qw[l.Index] == nil {
+	lw := &qw[l.Index]
+	if lw.w == nil {
 		simWeightsMiss.Inc()
 		start := time.Now()
 		bits := e.p.Layers[l.Index].WeightBits
@@ -125,15 +191,18 @@ func (e *Engine) weightsFor(l *dnn.Layer, opts InferenceOptions) *quant.Matrix {
 		}
 		raw := dnn.SyntheticWeights(l, opts.Seed)
 		if opts.PerColumnScales {
-			qw[l.Index] = quant.QuantizeWeightsPerColumn(raw, bits)
+			lw.w = quant.QuantizeWeightsPerColumn(raw, bits)
 		} else {
-			qw[l.Index] = quant.QuantizeWeightsN(raw, bits)
+			lw.w = quant.QuantizeWeightsN(raw, bits)
 		}
 		simStageQuantize.AddSince(start)
 	} else {
 		simWeightsHit.Inc()
 	}
-	return qw[l.Index]
+	if fast && lw.fast == nil {
+		lw.fast = permuteRows(lw.w, e.orders[l.Index])
+	}
+	return lw.w, lw.fast
 }
 
 // faultedFor returns the layer's packed plane stack under the fault model's
@@ -203,10 +272,13 @@ const (
 type layerExec struct {
 	cfg     hw.Config
 	la      *accel.LayerAlloc
-	w       *quant.Matrix
+	w       *quant.Matrix // the layer's weights, rows in C-major order
 	mode    execMode
-	pm      *quant.PackedMatrix  // planes served (ideal, faulted, or repaired)
-	bw      *quant.BlockedMatrix // AVX2 blocked packing, preferred fast kernel (nil → scalar)
+	fw      *quant.Matrix        // modeFast: w with rows in channels-last order
+	bw      *quant.BlockedMatrix // modeFast: fw's blocked packing, preferred kernel (nil → scalar)
+	pm      *quant.PackedMatrix  // bit-serial modes: planes served (ideal, faulted, or repaired)
+	order   []int32              // bit-serial modes: cmajorOrder of the layer's codes (nil → identity)
+	relu    bool                 // the epilogue applies the ReLU (every mappable layer but the last)
 	fm      *fault.Model
 	key     int64
 	fastADC int64 // analytic ADC conversions per MVM on the fast paths
@@ -216,8 +288,10 @@ type layerExec struct {
 // mode for one inference's options.
 func (e *Engine) prepareLayer(l *dnn.Layer, opts InferenceOptions) (*layerExec, error) {
 	la := e.p.Layers[l.Index]
-	w := e.weightsFor(l, opts)
-	le := &layerExec{cfg: e.p.Cfg, la: la, w: w, fm: opts.Faults, key: int64(l.Index + 1)}
+	fast := !opts.BitExact && opts.Faults.Zero()
+	w, fw := e.weightsFor(l, opts, fast)
+	le := &layerExec{cfg: e.p.Cfg, la: la, w: w, fm: opts.Faults, key: int64(l.Index + 1),
+		relu: l.Index < len(e.p.Layers)-1, order: e.orders[l.Index]}
 	le.fastADC = int64(la.Mapping.ActiveCols) * int64(w.PlaneCount()) * int64(e.p.Cfg.InputBits)
 	switch {
 	case opts.Repair != nil && opts.Faults.CellFaultRate() > 0:
@@ -226,27 +300,21 @@ func (e *Engine) prepareLayer(l *dnn.Layer, opts InferenceOptions) (*layerExec, 
 			return nil, err
 		}
 		le.pm = rl.Packed
-		if opts.BitExact {
-			le.mode = modeBitExactNoisy
-		} else {
-			le.mode = modeAggregate
-		}
 	case !opts.Faults.Zero():
 		if err := opts.Faults.Validate(); err != nil {
 			return nil, err
 		}
 		le.pm = e.faultedFor(la, w, opts.Faults)
-		if opts.BitExact {
-			le.mode = modeBitExactNoisy
-		} else {
-			le.mode = modeAggregate
-		}
 	case opts.BitExact:
-		le.pm = packedTimed(w)
-		le.mode = modeBitExact
+		le.mode, le.pm = modeBitExact, packedTimed(w)
+		return le, nil
 	default:
-		le.mode = modeFast
-		le.bw = blockedTimed(w)
+		le.mode, le.fw, le.bw, le.order = modeFast, fw, blockedTimed(fw), nil
+		return le, nil
+	}
+	le.mode = modeAggregate
+	if opts.BitExact {
+		le.mode = modeBitExactNoisy
 	}
 	return le, nil
 }
@@ -271,60 +339,51 @@ func blockedTimed(w *quant.Matrix) *quant.BlockedMatrix {
 }
 
 // batchScratch is one worker's reusable batched buffers: the packed
-// quantized batch, the member-major output accumulator, the kernel's int64
-// scratch, per-member noise streams, and — on the scratch a conv layer
-// holds for its inputs — the channel-max maps of the fused input path.
-// With it, a warm kernel batch allocates nothing on the ideal paths.
+// quantized batch, the kernel's int64 scratch, per-member noise streams,
+// and the row of channels-last codes a bit-serial mode reorders into
+// C-major order. With it, a warm kernel batch allocates nothing on the
+// ideal paths.
 type batchScratch struct {
-	pb    *quant.PackedBatch
-	out   []float64
+	pb    quant.PackedBatch
 	acc   []int64
 	u16   []uint16
 	noise []func() float64
-	cmax  []float64
-}
-
-func (s *batchScratch) cmaxFor(n int) []float64 {
-	if cap(s.cmax) < n {
-		s.cmax = make([]float64, n)
-	}
-	return s.cmax[:n]
-}
-
-func (s *batchScratch) outFor(n int) []float64 {
-	if cap(s.out) < n {
-		s.out = make([]float64, n)
-	}
-	s.out = s.out[:n]
-	return s.out
-}
-
-func (s *batchScratch) accFor(n int) []int64 {
-	if cap(s.acc) < n {
-		s.acc = make([]int64, n)
-	}
-	return s.acc[:n]
-}
-
-func (s *batchScratch) u16For(n int) []uint16 {
-	if cap(s.u16) < n {
-		s.u16 = make([]uint16, n)
-	}
-	return s.u16[:n]
+	codes []uint8
 }
 
 // noiseFor returns b per-member read-noise streams, each a fresh stream
 // keyed by the layer — so member k's draws are bit-identical to running its
 // MVM alone.
 func (s *batchScratch) noiseFor(fm *fault.Model, key int64, b int) []func() float64 {
-	if cap(s.noise) < b {
-		s.noise = make([]func() float64, b)
+	noise := grow(&s.noise, b)
+	for k := range noise {
+		noise[k] = fm.Noise(key)
 	}
-	s.noise = s.noise[:b]
-	for k := range s.noise {
-		s.noise[k] = fm.Noise(key)
+	return noise
+}
+
+// memberCodes returns where member k's codes are written in channels-last
+// order: its own row of s.pb, or — when the layer reorders its codes — a
+// scratch row that setMember then gathers into C-major order.
+func (s *batchScratch) memberCodes(le *layerExec, k int) []uint8 {
+	if le.order == nil {
+		return s.pb.Member(k)
 	}
-	return s.noise
+	return grow(&s.codes, s.pb.N)
+}
+
+// setMember completes member k, whose codes memberCodes took: it gathers
+// them into C-major order when the layer reorders (row i of the member
+// takes code order[i]), then records the scale and code sum — a sum of
+// exact integers, the same in either order.
+func (s *batchScratch) setMember(le *layerExec, k int, scale, sum float64) {
+	if le.order != nil {
+		u := s.pb.Member(k)
+		for i, o := range le.order {
+			u[i] = s.codes[o]
+		}
+	}
+	s.pb.SetMember(k, scale, sum)
 }
 
 // digits reports whether the layer's kernel reads the bit-serial digit
@@ -334,48 +393,48 @@ func (s *batchScratch) noiseFor(fm *fault.Model, key int64, b int) []func() floa
 func (le *layerExec) digits() bool { return le.mode != modeFast }
 
 // applyBatch runs the prepared layer's kernel over the batch packed in
-// s.pb, writing dequantized member-major outputs into out (length B·Cols,
-// overwritten). Shape agreement is the caller's responsibility (checked
-// once per layer, not per batch).
+// s.pb and writes its member-major outputs into out (length B·Cols,
+// overwritten) through the epilogue: (ScaleFor(j)·f_k)·sum, then the
+// layer's ReLU. The fast kernels fuse the epilogue into their writes; the
+// bit-serial modes accumulate in out, subtract the offset-binary term and
+// finish it in place. Shape agreement is the caller's responsibility
+// (checked once per layer, not per batch).
 func (le *layerExec) applyBatch(s *batchScratch, out []float64, stats *InferenceStats) {
-	pb := s.pb
+	pb := &s.pb
 	B := pb.B
 	cols := le.w.Cols
-	clear(out)
 	switch le.mode {
 	case modeFast:
 		if le.bw != nil {
 			// Signed product directly — no offset correction term.
-			le.bw.MulBatch(pb, out, s.u16For(B*pb.N))
+			le.bw.MulBatch(pb, out, grow(&s.u16, B*pb.N), le.relu)
 		} else {
-			integerMVMBatch(out, s.accFor(cols), le.w, pb)
+			integerMVMBatch(out, grow(&s.acc, cols), le.fw, pb, le.relu)
 		}
 		stats.ADCConversions += le.fastADC * int64(B)
 	case modeAggregate:
-		packedAggregateMVMBatch(le.cfg, le.pm, le.w, pb, le.fm, s.noiseFor(le.fm, le.key, B), s.accFor(B), out)
+		packedAggregateMVMBatch(le.cfg, le.pm, le.w, pb, le.fm, s.noiseFor(le.fm, le.key, B), grow(&s.acc, B), out)
 		stats.ADCConversions += le.fastADC * int64(B)
 	case modeBitExact:
 		var es ExecStats
-		execPackedGridBatch(le.cfg, le.la, le.pm, pb, s.accFor(B), out, cols, &es)
+		execPackedGridBatch(le.cfg, le.la, le.pm, pb, grow(&s.acc, B), out, cols, &es)
 		applyCorrectionBatch(out, le.w, pb)
 		stats.ADCConversions += es.ADCConversions
 	case modeBitExactNoisy:
 		var es ExecStats
-		execPackedGridBatchNoisy(le.cfg, le.la, le.pm, pb, s.noiseFor(le.fm, le.key, B), s.accFor(B), out, cols, &es)
+		execPackedGridBatchNoisy(le.cfg, le.la, le.pm, pb, s.noiseFor(le.fm, le.key, B), grow(&s.acc, B), out, cols, &es)
 		applyCorrectionBatch(out, le.w, pb)
 		stats.ADCConversions += es.ADCConversions
+	}
+	if le.mode != modeFast {
+		for k := 0; k < B; k++ {
+			le.w.Epilogue(out[k*cols:(k+1)*cols], pb.Scales[k], le.relu)
+		}
 	}
 	stats.MVMs += int64(B)
 	stats.KernelBatches++
 	if B > stats.MaxKernelBatch {
 		stats.MaxKernelBatch = B
-	}
-	for k := 0; k < B; k++ {
-		f := pb.Scales[k]
-		o := out[k*cols : (k+1)*cols]
-		for j := range o {
-			o[j] = le.w.ScaleFor(j) * f * o[j]
-		}
 	}
 }
 
@@ -406,6 +465,11 @@ func (e *Engine) RunBatch(inputs []*dnn.Tensor, opts InferenceOptions) ([][]floa
 // runBatch is RunBatch with the kernel batch cap kb. The cap never changes
 // results — batch members are independent and bit-exact — only how far
 // each packed weight-word load amortizes; tests sweep it.
+//
+// Activations stay channels-last between layers (DESIGN §9): the inputs
+// are converted once on entry into one slab, each layer writes the whole
+// batch into the other slab of the pair, and the outputs are copied out
+// (converted back to C-major if the model ends on a spatial layer).
 func (e *Engine) runBatch(inputs []*dnn.Tensor, opts InferenceOptions, kb int) ([][]float64, InferenceStats, error) {
 	m := e.p.Model
 	if len(inputs) == 0 {
@@ -421,149 +485,137 @@ func (e *Engine) runBatch(inputs []*dnn.Tensor, opts InferenceOptions, kb int) (
 		}
 	}
 	var stats InferenceStats
-	// Each layer must take exactly what its predecessor produces: a flat
-	// model with skip branches (ResNet18, ResNet152) is not a chain.
-	c, h, w, flattened := m.InC, m.InH, m.InW, false
-	for _, l := range m.Layers {
-		if l.GroupCount() > 1 {
-			return nil, stats, fmt.Errorf("sim: functional inference does not support grouped convolutions (layer %s); metrics via Simulate do", l.Name)
-		}
-		var chained bool
-		switch l.Kind {
-		case dnn.Conv:
-			chained = !flattened && l.InC == c && l.InH == h && l.InW == w
-		case dnn.Pool:
-			chained = !flattened && l.InH == h && l.InW == w
-		case dnn.FC:
-			chained = l.InC == c*h*w
-		}
-		if !chained {
-			return nil, stats, fmt.Errorf("sim: functional inference needs a chained model (layer %s does not take its predecessor's %dx%dx%d output); metrics via Simulate do", l.Name, c, h, w)
-		}
-		if l.Kind != dnn.Pool {
-			c = l.OutC
-		}
-		h, w, flattened = l.OutH, l.OutW, flattened || l.Kind == dnn.FC
+	if e.chainErr != nil {
+		return nil, stats, e.chainErr
 	}
 	simInferences.Add(int64(len(inputs)))
-	mappables := m.Mappable()
-	last := mappables[len(mappables)-1]
-	curs := make([]*dnn.Tensor, len(inputs))
-	copy(curs, inputs)
-	var flats [][]float64
-	for _, l := range m.Layers {
-		switch l.Kind {
-		case dnn.Conv:
+	act := e.slabs.get()
+	defer e.slabs.put(act)
+	cur := acts{n: len(inputs), c: m.InC, h: m.InH, w: m.InW}
+	cur.data = grow(&act.slabs[0], cur.len())
+	for i, input := range inputs {
+		transpose(cur.input(i), input.Data, input.C) // C-major → channels-last
+	}
+	for li, l := range m.Layers {
+		next := acts{n: cur.n, c: cur.c, h: l.OutH, w: l.OutW}
+		if l.Kind != dnn.Pool {
+			next.c = l.OutC
+		}
+		next.data = grow(&act.slabs[(li+1)%2], next.len())
+		if l.Kind == dnn.Pool {
+			e.poolBatch(l, cur, next.data, &stats)
+		} else {
 			le, err := e.prepareLayer(l, opts)
+			if err == nil && l.Kind == dnn.Conv {
+				err = e.streamPatchBatches(le, l, cur, grow(&act.cmax, cur.n*cur.h*cur.w), next.data, kb, &stats)
+			} else if err == nil {
+				err = e.runFCBatches(le, cur, next.data, kb, &stats)
+			}
 			if err != nil {
 				return nil, stats, err
 			}
-			outs := make([]*dnn.Tensor, len(curs))
-			for i := range outs {
-				outs[i] = dnn.NewTensor(l.OutC, l.OutH, l.OutW)
-			}
-			if err := e.streamPatchBatches(le, l, curs, outs, kb, l != last, &stats); err != nil {
-				return nil, stats, err
-			}
-			curs = outs
-		case dnn.Pool:
-			curs = e.poolBatch(l, curs, &stats)
-		case dnn.FC:
-			if flats == nil {
-				flats = make([][]float64, len(curs))
-				for i := range curs {
-					flats[i] = curs[i].Flatten()
-				}
-			}
-			le, err := e.prepareLayer(l, opts)
-			if err != nil {
-				return nil, stats, err
-			}
-			if err := e.runFCBatches(le, flats, kb, &stats); err != nil {
-				return nil, stats, err
-			}
-			if l != last {
-				for _, f := range flats {
-					dnn.ReLU(f)
-				}
-			}
+		}
+		cur = next
+	}
+	size := cur.len() / cur.n
+	flat := make([]float64, cur.len())
+	outs := make([][]float64, cur.n)
+	for i := range outs {
+		outs[i] = flat[i*size : (i+1)*size : (i+1)*size]
+		transpose(outs[i], cur.input(i), size/cur.c) // channels-last → C-major
+	}
+	return outs, stats, nil
+}
+
+// acts is a batch of channels-last activations: n inputs of h×w pixels of
+// c channels, channel ch of input i's pixel (y, x) at
+// data[((i·h+y)·w+x)·c+ch]. An FC layer's output is n inputs of one pixel.
+type acts struct {
+	data       []float64
+	n, c, h, w int
+}
+
+func (a acts) len() int { return a.n * a.c * a.h * a.w }
+
+// input returns input i's activations.
+func (a acts) input(i int) []float64 {
+	size := a.c * a.h * a.w
+	return a.data[i*size : (i+1)*size]
+}
+
+// activations is one RunBatch call's activation storage, reused across
+// calls: the two ping-pong slabs layers read and write, and the conv input
+// path's channel-max maps.
+type activations struct {
+	slabs [2][]float64
+	cmax  []float64
+}
+
+// transpose writes src, rows rows of len(src)/rows values, into dst
+// column by column: C-major activations (C rows of pixels, dnn.Tensor's
+// layout) become channels-last with rows = C, and back with rows = pixels.
+func transpose(dst, src []float64, rows int) {
+	cols := len(src) / rows
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
 		}
 	}
-	if flats == nil {
-		flats = make([][]float64, len(curs))
-		for i := range curs {
-			flats[i] = curs[i].Flatten()
-		}
-	}
-	return flats, stats, nil
 }
 
 // streamPatchBatches computes every sliding-window MVM of one conv layer
-// for every input, chunking the global (input, position) index space into
-// kernel batches of ≤ kb patches. A first pass builds every input's
-// channel-max map; each chunk then quantizes its windows straight
-// from the input tensors (quantizeConvBatch), runs them through the batched
-// kernel, and writes the outputs into the output tensors' rows. Chunks fan
-// out across a bounded worker pool; chunk boundaries are deterministic and
-// members never mix, so results are schedule-independent. Both passes run
-// on the pool when the layer's MACs pass parallelWorth. kb shrinks toward
-// n/workers so small layers still occupy the pool. With relu set, the
-// scatter applies the ReLU as it writes (v < 0 → +0, so −0 and NaN pass
-// as dnn.ReLU leaves them).
-func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*dnn.Tensor, kb int, relu bool, stats *InferenceStats) error {
+// for every input of in, chunking the global (input, position) index space
+// into kernel batches of ≤ kb patches, and writes the batch's outputs
+// channels-last into out. A first pass builds every input's channel-max
+// map into cmax; each chunk then quantizes its windows straight from the
+// activations (quantizeConvBatch) and runs them through the batched
+// kernel, whose epilogue writes member i's outputs to out[(lo+i)·cols:],
+// which is exactly output pixel lo+i of the batch. Chunks fan out across a
+// bounded worker pool; chunk boundaries are deterministic and members
+// never mix, so results are schedule-independent. Both passes run on the
+// pool when the layer's MACs pass parallelWorth. kb shrinks toward
+// n/workers so small layers still occupy the pool.
+func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, in acts, cmax, out []float64, kb int, stats *InferenceStats) error {
 	defer simStageStream.AddSince(time.Now())
 	positions := l.OutH * l.OutW
-	patchLen := curs[0].C * l.K * l.K
+	patchLen := in.c * l.K * l.K
 	if patchLen != le.w.Rows {
 		return lengthErr(patchLen, le.w.Rows)
 	}
 	cols := le.w.Cols
-	n := len(curs) * positions
-	H, W := curs[0].H, curs[0].W
-	maps := e.getScratch()
-	defer e.putScratch(maps)
-	cmax := maps.cmaxFor(len(curs) * H * W)
+	n := in.n * positions
 	parallel := parallelWorth(n, le.w.Rows, cols)
-	e.runChunks(len(curs)*H, parallel, stats, func(_ *batchScratch, r int, _ *InferenceStats) {
+	row := in.w * in.c
+	e.runChunks(in.n*in.h, parallel, stats, func(_ *batchScratch, r int, _ *InferenceStats) {
 		start := time.Now()
-		channelMaxRow(cmax[r*W:(r+1)*W], curs[r/H], r%H)
+		channelMax(cmax[r*in.w:(r+1)*in.w], in.data[r*row:(r+1)*row], in.c)
 		simStageInputPack.AddSince(start)
 	})
 	if per := n / runtime.GOMAXPROCS(0); per < kb {
 		kb = max(per, 1)
 	}
-	chunks := (n + kb - 1) / kb
-	digits := le.digits()
-	e.runChunks(chunks, parallel, stats, func(s *batchScratch, c int, st *InferenceStats) {
+	e.runKernelBatches(le, n, kb, parallel, out, stats, func(s *batchScratch, lo, bs int) {
+		quantizeConvBatch(s, le, l, in, cmax, lo, bs)
+	})
+	return nil
+}
+
+// runKernelBatches runs n MVMs of the prepared layer in chunks of ≤ kb
+// members on the worker pool (see runChunks): quantize fills s.pb with
+// members lo, …, lo+bs-1, and the kernel's epilogue writes member i's
+// outputs to out[(lo+i)·Cols:].
+func (e *Engine) runKernelBatches(le *layerExec, n, kb int, parallel bool, out []float64, stats *InferenceStats, quantize func(s *batchScratch, lo, bs int)) {
+	cols := le.w.Cols
+	e.runChunks((n+kb-1)/kb, parallel, stats, func(s *batchScratch, c int, st *InferenceStats) {
 		lo := c * kb
 		bs := min(lo+kb, n) - lo
 		start := time.Now()
-		quantizeConvBatch(s.pb, l, curs, cmax, lo, bs, digits)
+		quantize(s, lo, bs)
 		simStageInputPack.AddSince(start)
-		out := s.outFor(bs * cols)
 		start = time.Now()
-		le.applyBatch(s, out, st)
+		le.applyBatch(s, out[lo*cols:(lo+bs)*cols], st)
 		simStageKernel.AddSince(start)
-		// Members i… with the same input hold consecutive positions, so each
-		// output channel of that run is one contiguous row of the tensor.
-		for i := 0; i < bs; {
-			ii, pos := (lo+i)/positions, (lo+i)%positions
-			run := min(bs-i, positions-pos)
-			data := outs[ii].Data
-			for ch := 0; ch < cols; ch++ {
-				row := data[ch*positions+pos:][:run]
-				for j := range row {
-					v := out[(i+j)*cols+ch]
-					if relu && v < 0 {
-						v = 0
-					}
-					row[j] = v
-				}
-			}
-			i += run
-		}
 	})
-	return nil
 }
 
 // minParallelPool is the input element count below which a pooling layer
@@ -572,72 +624,56 @@ func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, curs, outs []*d
 // ~2 µs it takes to start and join a two-worker pool.
 const minParallelPool = 1 << 12
 
-// poolBatch max-pools every input through dnn.PoolMaxRef on the worker
-// pool, in (input, channel-block) chunks: a C-major tensor holds each
-// channel block contiguously, so a chunk pools its block as a tensor of its
-// own. Pooling is per channel, so chunking changes no value. On the pool,
-// inputs split into enough blocks to occupy it even at batch 1; a chunk
-// that covers a whole input keeps PoolMaxRef's tensor, a smaller one
-// copies its result into the input's output tensor.
-func (e *Engine) poolBatch(l *dnn.Layer, curs []*dnn.Tensor, stats *InferenceStats) []*dnn.Tensor {
-	C, plane := curs[0].C, curs[0].H*curs[0].W
-	parallel := len(curs)*C*plane >= minParallelPool
-	blocks, cb := 1, C
-	if parallel {
-		blocks = min(C, (runtime.GOMAXPROCS(0)+len(curs)-1)/len(curs))
-		cb = (C + blocks - 1) / blocks
-		blocks = (C + cb - 1) / cb
-	}
-	outs := make([]*dnn.Tensor, len(curs))
-	if blocks > 1 {
-		for i := range outs {
-			outs[i] = dnn.NewTensor(C, l.OutH, l.OutW)
-		}
-	}
-	e.runChunks(len(curs)*blocks, parallel, stats, func(_ *batchScratch, c int, _ *InferenceStats) {
-		i, c0 := c/blocks, c%blocks*cb
-		c1 := min(c0+cb, C)
-		in := curs[i]
-		p := dnn.PoolMaxRef(l, &dnn.Tensor{C: c1 - c0, H: in.H, W: in.W, Data: in.Data[c0*plane : c1*plane]})
-		if blocks == 1 {
-			outs[i] = p
-		} else {
-			copy(outs[i].Data[c0*p.H*p.W:], p.Data)
+// poolBatch max-pools every input of in into out (channels-last, l.OutH ×
+// l.OutW pixels per input), one output row of one input per chunk of the
+// worker pool. Each output pixel starts as its window's first pixel and
+// takes each later pixel's channel run, in dnn.PoolMaxRef's (y, x) order,
+// elementwise by v > best — the comparisons PoolMaxRef makes per channel,
+// so a leading NaN or −0 stays as it does there.
+func (e *Engine) poolBatch(l *dnn.Layer, in acts, out []float64, stats *InferenceStats) {
+	C, H, W := in.c, in.h, in.w
+	K, S, outW := l.K, l.Stride, l.OutW
+	e.runChunks(in.n*l.OutH, in.len() >= minParallelPool, stats, func(_ *batchScratch, r int, _ *InferenceStats) {
+		src := in.input(r / l.OutH)
+		y0, y1 := r%l.OutH*S, min(r%l.OutH*S+K, H)
+		for ox := 0; ox < outW; ox++ {
+			x0, x1 := ox*S, min(ox*S+K, W)
+			best := out[(r*outW+ox)*C:][:C]
+			copy(best, src[(y0*W+x0)*C:])
+			for y := y0; y < y1; y++ {
+				for x := x0; x < x1; x++ {
+					if y != y0 || x != x0 {
+						maxInto(best, src[(y*W+x)*C:])
+					}
+				}
+			}
 		}
 	})
-	return outs
+}
+
+// maxInto takes each v of the channel run starting at run[0] into best
+// where v > best holds.
+func maxInto(best, run []float64) {
+	run = run[:len(best)]
+	for c, v := range run {
+		if v > best[c] {
+			best[c] = v
+		}
+	}
 }
 
 // runFCBatches runs one FC layer over every input's flattened activations,
-// batching across the inputs themselves in chunks of ≤ kb members — each
-// quantized in place from its flats[i] — and replacing each flats[i] with
-// the layer's outputs.
-func (e *Engine) runFCBatches(le *layerExec, flats [][]float64, kb int, stats *InferenceStats) error {
+// batching across the inputs themselves in chunks of ≤ kb members, and
+// writes input i's outputs to out[i·Cols:].
+func (e *Engine) runFCBatches(le *layerExec, in acts, out []float64, kb int, stats *InferenceStats) error {
 	rows, cols := le.w.Rows, le.w.Cols
-	if len(flats[0]) != rows {
-		return lengthErr(len(flats[0]), rows)
+	if size := in.c * in.h * in.w; size != rows {
+		return lengthErr(size, rows)
 	}
-	n := len(flats)
-	if kb > n {
-		kb = n
-	}
-	chunks := (n + kb - 1) / kb
-	digits := le.digits()
-	e.runChunks(chunks, parallelWorth(n, rows, cols), stats, func(s *batchScratch, c int, st *InferenceStats) {
-		lo := c * kb
-		bs := min(lo+kb, n) - lo
-		start := time.Now()
-		s.pb.Reset(rows, bs, digits)
+	e.runKernelBatches(le, in.n, min(kb, in.n), parallelWorth(in.n, rows, cols), out, stats, func(s *batchScratch, lo, bs int) {
+		s.pb.Reset(rows, bs, le.digits())
 		for i := 0; i < bs; i++ {
-			s.pb.QuantizeMember(i, flats[lo+i])
-		}
-		simStageInputPack.AddSince(start)
-		out := s.outFor(bs * cols)
-		start = time.Now()
-		le.applyBatch(s, out, st)
-		simStageKernel.AddSince(start)
-		for i := 0; i < bs; i++ {
-			flats[lo+i] = append(flats[lo+i][:0], out[i*cols:(i+1)*cols]...)
+			quantizeVector(s, le, i, in.input(lo+i))
 		}
 	})
 	return nil
@@ -654,8 +690,8 @@ func (e *Engine) runChunks(chunks int, parallel bool, stats *InferenceStats, run
 		workers = chunks
 	}
 	if !parallel || workers <= 1 {
-		s := e.getScratch()
-		defer e.putScratch(s)
+		s := e.scratch.get()
+		defer e.scratch.put(s)
 		for c := 0; c < chunks; c++ {
 			runChunk(s, c, stats)
 		}
@@ -668,8 +704,8 @@ func (e *Engine) runChunks(chunks int, parallel bool, stats *InferenceStats, run
 		wg.Add(1)
 		go func(st *InferenceStats) {
 			defer wg.Done()
-			s := e.getScratch()
-			defer e.putScratch(s)
+			s := e.scratch.get()
+			defer e.scratch.put(s)
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= chunks {

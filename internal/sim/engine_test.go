@@ -294,10 +294,12 @@ func TestEngineRunAllocsBounded(t *testing.T) {
 	}
 }
 
-// The conv output scatter applies the ReLU as it writes, in place of a
-// dnn.ReLU pass over the finished layer: the two must agree bit for bit,
-// −0 and NaN outputs included. Rows 0–3 of the input are subnormal, so
-// their windows quantize under a scale whose product with the weight scale
+// The kernel epilogue applies the ReLU as it writes each output, in place
+// of a dnn.ReLU pass over the finished layer: the two must agree bit for
+// bit, −0 and NaN outputs included, in the fast mode (fused into the
+// blocked kernel's writes) and the bit-exact mode (applied after the
+// offset-binary correction). Rows 0–3 of the input are subnormal, so their
+// windows quantize under a scale whose product with the weight scale
 // underflows to +0 and negative sums come out −0; windows holding +Inf
 // quantize under scale +Inf and come out NaN, and in bit-exact mode the
 // NaN pixel's code sum turns its windows NaN too.
@@ -314,24 +316,28 @@ func TestConvScatterReLUMatchesDNNReLU(t *testing.T) {
 	}
 	in.Set(1, 6, 2, math.Inf(1))
 	in.Set(2, 5, 6, math.NaN())
+	x := channelsLastActs([]*dnn.Tensor{in})
+	cmax := make([]float64, x.h*x.w)
 	for _, opts := range []InferenceOptions{{Seed: 1}, {Seed: 1, BitExact: true}} {
 		e := NewEngine(p)
 		le, err := e.prepareLayer(l, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, fused := dnn.NewTensor(l.OutC, l.OutH, l.OutW), dnn.NewTensor(l.OutC, l.OutH, l.OutW)
+		n := l.OutC * l.OutH * l.OutW
+		raw, fused := make([]float64, n), make([]float64, n)
 		var st InferenceStats
 		for _, run := range []struct {
-			out  *dnn.Tensor
+			out  []float64
 			relu bool
 		}{{raw, false}, {fused, true}} {
-			if err := e.streamPatchBatches(le, l, []*dnn.Tensor{in}, []*dnn.Tensor{run.out}, DefaultKernelBatch, run.relu, &st); err != nil {
+			le.relu = run.relu
+			if err := e.streamPatchBatches(le, l, x, cmax, run.out, DefaultKernelBatch, &st); err != nil {
 				t.Fatal(err)
 			}
 		}
 		var negZero, nan, neg int
-		for _, v := range raw.Data {
+		for _, v := range raw {
 			switch {
 			case math.IsNaN(v):
 				nan++
@@ -344,29 +350,35 @@ func TestConvScatterReLUMatchesDNNReLU(t *testing.T) {
 		if negZero == 0 || nan == 0 || neg == 0 {
 			t.Fatalf("%+v: raw outputs hold %d −0, %d NaN, %d negatives; the test needs each", opts, negZero, nan, neg)
 		}
-		want := dnn.ReLU(append([]float64(nil), raw.Data...))
+		want := dnn.ReLU(append([]float64(nil), raw...))
 		for i, w := range want {
-			if g := fused.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
+			if g := fused[i]; math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("%+v: out[%d] = %v (%#x), dnn.ReLU gives %v (%#x)", opts, i, g, math.Float64bits(g), w, math.Float64bits(w))
 			}
 		}
 	}
 }
 
-// poolBatch splits inputs into channel blocks on the worker pool — several
-// per input at batch 1, ragged when the pool does not divide the channels —
-// and must return exactly what dnn.PoolMaxRef returns per input.
+// poolBatch pools one output row per chunk on the worker pool — rows of
+// one input on several workers at batch 1, ragged when the workers do not
+// divide the rows — and must return exactly what dnn.PoolMaxRef returns per
+// input, compared by bits after transposing the channels-last result back.
+// PoolMaxRef starts each window at its first pixel and only v > best
+// replaces it, so a window whose first pixel is −0 followed by +0 keeps
+// −0, the reverse keeps +0, and a leading NaN stays NaN; every input
+// plants those three windows at output pixel (0, 0) in channels 0–2.
 func TestPoolBatchMatchesPoolMaxRef(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	e := NewEngine(parallelCNN(t))
 	rng := rand.New(rand.NewSource(2))
-	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1)}
+	negZero := math.Copysign(0, -1)
+	specials := []float64{math.NaN(), negZero, 0, math.Inf(-1)}
 	for _, c := range []struct{ batch, C, H, K, S int }{
-		{1, 64, 24, 2, 2}, // parallel, 4 blocks of 16
-		{1, 10, 48, 3, 2}, // parallel, blocks of 3, 3, 3, 1
-		{3, 10, 24, 3, 2}, // parallel, 2 blocks of 5 per input
-		{5, 7, 24, 2, 2},  // parallel, one block per input
-		{1, 3, 8, 2, 2},   // serial, one block
+		{1, 64, 24, 2, 2}, // parallel, 12 rows on 4 workers
+		{1, 10, 48, 3, 2}, // parallel, 23 rows on 4 workers
+		{3, 10, 24, 3, 2}, // parallel, 3 inputs of 11 rows
+		{5, 7, 24, 2, 2},  // parallel, 5 inputs of 12 rows
+		{1, 3, 8, 2, 2},   // serial, 4 rows
 	} {
 		out := (c.H-c.K)/c.S + 1
 		l := &dnn.Layer{Name: "p", Kind: dnn.Pool, K: c.K, Stride: c.S, OutH: out, OutW: out}
@@ -379,19 +391,88 @@ func TestPoolBatchMatchesPoolMaxRef(t *testing.T) {
 					curs[i].Data[j] = specials[rng.Intn(len(specials))]
 				}
 			}
-		}
-		var st InferenceStats
-		got := e.poolBatch(l, curs, &st)
-		for i, in := range curs {
-			want := dnn.PoolMaxRef(l, in)
-			if g := got[i]; g.C != want.C || g.H != want.H || g.W != want.W {
-				t.Fatalf("%+v input %d: shape %dx%dx%d, want %dx%dx%d", c, i, g.C, g.H, g.W, want.C, want.H, want.W)
+			for y := 0; y < c.K; y++ {
+				for x := 0; x < c.K; x++ {
+					curs[i].Set(0, y, x, 0)
+					curs[i].Set(1, y, x, negZero)
+				}
 			}
+			curs[i].Set(0, 0, 0, negZero)
+			curs[i].Set(1, 0, 0, 0)
+			curs[i].Set(2, 0, 0, math.NaN())
+		}
+		in := channelsLastActs(curs)
+		got := make([]float64, c.batch*c.C*out*out)
+		var st InferenceStats
+		e.poolBatch(l, in, got, &st)
+		for i, x := range curs {
+			want := dnn.PoolMaxRef(l, x)
+			if want.H != out || want.W != out {
+				t.Fatalf("%+v: PoolMaxRef gives %dx%d, layer says %dx%d", c, want.H, want.W, out, out)
+			}
+			if v := want.At(0, 0, 0); v != 0 || !math.Signbit(v) {
+				t.Fatalf("%+v input %d: −0 then +0 pools to %v; the test needs −0", c, i, v)
+			}
+			if v := want.At(1, 0, 0); v != 0 || math.Signbit(v) {
+				t.Fatalf("%+v input %d: +0 then −0 pools to %v; the test needs +0", c, i, v)
+			}
+			if v := want.At(2, 0, 0); !math.IsNaN(v) {
+				t.Fatalf("%+v input %d: a leading NaN pools to %v; the test needs NaN", c, i, v)
+			}
+			size := c.C * out * out
+			back := make([]float64, size)
+			transpose(back, got[i*size:(i+1)*size], out*out)
 			for j, w := range want.Data {
-				if g := got[i].Data[j]; math.Float64bits(g) != math.Float64bits(w) {
+				if g := back[j]; math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("%+v input %d: out[%d] = %v, want %v", c, i, j, g, w)
 				}
 			}
+		}
+	}
+}
+
+// A warm RunBatch writes every layer into the engine's reused activation
+// slabs: batch 8 on parallelCNN and on AlexNet (28×28, whose fc6 flattens
+// a 3×3×256 map) allocates fewer bytes than the batch's smallest conv or
+// pool output, so no per-layer activation tensor is left.
+func TestRunBatchReusesActivationSlabs(t *testing.T) {
+	alex, err := accel.BuildPlan(hw.DefaultConfig(), dnn.AlexNet(), accel.Homogeneous(dnn.AlexNet().NumMappable(), xbar.Square(128)), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*accel.Plan{parallelCNN(t), alex} {
+		m := p.Model
+		const B = 8
+		inputs := make([]*dnn.Tensor, B)
+		for i := range inputs {
+			inputs[i] = dnn.SyntheticTensor(m.InC, m.InH, m.InW, int64(i))
+		}
+		smallest := math.MaxInt
+		for _, l := range m.Layers {
+			switch l.Kind {
+			case dnn.Conv:
+				smallest = min(smallest, B*l.OutC*l.OutH*l.OutW*8)
+			case dnn.Pool:
+				smallest = min(smallest, B*l.InC*l.OutH*l.OutW*8)
+			}
+		}
+		eng := NewEngine(p)
+		opts := InferenceOptions{Seed: 2}
+		for range 2 { // warm the caches, the scratch and the slabs
+			if _, _, err := eng.RunBatch(inputs, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		if _, _, err := eng.RunBatch(inputs, opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms1)
+		if got := ms1.TotalAlloc - ms0.TotalAlloc; got >= uint64(smallest) {
+			t.Fatalf("%s: warm batch-%d RunBatch allocated %d B, not under the smallest conv or pool output (%d B)", m.Name, B, got, smallest)
+		} else {
+			t.Logf("%s: warm batch-%d RunBatch allocated %d B (smallest conv or pool output %d B)", m.Name, B, got, smallest)
 		}
 	}
 }

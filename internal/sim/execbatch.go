@@ -61,9 +61,9 @@ func checkBatchShapes(cfg hw.Config, la *accel.LayerAlloc, w *quant.Matrix, pb *
 }
 
 // execPackedGridBatch runs the ideal batched bit-serial pipeline over the
-// layer's whole crossbar grid, accumulating shifted partial sums for every
-// batch member into the member-major out (which must be zeroed). acc is
-// kernel scratch of length ≥ pb.B. Exact integer accumulation makes both the
+// layer's whole crossbar grid, summing shifted partial sums for every
+// batch member into the member-major out (zeroed first). acc is kernel
+// scratch of length ≥ pb.B. Exact integer accumulation makes both the
 // cycle order and the crossbar band splits invisible — a column's band sums
 // add to its full-height sum, `==` (fuzz-asserted) — so the digital kernel
 // fuses all quant.InputBits cycles AND all row bands into one sweep per
@@ -79,6 +79,7 @@ func execPackedGridBatch(cfg hw.Config, la *accel.LayerAlloc, pm *quant.PackedMa
 	stats.Crossbars += an.Crossbars * B
 	stats.DACConversions += an.DACConversions * int64(B)
 	stats.ADCConversions += an.ADCConversions * int64(B)
+	clear(out[:B*cols])
 	for _, p := range pm.Planes {
 		shift := float64(int64(1) << uint(p.Bit))
 		for j := 0; j < cols; j++ {
@@ -97,10 +98,12 @@ func execPackedGridBatch(cfg hw.Config, la *accel.LayerAlloc, pm *quant.PackedMa
 // so each member is bit-identical to the byte-per-cell reference with its
 // own stream. It cannot fuse cycles (noise order is per cycle), but still
 // loads each weight word once per batch per cycle via ColRangeSumBatch.
-// sums is kernel scratch of length ≥ pb.B.
+// sums is kernel scratch of length ≥ pb.B; out (member-major) is zeroed
+// first, then accumulated.
 func execPackedGridBatchNoisy(cfg hw.Config, la *accel.LayerAlloc, pm *quant.PackedMatrix, pb *quant.PackedBatch, noise []func() float64, sums []int64, out []float64, cols int, stats *ExecStats) {
 	B := pb.B
 	sums = sums[:B]
+	clear(out[:B*cols])
 	forEachCrossbar(la, func(r0, r1, c0, c1 int) {
 		stats.Crossbars += B
 		for ib := 0; ib < cfg.InputBits; ib++ {
@@ -126,13 +129,14 @@ func execPackedGridBatchNoisy(cfg hw.Config, la *accel.LayerAlloc, pm *quant.Pac
 // drawn from each member's own stream in (plane, column) order. With
 // ReadNoiseSigma 0 it is bit-identical to the bit-serial pipeline
 // (ExecuteMVMFaulty / ExecuteMVMRepaired). acc is kernel scratch of length
-// ≥ pb.B; out is member-major and zeroed.
+// ≥ pb.B; out is member-major and zeroed first.
 func packedAggregateMVMBatch(cfg hw.Config, pm *quant.PackedMatrix, w *quant.Matrix, pb *quant.PackedBatch, fm *fault.Model, noise []func() float64, acc []int64, out []float64) {
 	noisy := fm != nil && fm.ReadNoiseSigma > 0
 	aggSigma := math.Sqrt(aggregateNoiseVar(cfg))
 	B := pb.B
 	cols := w.Cols
 	acc = acc[:B]
+	clear(out[:B*cols])
 	for _, p := range pm.Planes {
 		shift := float64(int64(1) << uint(p.Bit))
 		noiseScale := shift * aggSigma
@@ -150,15 +154,18 @@ func packedAggregateMVMBatch(cfg hw.Config, pm *quant.PackedMatrix, w *quant.Mat
 	applyCorrectionBatch(out, w, pb)
 }
 
-// integerMVMBatch is the fast path over a batch: the exact integer product
-// qᵀ·u_k per member, written member-major into out. acc is scratch of
-// length ≥ w.Cols (re-zeroed per member).
-func integerMVMBatch(out []float64, acc []int64, w *quant.Matrix, pb *quant.PackedBatch) {
+// integerMVMBatch is the scalar fast path over a batch: the exact integer
+// product qᵀ·u_k per member, written member-major into out through the
+// epilogue (Matrix.Epilogue, with relu), as BlockedMatrix.MulBatch writes
+// it. acc is scratch of length ≥ w.Cols (re-zeroed per member).
+func integerMVMBatch(out []float64, acc []int64, w *quant.Matrix, pb *quant.PackedBatch, relu bool) {
 	cols := w.Cols
 	for k := 0; k < pb.B; k++ {
 		acc = acc[:cols]
 		clear(acc)
-		integerMVMInto(out[k*cols:(k+1)*cols], acc, w, pb.Member(k))
+		o := out[k*cols : (k+1)*cols]
+		integerMVMInto(o, acc, w, pb.Member(k))
+		w.Epilogue(o, pb.Scales[k], relu)
 	}
 }
 

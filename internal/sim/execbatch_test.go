@@ -312,7 +312,8 @@ func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 }
 
 // With warm scratch, a whole kernel batch — fused window quantize/pack
-// from the input tensor, batched kernel, dequantize — allocates nothing on
+// from the channels-last activations, batched kernel, epilogue into the
+// output — allocates nothing on
 // the fast and bit-exact paths. This is the per-patch-allocation invariant
 // behind allocs_per_patch in BENCH_mvm.json, now asserted at batch
 // granularity.
@@ -320,25 +321,25 @@ func TestApplyBatchZeroAllocsWarm(t *testing.T) {
 	p := singleLayerPlan(t, 3, 12, 128, xbar.Square(64))
 	l := p.Model.Mappable()[0]
 	const B = 32
-	in := []*dnn.Tensor{dnn.SyntheticTensor(l.InC, l.InH, l.InW, 1)}
-	cmax := channelMaxMap(in[0])
+	in := channelsLastActs([]*dnn.Tensor{dnn.SyntheticTensor(l.InC, l.InH, l.InW, 1)})
+	cmax := channelMaxMap(in)
 	eng := NewEngine(p)
 	for _, opts := range []InferenceOptions{{Seed: 1}, {Seed: 1, BitExact: true}} {
 		le, err := eng.prepareLayer(l, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := eng.getScratch()
+		s := eng.scratch.get()
 		var stats InferenceStats
+		out := make([]float64, B*le.w.Cols)
 		run := func() {
-			quantizeConvBatch(s.pb, l, in, cmax, 0, B, le.digits())
-			out := s.outFor(B * le.w.Cols)
+			quantizeConvBatch(s, le, l, in, cmax, 0, B)
 			le.applyBatch(s, out, &stats)
 		}
 		run() // warm the buffers
 		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 			t.Fatalf("BitExact=%v: %v allocs per warm kernel batch, want 0", opts.BitExact, allocs)
 		}
-		eng.putScratch(s)
+		eng.scratch.put(s)
 	}
 }

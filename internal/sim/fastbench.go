@@ -25,19 +25,22 @@ import (
 // warm calls allocate nothing; a FastKernels is not safe for concurrent
 // use.
 type FastKernels struct {
-	le *layerExec // a fast-mode layer with no crossbar plan
+	le *layerExec // a fast-mode layer with no crossbar plan and no ReLU
 	bs batchScratch
 
-	// Single's buffers: the quantized input and the output accumulators.
-	in  *quant.Input
-	out []float64
-	acc []int64
+	// Single's buffers: the quantized input and the output accumulators;
+	// Batch's outputs.
+	in   *quant.Input
+	out  []float64
+	acc  []int64
+	bout []float64
 }
 
 // NewFastKernels prepares the fast pipelines for w, building the same
-// kernel representation the engine's prepareLayer builds.
+// kernel representation the engine's prepareLayer builds (with w's own
+// row order: the patches FastKernels takes are C-major).
 func NewFastKernels(w *quant.Matrix) *FastKernels {
-	return &FastKernels{le: &layerExec{w: w, mode: modeFast, bw: w.Blocked()},
+	return &FastKernels{le: &layerExec{w: w, fw: w, mode: modeFast, bw: w.Blocked()},
 		out: make([]float64, w.Cols), acc: make([]int64, w.Cols)}
 }
 
@@ -48,9 +51,7 @@ func (fk *FastKernels) Single(patch []float64) []float64 {
 	fk.in = quant.QuantizeInputInto(fk.in, patch)
 	clear(fk.acc)
 	integerMVMInto(fk.out, fk.acc, w, fk.in.U)
-	for j := range fk.out {
-		fk.out[j] = w.ScaleFor(j) * fk.in.Scale * fk.out[j]
-	}
+	w.Epilogue(fk.out, fk.in.Scale, false)
 	return fk.out
 }
 
@@ -58,8 +59,8 @@ func (fk *FastKernels) Single(patch []float64) []float64 {
 // patch slab) through the batched pipeline and returns member-major
 // dequantized outputs (valid until the next call).
 func (fk *FastKernels) Batch(flat []float64, n, b int) []float64 {
-	fk.bs.pb = quant.QuantizeBatchFlatCodesInto(fk.bs.pb, flat, n, b)
-	out := fk.bs.outFor(b * fk.le.w.Cols)
+	quant.QuantizeBatchFlatCodesInto(&fk.bs.pb, flat, n, b)
+	out := grow(&fk.bout, b*fk.le.w.Cols)
 	var stats InferenceStats
 	fk.le.applyBatch(&fk.bs, out, &stats)
 	return out

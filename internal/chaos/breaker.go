@@ -86,6 +86,15 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults()}
 }
 
+// Reset returns the breaker to its new, closed state, keeping its config.
+// A fleet resets its breakers in place between runs, so a scrape reading
+// State never races a replaced pointer.
+func (b *Breaker) Reset() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.state, b.fails, b.successes, b.probeAt, b.probing = BreakerClosed, 0, 0, 0, false
+}
+
 // State returns the current state.
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()

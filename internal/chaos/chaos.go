@@ -203,8 +203,9 @@ func Stochastic(cfg StochasticConfig, names []string, horizonNS float64, seed in
 }
 
 // SubSeed derives a stable seed for a named random stream from a base seed
-// (FNV-1a over the name, XORed in) — the same idiom as des.SubSeed, kept
-// local so the fleet core (internal/des) can import chaos without a cycle.
+// (FNV-1a over the name, XORed in), so one user-facing seed can drive many
+// independent deterministic streams: chaos's own picks, and the fleet
+// core's (internal/des) retry jitter.
 func SubSeed(seed int64, name string) int64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {

@@ -183,6 +183,17 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.CanRoute(350) {
 		t.Fatal("cooldown not restarted after failed probe")
 	}
+	// Reset makes it new again: closed, routable, no failure streak.
+	b.Record(351, false)
+	b.Reset()
+	if b.State() != BreakerClosed || !b.CanRoute(0) {
+		t.Fatal("Reset did not close the breaker")
+	}
+	b.Record(400, false)
+	b.Record(401, false)
+	if b.State() != BreakerClosed {
+		t.Fatal("Reset kept the failure streak")
+	}
 }
 
 func TestBackoffGrowthCapJitter(t *testing.T) {
@@ -267,5 +278,18 @@ func TestResilienceEnabled(t *testing.T) {
 	}
 	if !DefaultResilience().Enabled() {
 		t.Fatal("default stack disabled")
+	}
+}
+
+func TestSubSeed(t *testing.T) {
+	a, b := SubSeed(7, "arrivals"), SubSeed(7, "dispatch")
+	if a == b {
+		t.Fatal("distinct stream names produced the same seed")
+	}
+	if a != SubSeed(7, "arrivals") {
+		t.Fatal("SubSeed not stable")
+	}
+	if SubSeed(0, "") == 0 {
+		t.Fatal("SubSeed produced the degenerate 0 seed")
 	}
 }

@@ -7,15 +7,14 @@
 // cluster-scale fleets (des.Fleet) simulate 100k replicas under
 // ten-million-request traces in seconds.
 //
-// Hot path: events live in a free-list-reused arena (no per-event heap
-// allocation), and the queue is a calendar (Brown, CACM 1988) whose
-// buckets are lists threaded through the arena slots themselves, so a
-// schedule, a pop and a cancel each touch a bucket head and a few slots:
-// expected O(1), independent of how many events are pending. Hot event
-// types are scheduled as typed kinds (ScheduleEvent/AtEvent dispatching
-// through a single handler) so the steady-state loop schedules zero
-// closures. Closure events (Schedule/At with a func) remain available for
-// cold paths and setup.
+// Hot path: events live in a free-list-reused arena of 64-byte slots (no
+// per-event heap allocation), and the queue is a calendar (Brown, CACM
+// 1988) whose buckets are lists threaded through the arena slots
+// themselves, so a schedule, a pop and a cancel each touch a bucket head
+// and a few slots: expected O(1), independent of how many events are
+// pending. Every event is typed: ScheduleEvent/AtEvent file a kind and
+// three payload words, and Step hands them to the one installed Handler,
+// so the loop schedules no closures.
 //
 // Determinism: the engine has no hidden randomness and no wall-clock
 // dependence. Events at equal virtual times fire in FIFO schedule order
@@ -25,7 +24,7 @@
 // this with a byte-identical event log. The calendar's bucket widths only
 // decide where an event is filed, never the order: each bucket is sorted
 // by (time, sequence), and bucket numbers are monotone in time. Seeds for
-// independent random streams are derived with SubSeed.
+// independent random streams are derived with chaos.SubSeed.
 //
 // Time is float64 virtual nanoseconds, matching the repo's timing
 // convention (sim.PipelineResult, fleet accounting): identical inputs
@@ -33,14 +32,7 @@
 // weaken determinism.
 package des
 
-import (
-	"math"
-	"sync/atomic"
-)
-
-// KindFunc is the reserved event kind for closure events scheduled with
-// Schedule/At. Typed kinds passed to ScheduleEvent/AtEvent must be >= 1.
-const KindFunc uint16 = 0
+import "math"
 
 // Handler receives typed events when they fire. i, x, and p are the payload
 // words given at schedule time; the event's virtual timestamp is Now().
@@ -56,13 +48,13 @@ type Handle struct {
 	gen  uint32
 }
 
-// event is one arena slot. Slots are reused through a free list; gen counts
-// releases so stale handles are detectable. A pending event is also a node
-// of its calendar bucket's list: (at, seq) is its ordering key, prev and
-// next the neighbouring slots (-1 at either end).
+// event is one arena slot, 64 bytes: one cache line. Slots are reused
+// through a free list; gen counts releases so stale handles are
+// detectable. A pending event is also a node of its calendar bucket's
+// list: (at, seq) is its ordering key, prev and next the neighbouring
+// slots (-1 at either end).
 type event struct {
-	fn   func() // closure payload (KindFunc only)
-	p    any    // pointer payload for typed events
+	p    any
 	x    float64
 	i    int64
 	at   float64
@@ -97,10 +89,8 @@ const (
 )
 
 // Engine is the event loop. The zero value is not usable; create with New.
-// All scheduling and stepping must happen on one goroutine (the one driving
-// Run/Step); Now, Events, and Pending are genuinely safe to read from other
-// goroutines (each is a single atomic load) for metric exposition while a
-// run is in flight.
+// An Engine belongs to one goroutine: every call, reads included, must
+// come from the goroutine driving Run/Step.
 //
 // The queue is a calendar: an event at time t is filed under day
 // floor(t·(1/width)) in bucket day&mask, and each bucket's list is kept
@@ -116,13 +106,13 @@ type Engine struct {
 	cur      int64
 	scratch  []int32 // resize's gathered slots, kept between resizes
 	// skipped counts the days pops have scanned past since the last
-	// resize, which happened when Events was resizedAt.
+	// resize, which happened when events was resizedAt.
 	skipped   int64
 	resizedAt int64
-	nowBits   atomic.Uint64
+	now       float64
 	seq       uint64
-	events    atomic.Int64
-	pending   atomic.Int64
+	events    int64
+	pending   int64
 	halted    bool
 	handler   Handler
 }
@@ -130,68 +120,38 @@ type Engine struct {
 // New returns an empty engine with the virtual clock at 0.
 func New() *Engine { return &Engine{} }
 
-// SetHandler installs the typed-event dispatcher. Must be set before any
-// ScheduleEvent/AtEvent event fires.
+// SetHandler installs the event dispatcher. Must be set before any event
+// fires.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
 // Now returns the current virtual time in nanoseconds: the timestamp of the
-// most recently fired event (0 before any fires, or the RunUntil horizon
-// after one returns). Safe to read concurrently with a run.
-func (e *Engine) Now() float64 { return math.Float64frombits(e.nowBits.Load()) }
+// most recently fired event (0 before any fires).
+func (e *Engine) Now() float64 { return e.now }
 
-func (e *Engine) setNow(t float64) { e.nowBits.Store(math.Float64bits(t)) }
+// Events returns the number of events fired so far.
+func (e *Engine) Events() int64 { return e.events }
 
-// Events returns the number of events fired so far. Safe to read
-// concurrently with a run (metric exposition).
-func (e *Engine) Events() int64 { return e.events.Load() }
+// Pending returns the number of scheduled, uncancelled events.
+func (e *Engine) Pending() int { return int(e.pending) }
 
-// Pending returns the number of scheduled, uncancelled events. Safe to read
-// concurrently with a run.
-func (e *Engine) Pending() int { return int(e.pending.Load()) }
-
-// Schedule fires fn delayNS virtual nanoseconds from Now. Non-positive or
-// NaN delays clamp to zero — the event fires on the next Step, after events
-// already queued at the current instant (FIFO tie order).
-func (e *Engine) Schedule(delayNS float64, fn func()) Handle {
+// ScheduleEvent fires a typed event delayNS from Now, carrying the payload
+// words (i, x, p) to the installed Handler. Non-positive or NaN delays
+// clamp to zero — the event fires on the next Step, after events already
+// queued at the current instant (FIFO tie order).
+func (e *Engine) ScheduleEvent(delayNS float64, kind uint16, i int64, x float64, p any) Handle {
 	if !(delayNS > 0) { // also catches NaN
 		delayNS = 0
 	}
-	return e.At(e.Now()+delayNS, fn)
+	return e.AtEvent(e.now+delayNS, kind, i, x, p)
 }
 
-// At fires fn at virtual time atNS. Times in the past clamp to Now (virtual
-// time never runs backwards); equal-time events fire in schedule order.
-func (e *Engine) At(atNS float64, fn func()) Handle {
-	if fn == nil {
-		panic("des: At with nil event func")
-	}
-	return e.alloc(atNS, KindFunc, fn, 0, 0, nil)
-}
-
-// ScheduleEvent fires a typed event delayNS from Now, carrying the payload
-// words (i, x, p) to the installed Handler. Typed events are the
-// allocation-free hot path: no closure, no per-event heap object.
-func (e *Engine) ScheduleEvent(delayNS float64, kind uint16, i int64, x float64, p any) Handle {
-	if !(delayNS > 0) {
-		delayNS = 0
-	}
-	return e.AtEvent(e.Now()+delayNS, kind, i, x, p)
-}
-
-// AtEvent fires a typed event at virtual time atNS (clamped to Now).
+// AtEvent fires a typed event at virtual time atNS. Times in the past
+// clamp to Now (virtual time never runs backwards); equal-time events fire
+// in schedule order. Steady-state cost is zero allocations: the arena, the
+// free list and the buckets retain their grown storage across events.
 func (e *Engine) AtEvent(atNS float64, kind uint16, i int64, x float64, p any) Handle {
-	if kind == KindFunc {
-		panic("des: AtEvent with the reserved KindFunc kind")
-	}
-	return e.alloc(atNS, kind, nil, i, x, p)
-}
-
-// alloc claims an arena slot (reusing the free list) and files it in the
-// calendar. Steady-state cost is zero allocations: the arena, the free
-// list and the buckets retain their grown storage across events.
-func (e *Engine) alloc(atNS float64, kind uint16, fn func(), i int64, x float64, p any) Handle {
-	if now := e.Now(); !(atNS >= now) { // also catches NaN
-		atNS = now
+	if !(atNS >= e.now) { // also catches NaN
+		atNS = e.now
 	}
 	var idx int32
 	if n := len(e.free); n > 0 {
@@ -202,7 +162,7 @@ func (e *Engine) alloc(atNS float64, kind uint16, fn func(), i int64, x float64,
 		idx = int32(len(e.arena) - 1)
 	}
 	ev := &e.arena[idx]
-	ev.fn, ev.p, ev.x, ev.i, ev.kind, ev.live = fn, p, x, i, kind, true
+	ev.p, ev.x, ev.i, ev.kind, ev.live = p, x, i, kind, true
 	ev.at, ev.seq = atNS, e.seq
 	e.seq++
 	e.enqueue(idx)
@@ -215,7 +175,7 @@ func (e *Engine) release(idx int32) {
 	ev := &e.arena[idx]
 	ev.gen++
 	ev.live = false
-	ev.fn, ev.p = nil, nil // drop references for GC
+	ev.p = nil // drop the reference for GC
 	e.free = append(e.free, idx)
 }
 
@@ -260,15 +220,11 @@ func (e *Engine) Step() bool {
 	}
 	e.dequeue(idx)
 	ev := &e.arena[idx]
-	kind, fn, i, x, p, at := ev.kind, ev.fn, ev.i, ev.x, ev.p, ev.at
+	kind, i, x, p := ev.kind, ev.i, ev.x, ev.p
+	e.now = ev.at
 	e.release(idx)
-	e.setNow(at)
-	e.events.Add(1)
-	if kind == KindFunc {
-		fn()
-	} else {
-		e.handler(kind, i, x, p)
-	}
+	e.events++
+	e.handler(kind, i, x, p)
 	return true
 }
 
@@ -276,33 +232,14 @@ func (e *Engine) Step() bool {
 // is called from a handler) and returns the number fired by this call.
 func (e *Engine) Run() int64 {
 	e.halted = false
-	start := e.events.Load()
+	start := e.events
 	for !e.halted && e.Step() {
 	}
-	return e.events.Load() - start
+	return e.events - start
 }
 
-// RunUntil fires every event scheduled at or before horizonNS, then
-// advances the clock to the horizon, and returns the number fired. Events
-// scheduled beyond the horizon stay pending.
-func (e *Engine) RunUntil(horizonNS float64) int64 {
-	e.halted = false
-	start := e.events.Load()
-	for !e.halted {
-		at, ok := e.PeekAt()
-		if !ok || at > horizonNS {
-			break
-		}
-		e.Step()
-	}
-	if e.Now() < horizonNS {
-		e.setNow(horizonNS)
-	}
-	return e.events.Load() - start
-}
-
-// Halt stops the innermost Run/RunUntil after the current handler returns.
-// Pending events stay scheduled; a subsequent Run resumes them.
+// Halt stops the innermost Run after the current handler returns. Pending
+// events stay scheduled; a subsequent Run resumes them.
 func (e *Engine) Halt() { e.halted = true }
 
 // day returns the calendar day of time t: floor(t·(1/width)), monotone
@@ -322,14 +259,14 @@ func (e *Engine) enqueue(idx int32) {
 		e.invWidth = 1
 		e.resize(minBuckets)
 	}
-	n := e.pending.Add(1)
+	e.pending++
 	// A schedule before the cursor (or into an empty calendar) moves it
-	// back: PeekAt and RunUntil may have left it past Now.
-	if d := e.day(e.arena[idx].at); n == 1 || d < e.cur {
+	// back: PeekAt may have left it past Now.
+	if d := e.day(e.arena[idx].at); e.pending == 1 || d < e.cur {
 		e.cur = d
 	}
 	e.link(idx)
-	if nb := len(e.buckets); n > 2*int64(nb) {
+	if nb := len(e.buckets); e.pending > 2*int64(nb) {
 		e.resize(2 * nb)
 	}
 }
@@ -338,8 +275,8 @@ func (e *Engine) enqueue(idx int32) {
 // fewer than one event per two buckets. The slot itself is untouched.
 func (e *Engine) dequeue(idx int32) {
 	e.unlink(idx)
-	n := e.pending.Add(-1)
-	if nb := len(e.buckets); nb > minBuckets && n < int64(nb/2) {
+	e.pending--
+	if nb := len(e.buckets); nb > minBuckets && e.pending < int64(nb/2) {
 		e.resize(nb / 2)
 	}
 }
@@ -391,13 +328,13 @@ func (e *Engine) unlink(idx int32) {
 // the pending times (they spread out with no change in their count), and
 // it is re-estimated; the resize is paid for by the skips it ends.
 func (e *Engine) first() int32 {
-	if e.pending.Load() == 0 {
+	if e.pending == 0 {
 		return -1
 	}
 	h, skipped := e.scan()
 	if skipped > 0 {
 		e.skipped += skipped
-		if e.skipped > 4*(int64(len(e.buckets))+e.events.Load()-e.resizedAt) {
+		if e.skipped > 4*(int64(len(e.buckets))+e.events-e.resizedAt) {
 			e.resize(len(e.buckets))
 			h, _ = e.scan()
 		}
@@ -451,7 +388,7 @@ func (e *Engine) resize(nb int) {
 		e.buckets[i] = bucket{-1, -1}
 	}
 	e.mask = int64(nb - 1)
-	e.skipped, e.resizedAt = 0, e.events.Load()
+	e.skipped, e.resizedAt = 0, e.events
 	if len(all) > 0 {
 		earliest := e.arena[all[0]].at
 		for _, s := range all {
@@ -510,21 +447,4 @@ func (s *sample) width() float64 {
 		}
 	}
 	return 3 * span / float64(events)
-}
-
-// SubSeed derives a stable seed for a named random stream from a base seed
-// (FNV-1a over the name, XORed in), so one user-facing seed can drive many
-// independent deterministic streams — the same idiom internal/fleet uses
-// for per-replica fault maps.
-func SubSeed(seed int64, name string) int64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	s := seed ^ int64(h)
-	if s == 0 { // rand.NewSource(0) is a degenerate-looking stream; avoid it
-		s = int64(h)
-	}
-	return s
 }

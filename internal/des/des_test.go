@@ -1,22 +1,55 @@
 package des
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
+// recorder is an engine whose handler records the payload i and the fire
+// time of every event, then runs then[i] when one is set: how a test
+// schedules from inside a handler.
+type recorder struct {
+	*Engine
+	ids  []int64
+	ats  []float64
+	then map[int64]func()
+}
+
+func newRecorder() *recorder {
+	r := &recorder{Engine: New(), then: map[int64]func(){}}
+	r.SetHandler(func(kind uint16, i int64, x float64, p any) {
+		r.ids = append(r.ids, i)
+		r.ats = append(r.ats, r.Now())
+		if fn := r.then[i]; fn != nil {
+			fn()
+		}
+	})
+	return r
+}
+
+// firedAt returns when event id fired, or NaN when it has not.
+func (r *recorder) firedAt(id int64) float64 {
+	for k, i := range r.ids {
+		if i == id {
+			return r.ats[k]
+		}
+	}
+	return math.NaN()
+}
+
 func TestEventOrdering(t *testing.T) {
-	e := New()
-	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e := newRecorder()
+	e.AtEvent(30, 1, 3, 0, nil)
+	e.AtEvent(10, 1, 1, 0, nil)
+	e.AtEvent(20, 1, 2, 0, nil)
 	if n := e.Run(); n != 3 {
 		t.Fatalf("ran %d events, want 3", n)
 	}
-	if want := []int{1, 2, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("fired %v, want %v", got, want)
+	if want := []int64{1, 2, 3}; !reflect.DeepEqual(e.ids, want) {
+		t.Fatalf("fired %v, want %v", e.ids, want)
 	}
 	if e.Now() != 30 {
 		t.Fatalf("Now %v after run, want 30", e.Now())
@@ -26,55 +59,54 @@ func TestEventOrdering(t *testing.T) {
 // Equal-time events fire in schedule (FIFO) order, including events
 // scheduled from inside a handler at the current instant.
 func TestEqualTimeFIFO(t *testing.T) {
-	e := New()
-	var got []int
-	for i := 0; i < 5; i++ {
-		i := i
-		e.At(100, func() { got = append(got, i) })
+	e := newRecorder()
+	for i := int64(0); i < 6; i++ {
+		e.AtEvent(100, 1, i, 0, nil)
 	}
-	e.At(100, func() { e.Schedule(0, func() { got = append(got, 99) }) })
+	e.then[5] = func() { e.ScheduleEvent(0, 1, 99, 0, nil) }
 	e.Run()
-	if want := []int{0, 1, 2, 3, 4, 99}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("fired %v, want %v", got, want)
+	if want := []int64{0, 1, 2, 3, 4, 5, 99}; !reflect.DeepEqual(e.ids, want) {
+		t.Fatalf("fired %v, want %v", e.ids, want)
 	}
 }
 
 func TestScheduleRelative(t *testing.T) {
-	e := New()
-	var at float64
-	e.At(50, func() {
-		e.Schedule(25, func() { at = e.Now() })
-	})
+	e := newRecorder()
+	e.AtEvent(50, 1, 1, 0, nil)
+	e.then[1] = func() { e.ScheduleEvent(25, 1, 2, 0, nil) }
 	e.Run()
-	if at != 75 {
+	if at := e.firedAt(2); at != 75 {
 		t.Fatalf("relative event fired at %v, want 75", at)
 	}
 }
 
-// Scheduling in the past clamps to Now: virtual time never runs backwards.
+// Scheduling in the past, or at a NaN time or delay, clamps to Now:
+// virtual time never runs backwards.
 func TestPastSchedulesClamp(t *testing.T) {
-	e := New()
-	var at float64
-	e.At(100, func() {
-		e.At(10, func() { at = e.Now() })
-	})
-	e.Run()
-	if at != 100 {
-		t.Fatalf("past event fired at %v, want clamp to 100", at)
+	e := newRecorder()
+	e.AtEvent(100, 1, 1, 0, nil)
+	e.then[1] = func() {
+		e.AtEvent(10, 1, 2, 0, nil)
+		e.AtEvent(math.NaN(), 1, 3, 0, nil)
+		e.ScheduleEvent(math.NaN(), 1, 4, 0, nil)
 	}
-	e2 := New()
-	fired := false
-	e2.Schedule(-5, func() { fired = true })
+	e.Run()
+	for id := int64(2); id <= 4; id++ {
+		if at := e.firedAt(id); at != 100 {
+			t.Fatalf("event %d fired at %v, want clamp to 100", id, at)
+		}
+	}
+	e2 := newRecorder()
+	e2.ScheduleEvent(-5, 1, 1, 0, nil)
 	e2.Run()
-	if !fired || e2.Now() != 0 {
+	if fired := len(e2.ids) == 1; !fired || e2.Now() != 0 {
 		t.Fatalf("negative delay: fired=%t now=%v, want immediate at 0", fired, e2.Now())
 	}
 }
 
 func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	tm := e.At(10, func() { fired = true })
+	e := newRecorder()
+	tm := e.AtEvent(10, 1, 1, 0, nil)
 	if !e.Active(tm) {
 		t.Fatal("timer not active after schedule")
 	}
@@ -85,11 +117,11 @@ func TestCancel(t *testing.T) {
 		t.Fatal("second Cancel returned true")
 	}
 	e.Run()
-	if fired {
+	if len(e.ids) != 0 {
 		t.Fatal("cancelled timer fired")
 	}
 	// Cancelling after firing reports false.
-	tm2 := e.At(20, func() {})
+	tm2 := e.AtEvent(20, 1, 2, 0, nil)
 	e.Run()
 	if e.Active(tm2) || e.Cancel(tm2) {
 		t.Fatal("fired timer still active / cancellable")
@@ -104,13 +136,12 @@ func TestCancel(t *testing.T) {
 // A stale handle must not resurrect or cancel a later event that reuses its
 // arena slot — the generation check.
 func TestStaleHandleCannotTouchReusedSlot(t *testing.T) {
-	e := New()
-	h1 := e.At(10, func() {})
+	e := newRecorder()
+	h1 := e.AtEvent(10, 1, 1, 0, nil)
 	if !e.Cancel(h1) {
 		t.Fatal("cancel failed")
 	}
-	fired := false
-	h2 := e.At(20, func() { fired = true }) // reuses h1's slot
+	h2 := e.AtEvent(20, 1, 2, 0, nil) // reuses h1's slot
 	if e.Active(h1) {
 		t.Fatal("stale handle reports active after slot reuse")
 	}
@@ -121,7 +152,7 @@ func TestStaleHandleCannotTouchReusedSlot(t *testing.T) {
 		t.Fatal("fresh handle inactive")
 	}
 	e.Run()
-	if !fired {
+	if want := []int64{2}; !reflect.DeepEqual(e.ids, want) {
 		t.Fatal("event on reused slot did not fire")
 	}
 }
@@ -129,56 +160,32 @@ func TestStaleHandleCannotTouchReusedSlot(t *testing.T) {
 // Cancelling an interior event must not disturb the firing order of the
 // rest — unlinking an event from its bucket keeps each list sorted.
 func TestCancelKeepsOrder(t *testing.T) {
-	e := New()
-	var got []int
+	e := newRecorder()
 	timers := make([]Handle, 0, 10)
 	for i := 0; i < 10; i++ {
-		i := i
-		timers = append(timers, e.At(float64(10-i), func() { got = append(got, 10-i) }))
+		timers = append(timers, e.AtEvent(float64(10-i), 1, int64(10-i), 0, nil))
 	}
 	e.Cancel(timers[3]) // event at time 7
 	e.Cancel(timers[8]) // event at time 2
 	e.Run()
-	if want := []int{1, 3, 4, 5, 6, 8, 9, 10}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var got []int
-	for _, at := range []float64{10, 20, 30, 40} {
-		at := at
-		e.At(at, func() { got = append(got, int(at)) })
-	}
-	if n := e.RunUntil(25); n != 2 {
-		t.Fatalf("RunUntil fired %d, want 2", n)
-	}
-	if e.Now() != 25 {
-		t.Fatalf("Now %v after RunUntil(25), want 25", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("%d pending, want 2", e.Pending())
-	}
-	e.Run()
-	if want := []int{10, 20, 30, 40}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("fired %v, want %v", got, want)
+	if want := []int64{1, 3, 4, 5, 6, 8, 9, 10}; !reflect.DeepEqual(e.ids, want) {
+		t.Fatalf("fired %v, want %v", e.ids, want)
 	}
 }
 
 func TestHalt(t *testing.T) {
-	e := New()
-	var got []int
-	e.At(10, func() { got = append(got, 1); e.Halt() })
-	e.At(20, func() { got = append(got, 2) })
+	e := newRecorder()
+	e.AtEvent(10, 1, 1, 0, nil)
+	e.AtEvent(20, 1, 2, 0, nil)
+	e.then[1] = e.Halt
 	e.Run()
-	if want := []int{1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("fired %v before halt, want %v", got, want)
+	if want := []int64{1}; !reflect.DeepEqual(e.ids, want) {
+		t.Fatalf("fired %v before halt, want %v", e.ids, want)
 	}
 	// Resuming picks up the pending events.
 	e.Run()
-	if want := []int{1, 2}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("fired %v after resume, want %v", got, want)
+	if want := []int64{1, 2}; !reflect.DeepEqual(e.ids, want) {
+		t.Fatalf("fired %v after resume, want %v", e.ids, want)
 	}
 	if e.Events() != 2 {
 		t.Fatalf("Events %d, want 2", e.Events())
@@ -191,20 +198,29 @@ func TestChainedEventsBoundedHeap(t *testing.T) {
 	e := New()
 	const n = 100000
 	count := 0
-	var next func()
-	next = func() {
+	e.SetHandler(func(uint16, int64, float64, any) {
 		count++
 		if count < n {
-			e.Schedule(1, next)
+			e.ScheduleEvent(1, 1, 0, 0, nil)
 		}
 		if p := e.Pending(); p > 1 {
 			t.Fatalf("queue grew to %d entries on a chained workload", p)
 		}
-	}
-	e.Schedule(1, next)
+	})
+	e.ScheduleEvent(1, 1, 0, 0, nil)
 	e.Run()
 	if count != n || e.Now() != float64(n) {
 		t.Fatalf("ran %d events to t=%v, want %d to %d", count, e.Now(), n, n)
+	}
+}
+
+// An arena slot is one 64-byte cache line on 64-bit builds.
+func TestEventSlotSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("slot size is pinned for 64-bit builds")
+	}
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Fatalf("event slot is %d bytes, want 64", n)
 	}
 }
 
@@ -219,7 +235,7 @@ func TestCalendarGrowsAndShrinks(t *testing.T) {
 		t.Fatal("buckets allocated before the first schedule")
 	}
 	const n = 4096
-	at := func(i int) float64 { return float64(i * 2654435761 % n / 4) } // shuffled, 4-way ties
+	at := func(i int) float64 { return float64(int64(i) * 2654435761 % n / 4) } // shuffled, 4-way ties
 	for i := 0; i < n; i++ {
 		e.AtEvent(at(i), 1, int64(i), 0, nil)
 	}
@@ -280,18 +296,5 @@ func TestCalendarRewidthsAfterShift(t *testing.T) {
 	}
 	if sparse := 1 / e.invWidth; !(sparse > 100*dense) {
 		t.Fatalf("bucket width %g ns after the shift, still %g ns from the dense phase", sparse, dense)
-	}
-}
-
-func TestSubSeed(t *testing.T) {
-	a, b := SubSeed(7, "arrivals"), SubSeed(7, "dispatch")
-	if a == b {
-		t.Fatal("distinct stream names produced the same seed")
-	}
-	if a != SubSeed(7, "arrivals") {
-		t.Fatal("SubSeed not stable")
-	}
-	if SubSeed(0, "") == 0 {
-		t.Fatal("SubSeed produced the degenerate 0 seed")
 	}
 }

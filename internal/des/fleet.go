@@ -695,7 +695,7 @@ func NewFleet(cfg Config, specs ...ReplicaSpec) (*Fleet, error) {
 	f.res = cfg.Resilience
 	f.breakersOn = cfg.Resilience.Breaker != nil
 	if cfg.Resilience.Retry != nil {
-		f.retryRng = rand.New(rand.NewSource(SubSeed(cfg.Seed, "chaos/retry")))
+		f.retryRng = rand.New(rand.NewSource(chaos.SubSeed(cfg.Seed, "chaos/retry")))
 		f.retryBudget = chaos.NewRetryBudget(*cfg.Resilience.Retry)
 	}
 	f.indexPicks(bounds)
@@ -991,6 +991,7 @@ func (f *Fleet) compileResult(requests int, events int64, wall time.Duration) *R
 		res.SpeedupVsWall = res.VirtualNS / 1e9 / res.WallSeconds
 		res.EventsPerSec = float64(events) / res.WallSeconds
 	}
+	eventsTotal.Add(events)
 	if f.speedupGauge != nil {
 		f.speedupGauge.Set(res.SpeedupVsWall)
 	}

@@ -321,6 +321,54 @@ func TestMetricsRegistered(t *testing.T) {
 	}
 }
 
+// autohet_des_events_total grows by exactly Result.Events per run, for a
+// serial run, a two-lane run and a paced online run alike.
+func TestEventsMetricPerRun(t *testing.T) {
+	eventsTotal := func() int64 { return obs.Default.JSON().Counters["autohet_des_events_total"] }
+	lanes := DefaultConfig()
+	lanes.Clusters, lanes.Workers = 4, 2
+	var mu sync.Mutex
+	for _, tc := range []struct {
+		name  string
+		lanes int
+		run   func() (*Result, error)
+	}{
+		{"serial", 1, func() (*Result, error) {
+			f, err := NewFleet(DefaultConfig(), homogeneous(2, 1000, 100)...)
+			if err != nil {
+				return nil, err
+			}
+			return f.RunTrace(trace.Poisson(1e6, 1), 100, 0)
+		}},
+		{"lanes", 2, func() (*Result, error) {
+			f, err := NewFleet(lanes, homogeneous(8, 1000, 100)...)
+			if err != nil {
+				return nil, err
+			}
+			return f.RunTrace(trace.Poisson(4e6, 1), 1000, 0)
+		}},
+		{"paced", 1, func() (*Result, error) {
+			f, err := NewOnline(DefaultConfig(), &mu, homogeneous(2, 1000, 100)...)
+			if err != nil {
+				return nil, err
+			}
+			return pacedRun(f, &mu, trace.Poisson(1e6, 1), 100)
+		}},
+	} {
+		before := eventsTotal()
+		res, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Lanes != tc.lanes {
+			t.Fatalf("%s: ran %d lanes, want %d", tc.name, res.Lanes, tc.lanes)
+		}
+		if got := eventsTotal() - before; got != res.Events || got == 0 {
+			t.Errorf("%s: autohet_des_events_total grew by %d, the run fired %d events", tc.name, got, res.Events)
+		}
+	}
+}
+
 // A 1k-replica fleet under a heavy-tail trace completes quickly and reports
 // a large virtual-over-wall speedup — the engine's reason to exist. (The
 // 10k-replica × 1M-request recipe runs in the benchmark and CI smoke.)

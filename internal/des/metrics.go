@@ -9,17 +9,20 @@ import (
 
 // Observability. The simulation loop is single-goroutine and allocation-
 // sensitive, so nothing on the event path records into the registry
-// directly: counters publish the fleet's existing atomics through
-// CounterFunc (zero cost until a scrape), queue depths read the per-cluster
-// atomic through GaugeFunc, and the speedup gauge is set once per run.
-// Rebinding semantics (RegisterCounter/CounterFunc replace callbacks on
-// re-registration) mean each new Fleet re-claims the series.
+// directly: the events counter and the speedup gauge are published once
+// per run, outcome counters publish the fleet's existing atomics through
+// CounterFunc (zero cost until a scrape), and queue depths read the
+// per-cluster atomic through GaugeFunc. Rebinding semantics (CounterFunc
+// and GaugeFunc replace callbacks on re-registration) mean each new Fleet
+// re-claims its series.
+
+// eventsTotal counts the events of every finished run, serial, lane or
+// paced, across all fleets of the process.
+var eventsTotal = obs.Default.Counter("autohet_des_events_total",
+	"Simulation events fired by the DES engine.")
 
 func (f *Fleet) registerMetrics() {
 	reg := obs.Default
-	reg.CounterFunc("autohet_des_events_total",
-		"Simulation events fired by the DES engine.",
-		f.eng.Events)
 	for _, oc := range []struct {
 		outcome string
 		c       *atomic.Int64

@@ -83,7 +83,7 @@ func (f *Fleet) Begin(gen trace.Generator, requests int, budgetNS float64) error
 		r.collecting, r.collect = false, Handle{}
 		r.cl.rrNext = 0
 		if r.breaker != nil {
-			r.breaker = chaos.NewBreaker(*f.res.Breaker)
+			r.breaker.Reset()
 		}
 	}
 	if f.retryBudget != nil {
@@ -101,7 +101,7 @@ func (f *Fleet) Begin(gen trace.Generator, requests int, budgetNS float64) error
 	clear(f.stageRR)
 	f.rng = rand.New(rand.NewSource(f.cfg.Seed))
 	if f.retryRng != nil {
-		f.retryRng = rand.New(rand.NewSource(SubSeed(f.cfg.Seed, "chaos/retry")))
+		f.retryRng = rand.New(rand.NewSource(chaos.SubSeed(f.cfg.Seed, "chaos/retry")))
 	}
 	o.run, o.runN, o.runWall = true, requests, time.Now()
 	f.start(gen, requests, budgetNS)

@@ -283,7 +283,7 @@ func (f *Fleet) runParallel(gen trace.Generator, requests int, budgetNS float64,
 		}
 	}
 	f.lastArrival = arrival
-	f.eng.setNow(endNow)
+	f.eng.now = endNow
 	f.latencies = mergeSorted(runs)
 
 	res := f.compileResult(requests, events, loopEnd.Sub(wallStart))

@@ -8,9 +8,7 @@ package des
 //     behind f.logging (varargs boxing alone used to cost ~6 allocs/event),
 //     and the scratch buffers amortize — so a 100k-request run must stay
 //     under a small allocs/event ceiling regardless of GOGC timing.
-//  2. Engine.Now/Events/Pending are safe to read from other goroutines
-//     while a run is in flight (metrics exposition does exactly that); the
-//     hammer test makes `go test -race` the enforcement.
+//  2. An event slot is one 64-byte cache line (TestEventSlotSize).
 //  3. The calendar queue threaded through the arena, with generation-checked
 //     cancellation, fires in exactly (time, FIFO-seq) order through every
 //     interleaving of schedules, pops, peeks, horizons, cancels and bucket
@@ -20,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 
 	"autohet/internal/des/trace"
@@ -168,63 +165,9 @@ func BenchmarkEngineRaw(b *testing.B) {
 	}
 }
 
-// TestEngineConcurrentReads hammers the read-side API from other goroutines
-// while the event loop runs. Run under -race this enforces that Now, Events
-// and Pending are genuinely atomic — the contract metrics exposition relies
-// on when it samples a fleet mid-run.
-func TestEngineConcurrentReads(t *testing.T) {
-	e := New()
-	const total = 200000
-	fired := 0
-	e.SetHandler(func(kind uint16, i int64, x float64, p any) {
-		fired++
-		if fired < total {
-			e.ScheduleEvent(1+float64(fired%17), 1, 0, 0, nil)
-		}
-	})
-	e.ScheduleEvent(1, 1, 0, 0, nil)
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var lastNow float64
-			var lastEvents int64
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if now := e.Now(); now < lastNow {
-					t.Errorf("Now went backwards: %g after %g", now, lastNow)
-					return
-				} else {
-					lastNow = now
-				}
-				if ev := e.Events(); ev < lastEvents {
-					t.Errorf("Events went backwards: %d after %d", ev, lastEvents)
-					return
-				} else {
-					lastEvents = ev
-				}
-				_ = e.Pending()
-			}
-		}()
-	}
-	e.Run()
-	close(done)
-	wg.Wait()
-	if fired != total {
-		t.Fatalf("fired %d events, want %d", fired, total)
-	}
-}
-
 // FuzzEventHeap drives the calendar queue, the free list and the
 // generation machinery with arbitrary interleavings of schedules, pops,
-// peeks, horizons and cancels, and checks every firing against a naive
+// peeks, horizons (PeekAt + Step up to a time) and cancels, and checks every firing against a naive
 // sorted-slice model ordered by (time, schedule order). Schedules land at
 // Now, at tiny offsets, on a coarse grid of exact ties, at 1e15 and at
 // +Inf, so buckets fill, empty, resize and alias across calendar years;
@@ -321,18 +264,19 @@ func checkQueue(t *testing.T, data []byte, seed int64) {
 			if ok != (len(model) > 0) || ok && at != model[earliest()].at {
 				t.Fatalf("PeekAt = %g, %t; model holds %d", at, ok, len(model))
 			}
-		case 9: // RunUntil a horizon a few grid steps ahead
+		case 9: // fire every event at or before a horizon a few grid steps ahead
 			h := now + 16*float64(arg%8)
-			e.RunUntil(h)
+			for at, ok := e.PeekAt(); ok && at <= h; at, ok = e.PeekAt() {
+				e.Step()
+			}
 			for len(model) > 0 && model[earliest()].at <= h {
 				fire()
 			}
 			if len(got) != 0 {
-				t.Fatalf("RunUntil(%g) fired %d events past the model", h, len(got))
+				t.Fatalf("horizon %g fired %d events past the model", h, len(got))
 			}
-			now = math.Max(now, h)
 			if e.Now() != now {
-				t.Fatalf("Now %g after RunUntil(%g), model %g", e.Now(), h, now)
+				t.Fatalf("Now %g after horizon %g, model %g", e.Now(), h, now)
 			}
 		case 10: // cancel a live event
 			if len(model) == 0 {

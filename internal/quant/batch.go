@@ -51,7 +51,9 @@ type PackedBatch struct {
 	// USums caches Σ_i U[k][i] per member — the offset-binary correction
 	// needs it once per (member, output column) batch.
 	USums []float64
-	// U holds the quantized unsigned codes, member-major.
+	// U holds the quantized unsigned codes, member-major. Its capacity
+	// keeps codeSlack readable bytes past the B·N codes, which the blocked
+	// kernel's padded last row group reads (BlockedMatrix.MulBatch).
 	U []uint8
 	// Digits is the interleaved digit slab: Digits[(w*B+k)*InputBits+b].
 	Digits []uint64
@@ -59,6 +61,13 @@ type PackedBatch struct {
 
 // Member returns member k's quantized codes.
 func (pb *PackedBatch) Member(k int) []uint8 { return pb.U[k*pb.N : (k+1)*pb.N] }
+
+// Sub returns members [k0, k1) of pb as a codes-only batch sharing pb's
+// codes, scales and code sums (and U's slack). It has no digit slab.
+func (pb *PackedBatch) Sub(k0, k1 int) PackedBatch {
+	return PackedBatch{N: pb.N, B: k1 - k0, Words: pb.Words,
+		Scales: pb.Scales[k0:k1], USums: pb.USums[k0:k1], U: pb.U[k0*pb.N : k1*pb.N]}
+}
 
 // DigitWord returns word w of member k's bit-b digit bitset (test hook).
 func (pb *PackedBatch) DigitWord(w, k, b int) uint64 {
@@ -82,8 +91,8 @@ func (pb *PackedBatch) Reset(n, b int, digits bool) {
 		pb.USums = make([]float64, b)
 	}
 	pb.Scales, pb.USums = pb.Scales[:b], pb.USums[:b]
-	if cap(pb.U) < n*b {
-		pb.U = make([]uint8, n*b)
+	if cap(pb.U) < n*b+codeSlack {
+		pb.U = make([]uint8, n*b, n*b+codeSlack)
 	}
 	pb.U = pb.U[:n*b]
 	if !digits {

@@ -27,35 +27,39 @@ import "fmt"
 //     multiply-accumulates per VPMADDWD, plus a VPADDD and the codes widened
 //     to uint16 once per batch (maddBlock4/maddBlock).
 //
-// Both micro-kernels are register-blocked over memberBlock = 4 batch
+// Both micro-kernels are register-blocked over MemberBlock = 4 batch
 // members: each group's weights are loaded once and used by all four
 // members, so one pass over a weight block serves four members; the B mod 4
-// leftover members take the one-member kernel. The rows past the last full
-// group (N mod 2 or N mod 4) and the Cols mod 16 trailing columns are
-// finished by scalar sweeps over the source codes. Unlike the bit-plane
-// kernels, this computes the *signed* product Σ_i q_i·u_i directly — no
-// offset-binary correction term — which is exactly the fast path's contract
-// (integerMVMInto). Every intermediate is an exact integer, so the result is
-// bit-identical to the scalar reference on either layout; equivalence is
-// asserted by FuzzBatchedMVM, which runs every layout the CPU executes, and
-// the sim engine oracle tests.
+// leftover members take the one-member kernel. The last row group and the
+// last column block are zero-padded past Rows and Cols, so the kernels
+// cover every row and column and no scalar sweep finishes a tail. A padded
+// row's weights are 0, so whatever code byte the kernel pairs with it (the
+// next member's first codes, or the batch's slack bytes past its last
+// member: PackedBatch keeps codeSlack of them readable) adds an exact 0,
+// and a padded column's sums are computed and never written. Unlike the
+// bit-plane kernels, this computes the *signed* product Σ_i q_i·u_i
+// directly — no offset-binary correction term — which is exactly the fast
+// path's contract (integerMVMInto). Every intermediate is an exact integer,
+// so the result is bit-identical to the scalar reference on either layout;
+// equivalence is asserted by FuzzBatchedMVM, which runs every layout the
+// CPU executes, and the sim engine oracle tests.
 //
 // The kernel is gated at runtime: Blocked() returns nil unless the CPU
-// reports AVX2 with OS-enabled YMM state (see cpufeat.AVX2), the row count
-// fits the int32 accumulator bound, and the matrix is at least one block
-// wide; it builds the quad layout where cpufeat.VNNI holds and the pair
-// layout otherwise. Callers fall back to the scalar batch kernel on nil.
-// A quad-layout matrix built on a CPU without VNNI (tests build every
-// layout) runs dpQuadModel, the Go model of dpQuad4/dpQuad, so the quad
-// layout, its row tails and its column tails are checked on every host.
+// reports AVX2 with OS-enabled YMM state (see cpufeat.AVX2) and the row
+// count fits the int32 accumulator bound; it builds the quad layout where
+// cpufeat.VNNI holds and the pair layout otherwise. Callers fall back to
+// the scalar batch kernel on nil. A quad-layout matrix built on a CPU
+// without VNNI (tests build every layout) runs dpQuadModel, the Go model of
+// dpQuad4/dpQuad, so the quad layout and its padded tails are checked on
+// every host.
 
 // maxBlockedRows bounds the row count for which a 16-lane int32 accumulator
 // cannot overflow on either layout. Each product is at most 128·255 = 32640
 // in magnitude (|q| ≤ 128, u ≤ 255) and every step adds exact products —
-// a pair (VPMADDWD, ≤ 65280 per lane), a quad (VPDPBUSD, wrapping and
-// never saturating, ≤ 130560) or one scalar tail row — so every partial
-// sum is bounded by rows·32640. int32 holds ⌊(2³¹−1)/32640⌋ = 65793 rows:
-// 32896 pairs plus a tail row, or 16448 quads plus a tail row, worst case
+// a pair (VPMADDWD, ≤ 65280 per lane) or a quad (VPDPBUSD, wrapping and
+// never saturating, ≤ 130560), whose zero-padded rows add 0 — so every
+// partial sum is bounded by rows·32640. int32 holds ⌊(2³¹−1)/32640⌋ = 65793
+// rows (32897 pairs or 16449 quads, the last one padded), worst case
 // −32640·65793 = −2147483520.
 const maxBlockedRows = (1<<31 - 1) / (128 * 255)
 
@@ -63,11 +67,11 @@ const maxBlockedRows = (1<<31 - 1) / (128 * 255)
 // registers of eight int32 column accumulators.
 const blockedColWidth = 16
 
-// memberBlock is the number of batch members the four-member kernels run
+// MemberBlock is the number of batch members the four-member kernels run
 // per weight pass: four members × two YMM accumulators, two weight
 // registers and their broadcast/product temporaries fill the 16 YMM
 // registers. (Eight members on EVEX's Y16–Y31 measured no faster.)
-const memberBlock = 4
+const MemberBlock = 4
 
 // blockLayout is a BlockedMatrix's row grouping; its value is the number of
 // rows per group, so one group of a block is 16·layout bytes.
@@ -102,26 +106,24 @@ func IntKernel() string {
 }
 
 // BlockedMatrix is the row-group-interleaved signed int8 packing of a
-// quantized weight matrix, in the quad or pair layout above.
-// The trailing Cols%16 columns and the rows past the last full group are
-// not blocked; MulBatch finishes them with scalar sweeps over q.
+// quantized weight matrix, in the quad or pair layout above. The last row
+// group and the last column block are zero-padded past Rows and Cols.
 type BlockedMatrix struct {
 	Rows, Cols int
-	Blocks     int       // full 16-column blocks
-	Groups     int       // ⌊Rows/layout⌋ interleaved row groups per block
+	Blocks     int       // ⌈Cols/16⌉ 16-column blocks
+	Groups     int       // ⌈Rows/layout⌉ interleaved row groups per block
 	Data       []int8    // Blocks × Groups × 16·layout bytes, layout above
-	q          []int8    // source row-major codes, for the row/column tails
 	scales     []float64 // ScaleFor(j) of the source matrix, per column
 	layout     blockLayout
+	model      bool // quad layout run on dpQuadModel (no VNNI; tests force it)
 }
 
 // Blocked returns the matrix's SIMD-blocked packing, built once and
-// memoized like Packed(). Returns nil when the running CPU lacks AVX2, when
-// Rows exceeds maxBlockedRows, or when the matrix is narrower than one
-// block; callers fall back to the scalar batch kernel. Safe for concurrent
-// use.
+// memoized like Packed(). Returns nil when the running CPU lacks AVX2 or
+// when Rows exceeds maxBlockedRows; callers fall back to the scalar batch
+// kernel. Safe for concurrent use.
 func (m *Matrix) Blocked() *BlockedMatrix {
-	if !hasAVX2 || m.Rows > maxBlockedRows || m.Cols < blockedColWidth {
+	if !hasAVX2 || m.Rows > maxBlockedRows {
 		return nil
 	}
 	m.memo.Lock()
@@ -135,32 +137,35 @@ func (m *Matrix) Blocked() *BlockedMatrix {
 // buildBlocked packs m in the given layout. It walks the source in one
 // row-major pass, a group of rows at a time, and writes each (group, block)
 // destination as one contiguous 16·layout-byte run, so both the reads and
-// the writes stream.
+// the writes stream. The padding past Rows and Cols keeps make's zeros.
 func buildBlocked(m *Matrix, layout blockLayout) *BlockedMatrix {
 	g := int(layout)
 	gb := g * blockedColWidth
-	nb := m.Cols / blockedColWidth
-	ng := m.Rows / g
+	nb := (m.Cols + blockedColWidth - 1) / blockedColWidth
+	ng := (m.Rows + g - 1) / g
 	bm := &BlockedMatrix{
 		Rows: m.Rows, Cols: m.Cols,
 		Blocks: nb, Groups: ng,
 		Data:   make([]int8, nb*ng*gb),
-		q:      m.Q,
 		scales: make([]float64, m.Cols),
 		layout: layout,
+		model:  layout == layoutQuad && !hasVNNI,
 	}
 	for j := range bm.scales {
 		bm.scales[j] = m.ScaleFor(j)
 	}
 	blkStride := ng * gb
 	for p := 0; p < ng; p++ {
-		src := m.Q[p*g*m.Cols : (p+1)*g*m.Cols]
+		src := m.Q[p*g*m.Cols : min((p+1)*g, m.Rows)*m.Cols]
 		for bi := 0; bi < nb; bi++ {
 			d := bm.Data[bi*blkStride+p*gb : bi*blkStride+(p+1)*gb]
 			j0 := bi * blockedColWidth
-			if layout == layoutQuad {
+			switch {
+			case len(src) < g*m.Cols || j0+blockedColWidth > m.Cols:
+				interleaveTail(d, src[j0:], m.Cols, g, min(blockedColWidth, m.Cols-j0))
+			case layout == layoutQuad:
 				interleave4(d, src[j0:], m.Cols)
-			} else {
+			default:
 				interleave2(d, src[j0:], m.Cols)
 			}
 		}
@@ -194,21 +199,64 @@ func interleave2(d, src []int8, stride int) {
 	}
 }
 
-// checkBlockedShapes validates pb/out/scratch agreement for one batched
-// blocked MVM.
-func (bm *BlockedMatrix) checkBlockedShapes(pb *PackedBatch, outLen, scratchLen int) {
+// interleaveTail is interleave4/interleave2 for a group of g rows cut
+// short by Rows or a block cut short by Cols: it writes d[g·j+r] =
+// src[r·stride+j] for the len(src)/stride rows r and the cols columns j
+// that exist, and leaves the rest of d zero.
+func interleaveTail(d, src []int8, stride, g, cols int) {
+	for r := 0; r*stride < len(src); r++ {
+		for j, q := range src[r*stride : r*stride+cols] {
+			d[g*j+r] = q
+		}
+	}
+}
+
+// codeSlack is how many readable bytes PackedBatch.U keeps past its B·N
+// codes (Reset allocates them): the quad kernel reads a whole dword of
+// codes for the last, zero-padded row group, up to three bytes past the
+// last member. U16Slack is the same for the pair layout's widened codes:
+// the last pair reads one uint16 past them.
+const (
+	codeSlack = int(layoutQuad) - 1
+	U16Slack  = int(layoutPair) - 1
+)
+
+// checkBlockedShapes validates pb/out/u16 agreement, the block range and
+// the slack the padded row group reads for one batched blocked MVM.
+func (bm *BlockedMatrix) checkBlockedShapes(pb *PackedBatch, outLen, u16Len, b0, b1 int) {
 	if pb.N != bm.Rows {
 		panic(fmt.Sprintf("quant: batch of %d-row vectors against %dx%d blocked matrix", pb.N, bm.Rows, bm.Cols))
 	}
 	if outLen != pb.B*bm.Cols {
 		panic(fmt.Sprintf("quant: batched output %d, want %dx%d", outLen, pb.B, bm.Cols))
 	}
-	if bm.layout == layoutPair && scratchLen < pb.B*pb.N {
-		panic(fmt.Sprintf("quant: blocked scratch %d, want %dx%d", scratchLen, pb.B, pb.N))
+	if b0 < 0 || b0 > b1 || b1 > bm.Blocks {
+		panic(fmt.Sprintf("quant: block range [%d, %d) of %d blocks", b0, b1, bm.Blocks))
+	}
+	if n := pb.B * pb.N; cap(pb.U) < n+codeSlack {
+		panic(fmt.Sprintf("quant: %d codes with %d bytes of slack, the blocked kernel reads %d", n, cap(pb.U)-n, codeSlack))
+	}
+	if n := pb.B * pb.N; bm.layout == layoutPair && u16Len < n+U16Slack {
+		panic(fmt.Sprintf("quant: blocked u16 %d, want %dx%d + %d", u16Len, pb.B, pb.N, U16Slack))
 	}
 }
 
-// MulBatch computes the batched signed MVM and dequantizes it:
+// WidenCodes writes members [k0, k1) of pb's codes into u16, member-major
+// like pb.U, as the uint16 lanes the pair layout's VPMADDWD consumes. The
+// quad layout reads the uint8 codes in pb.U directly; there WidenCodes
+// does nothing and MulBatch ignores u16.
+func (bm *BlockedMatrix) WidenCodes(pb *PackedBatch, u16 []uint16, k0, k1 int) {
+	if bm.layout != layoutPair {
+		return
+	}
+	u16 = u16[k0*pb.N : k1*pb.N]
+	for i, c := range pb.U[k0*pb.N : k1*pb.N] {
+		u16[i] = uint16(c)
+	}
+}
+
+// MulBatch computes the batched signed MVM over the 16-column blocks
+// [b0, b1) and dequantizes it: for the columns j those blocks hold,
 //
 //	out[k*Cols+j] = (s_j·f_k) · Σ_i q[i][j]·u_k[i]
 //
@@ -217,101 +265,62 @@ func (bm *BlockedMatrix) checkBlockedShapes(pb *PackedBatch, outLen, scratchLen 
 // +0, so −0 and NaN pass as dnn.ReLU leaves them. The sum is the fast
 // path's signed contract (no offset term: the offset-binary kernels' result
 // minus offset·Σu) and is exact, so a unit scale writes the integer itself.
-// out is member-major (length B·Cols, overwritten). u16 is caller scratch
-// of length ≥ B·N that the pair layout fills with the batch's input codes
-// widened to the uint16 lanes VPMADDWD consumes; the quad layout reads the
-// uint8 codes in pb.U directly and ignores it (it may be nil there). The
-// weight block is the outer loop, so each block's Groups×16·layout bytes
-// stay cache-resident while the members reuse them. Members go through the
-// block four at a time (one weight pass per four members, reading member
-// k+m's codes at a stride of one member's codes); the B mod 4 leftover
-// members take one pass each.
-func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16, relu bool) {
-	bm.checkBlockedShapes(pb, len(out), len(u16))
+// out is member-major (length B·Cols); only the range's columns are
+// written, so workers that own disjoint block ranges can share one batch
+// and one output. [0, Blocks) is the whole product.
+//
+// pb.U must keep codeSlack readable bytes past its B·N codes (Reset does).
+// On the pair layout u16 must hold the batch's codes widened by WidenCodes,
+// and U16Slack more readable values; the quad layout ignores it (it may be
+// nil there). MulBatch panics if either slack is missing.
+//
+// The weight block is the outer loop, so each block's Groups×16·layout
+// bytes stay cache-resident while the members reuse them. Members go
+// through the block four at a time (one weight pass per four members,
+// reading member k+m's codes at a stride of one member's codes); the B mod
+// 4 leftover members take one pass each.
+func (bm *BlockedMatrix) MulBatch(pb *PackedBatch, out []float64, u16 []uint16, relu bool, b0, b1 int) {
+	bm.checkBlockedShapes(pb, len(out), len(u16), b0, b1)
 	N, B := pb.N, pb.B
-	cols, nb, ng := bm.Cols, bm.Blocks, bm.Groups
-	if bm.layout == layoutPair {
-		u16 = u16[:B*N]
-		for i, c := range pb.U {
-			u16[i] = uint16(c)
-		}
-	}
+	cols, ng := bm.Cols, bm.Groups
+	codes := pb.U[:B*N+codeSlack]
 	blkStride := ng * int(bm.layout) * blockedColWidth
-	var acc [memberBlock][blockedColWidth]int32
-	for bi := 0; bi < nb; bi++ {
+	var acc [MemberBlock][blockedColWidth]int32
+	for bi := b0; bi < b1; bi++ {
 		j0 := bi * blockedColWidth
-		var wblk []int8
-		if ng > 0 {
-			wblk = bm.Data[bi*blkStride : (bi+1)*blkStride]
-		}
+		j1 := min(j0+blockedColWidth, cols)
+		wblk := bm.Data[bi*blkStride : (bi+1)*blkStride]
 		for k := 0; k < B; {
 			g := 1
-			if B-k >= memberBlock {
-				g = memberBlock
+			if B-k >= MemberBlock {
+				g = MemberBlock
 			}
-			acc = [memberBlock][blockedColWidth]int32{}
+			acc = [MemberBlock][blockedColWidth]int32{}
 			switch {
-			case ng == 0:
-			case bm.layout == layoutQuad && !hasVNNI:
-				dpQuadModel(wblk, pb.U[k*N:], &acc, ng, g, N)
-			case bm.layout == layoutQuad && g == memberBlock:
-				dpQuad4(&wblk[0], &pb.U[k*N], &acc[0][0], ng, N)
+			case bm.model:
+				dpQuadModel(wblk, codes[k*N:], &acc, ng, g, N)
+			case bm.layout == layoutQuad && g == MemberBlock:
+				dpQuad4(&wblk[0], &codes[k*N], &acc[0][0], ng, N)
 			case bm.layout == layoutQuad:
-				dpQuad(&wblk[0], &pb.U[k*N], &acc[0][0], ng)
-			case g == memberBlock:
+				dpQuad(&wblk[0], &codes[k*N], &acc[0][0], ng)
+			case g == MemberBlock:
 				maddBlock4(&wblk[0], &u16[k*N], &acc[0][0], ng, 2*N)
 			default:
 				maddBlock(&wblk[0], &u16[k*N], &acc[0][0], ng)
 			}
 			for m := 0; m < g; m++ {
-				bm.finishBlock(&acc[m], pb.U[(k+m)*N:(k+m+1)*N], out[(k+m)*cols+j0:(k+m)*cols+j0+blockedColWidth], j0, pb.Scales[k+m], relu)
+				bm.finishBlock(&acc[m], out[(k+m)*cols+j0:(k+m)*cols+j1], j0, pb.Scales[k+m], relu)
 			}
 			k += g
 		}
 	}
-	// Trailing Cols%16 columns: scalar column sweep over the source codes.
-	if t0 := nb * blockedColWidth; t0 < cols {
-		tw := cols - t0
-		var tacc [blockedColWidth]int32
-		for k := 0; k < B; k++ {
-			for j := 0; j < tw; j++ {
-				tacc[j] = 0
-			}
-			u := pb.U[k*N : (k+1)*N]
-			for i, c := range u {
-				if c == 0 {
-					continue
-				}
-				uv := int32(c)
-				row := bm.q[i*cols+t0 : (i+1)*cols]
-				for j, q := range row {
-					tacc[j] += int32(q) * uv
-				}
-			}
-			o := out[k*cols+t0 : (k+1)*cols]
-			f := pb.Scales[k]
-			for j, s := range bm.scales[t0:] {
-				o[j] = dequant(float64(tacc[j]), s, f, relu)
-			}
-		}
-	}
 }
 
-// finishBlock adds one member's tail rows — those past the last full row
-// group — (scalar) to its 16 column sums of the block starting at column
-// j0 and writes them to o through the epilogue, under the member's
-// activation scale f.
-func (bm *BlockedMatrix) finishBlock(acc *[blockedColWidth]int32, u []uint8, o []float64, j0 int, f float64, relu bool) {
-	for i := bm.Groups * int(bm.layout); i < len(u); i++ {
-		if uv := int32(u[i]); uv != 0 {
-			row := bm.q[i*bm.Cols+j0 : i*bm.Cols+j0+blockedColWidth]
-			for j, q := range row {
-				acc[j] += int32(q) * uv
-			}
-		}
-	}
-	s := bm.scales[j0 : j0+blockedColWidth]
-	o = o[:blockedColWidth]
+// finishBlock writes one member's column sums of the block starting at
+// column j0 to o, one value per real column (a padded column's sum is
+// dropped), through the epilogue under the member's activation scale f.
+func (bm *BlockedMatrix) finishBlock(acc *[blockedColWidth]int32, o []float64, j0 int, f float64, relu bool) {
+	s := bm.scales[j0 : j0+len(o)]
 	for j := range o {
 		o[j] = dequant(float64(acc[j]), s[j], f, relu)
 	}
@@ -322,8 +331,9 @@ func (bm *BlockedMatrix) finishBlock(acc *[blockedColWidth]int32, u []uint8, o [
 // of the 16 columns, member m's lane adds the four exact products
 // w[64q+4j+r]·u[m·stride+4q+r], r = 0…3, with int32's wrapping add — the
 // arithmetic VPDPBUSD performs (TestKernelsWrapLikeInt32 pins the two
-// against each other on CPUs that run both).
-func dpQuadModel(w []int8, u []uint8, acc *[memberBlock][blockedColWidth]int32, quads, members, stride int) {
+// against each other on CPUs that run both). Like the kernels, it reads
+// the padded last quad's codes through u's slack.
+func dpQuadModel(w []int8, u []uint8, acc *[MemberBlock][blockedColWidth]int32, quads, members, stride int) {
 	for m := 0; m < members; m++ {
 		um := u[m*stride:]
 		a := &acc[m]

@@ -19,6 +19,29 @@ func runnableLayouts() []blockLayout {
 	return ls
 }
 
+// runnableKernels builds m in every layout and kernel MulBatch runs on this
+// CPU: the quad layout on dpQuadModel everywhere and on VPDPBUSD where the
+// CPU has AVX512-VNNI, and the pair layout where AVX2 runs.
+func runnableKernels(m *Matrix) []*BlockedMatrix {
+	model := buildBlocked(m, layoutQuad)
+	model.model = true
+	bms := []*BlockedMatrix{model}
+	if hasVNNI {
+		bms = append(bms, buildBlocked(m, layoutQuad))
+	}
+	if hasAVX2 {
+		bms = append(bms, buildBlocked(m, layoutPair))
+	}
+	return bms
+}
+
+func (bm *BlockedMatrix) String() string {
+	if bm.model {
+		return "quad model"
+	}
+	return bm.layout.String()
+}
+
 func (l blockLayout) String() string {
 	if l == layoutQuad {
 		return "quad"
@@ -28,11 +51,11 @@ func (l blockLayout) String() string {
 
 // TestBlockedMatchesReference checks each runnable blocked layout
 // bit-exactly against the scalar signed reference Σ_i q_i·u_i across shapes
-// that exercise every tail: N mod 4 ∈ {0,1,2,3} (the pair layout's odd row,
-// the quad layout's 1–3 scalar tail rows), N < 4 (no quad at all), cols % 16
-// ≠ 0 (scalar column tail), extreme codes (±128, 255), and B mod 4 ∈
-// {0,1,2,3}, so four-member groups meet a remainder of one-member passes
-// together with the row and column tails. Where the CPU has AVX2 it also
+// that exercise every tail: N mod 4 ∈ {0,1,2,3} (the pair layout's padded
+// odd row, the quad layout's 1–3 padded rows), N < 4 (one padded quad),
+// cols % 16 ≠ 0 (padded column block), extreme codes (±128, 255), and
+// B mod 4 ∈ {0,1,2,3}, so four-member groups meet a remainder of one-member
+// passes together with the row and column tails. Where the CPU has AVX2 it also
 // checks that Blocked() builds the host's layout.
 func TestBlockedMatchesReference(t *testing.T) {
 	shapes := []struct{ rows, cols, B int }{
@@ -82,7 +105,7 @@ func TestBlockedMatchesReference(t *testing.T) {
 		}
 		for _, l := range runnableLayouts() {
 			out := make([]float64, sh.B*sh.cols)
-			buildBlocked(m, l).MulBatch(pb, out, make([]uint16, sh.B*sh.rows), false)
+			mulAll(buildBlocked(m, l), pb, out, false)
 			for k := 0; k < sh.B; k++ {
 				for j := 0; j < sh.cols; j++ {
 					var want int64
@@ -99,12 +122,155 @@ func TestBlockedMatchesReference(t *testing.T) {
 	}
 }
 
+// mulAll runs bm over every member and block of pb, with the codes widened
+// into a u16 of exactly the length MulBatch needs.
+func mulAll(bm *BlockedMatrix, pb *PackedBatch, out []float64, relu bool) {
+	u16 := make([]uint16, pb.B*pb.N+U16Slack)
+	bm.WidenCodes(pb, u16, 0, pb.B)
+	bm.MulBatch(pb, out, u16, relu, 0, bm.Blocks)
+}
+
 // TestBlockedNarrow checks the width gate: a matrix narrower than one
-// 16-column block gets no blocked form.
+// 16-column block gets a blocked form of one zero-padded block wherever
+// the CPU runs the kernel, and it matches the reference.
 func TestBlockedNarrow(t *testing.T) {
 	m := &Matrix{Rows: 8, Cols: blockedColWidth - 1, Bits: 8, Scale: 1, Q: make([]int8, 8*(blockedColWidth-1))}
-	if m.Blocked() != nil {
-		t.Fatalf("Blocked() must refuse %d columns", m.Cols)
+	for i := range m.Q {
+		m.Q[i] = int8(i*37 - 100)
+	}
+	bw := m.Blocked()
+	if hasAVX2 && (bw == nil || bw.Blocks != 1) {
+		t.Fatalf("Blocked() of %d columns = %+v, want one block", m.Cols, bw)
+	}
+	u := []uint8{255, 0, 3, 200, 17, 1, 128, 99}
+	pb := PackInputs([]*Input{{N: 8, Scale: 1, U: u}})
+	for _, l := range runnableLayouts() {
+		out := make([]float64, m.Cols)
+		mulAll(buildBlocked(m, l), pb, out, false)
+		for j, got := range out {
+			var want int64
+			for i, c := range u {
+				want += int64(m.Q[i*m.Cols+j]) * int64(c)
+			}
+			if int64(got) != want {
+				t.Fatalf("%v col %d: %v, want %d", l, j, got, want)
+			}
+		}
+	}
+}
+
+// TestBlockedTailsAndRanges runs every runnable kernel (runnableKernels)
+// over every row count
+// 1–9, 27 (VGG16 conv1_1), 4607 and 4609 (one short of and one past a
+// quad multiple of conv5's 4608), every column count 1–40 and B = 1–5,
+// against the scalar reference. The batch's codes carry exactly codeSlack
+// bytes of 0xff past the last member and the widened codes exactly
+// U16Slack values of 0xffff, so the padded row group reads nothing but
+// garbage there, which must meet zero weights. The blocks are cut into
+// random ranges [b0, b1) whose union is every block, each run into its own
+// NaN-filled output: a range must write exactly its own columns.
+func TestBlockedTailsAndRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rowCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 27, 4607, 4609}
+	for _, rows := range rowCounts {
+		for cols := 1; cols <= 40; cols++ {
+			m := &Matrix{Rows: rows, Cols: cols, Bits: 8, Scale: 1, Q: make([]int8, rows*cols)}
+			for i := range m.Q {
+				m.Q[i] = int8(rng.Intn(256) - 128)
+			}
+			for B := 1; B <= 5; B++ {
+				pb := &PackedBatch{N: rows, B: B, Scales: make([]float64, B), USums: make([]float64, B),
+					U: make([]uint8, B*rows, B*rows+codeSlack)}
+				for i := range pb.U[:cap(pb.U)] {
+					pb.U[:cap(pb.U)][i] = 0xff
+				}
+				for i := range pb.U {
+					pb.U[i] = uint8(rng.Intn(256))
+				}
+				for k := range pb.Scales {
+					pb.Scales[k] = 1
+				}
+				want := make([]int64, B*cols)
+				for k := 0; k < B; k++ {
+					for i, c := range pb.Member(k) {
+						for j, q := range m.Q[i*cols : (i+1)*cols] {
+							want[k*cols+j] += int64(q) * int64(c)
+						}
+					}
+				}
+				for _, bm := range runnableKernels(m) {
+					u16 := make([]uint16, B*rows+U16Slack)
+					u16[B*rows] = 0xffff
+					bm.WidenCodes(pb, u16, 0, B)
+					for b0 := 0; b0 < bm.Blocks; {
+						b1 := b0 + 1 + rng.Intn(bm.Blocks-b0)
+						out := make([]float64, B*cols)
+						for i := range out {
+							out[i] = math.NaN()
+						}
+						bm.MulBatch(pb, out, u16, false, b0, b1)
+						for k := 0; k < B; k++ {
+							for j := 0; j < cols; j++ {
+								got := out[k*cols+j]
+								inRange := j >= b0*blockedColWidth && j < b1*blockedColWidth
+								if !inRange && !math.IsNaN(got) {
+									t.Fatalf("%v %dx%d B=%d blocks [%d,%d): wrote col %d outside the range", bm, rows, cols, B, b0, b1, j)
+								}
+								if inRange && got != float64(want[k*cols+j]) {
+									t.Fatalf("%v %dx%d B=%d blocks [%d,%d) member %d col %d: %v, reference %d", bm, rows, cols, B, b0, b1, k, j, got, want[k*cols+j])
+								}
+							}
+						}
+						b0 = b1
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlockedSlackRequired checks that MulBatch refuses a batch whose codes
+// lack the slack the padded row group reads, a pair-layout u16 without
+// its extra value, and a block range outside the matrix.
+func TestBlockedSlackRequired(t *testing.T) {
+	m := &Matrix{Rows: 5, Cols: 20, Bits: 8, Scale: 1, Q: make([]int8, 100)}
+	const B = 2
+	for _, l := range runnableLayouts() {
+		bm := buildBlocked(m, l)
+		ok := &PackedBatch{N: 5, B: B, Scales: make([]float64, B), USums: make([]float64, B), U: make([]uint8, 10, 10+codeSlack)}
+		short := *ok
+		short.U = make([]uint8, 10, 10+codeSlack-1)
+		u16 := make([]uint16, 10+U16Slack)
+		out := make([]float64, B*20)
+		cases := []struct {
+			name   string
+			pb     *PackedBatch
+			u16    []uint16
+			b0, b1 int
+		}{
+			{"codes without slack", &short, u16, 0, bm.Blocks},
+			{"block range past the matrix", ok, u16, 1, bm.Blocks + 1},
+			{"reversed block range", ok, u16, 2, 1},
+		}
+		if l == layoutPair {
+			cases = append(cases, struct {
+				name   string
+				pb     *PackedBatch
+				u16    []uint16
+				b0, b1 int
+			}{"u16 without slack", ok, u16[:10], 0, bm.Blocks})
+		}
+		for _, c := range cases {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v: %s: MulBatch did not panic", l, c.name)
+					}
+				}()
+				bm.MulBatch(c.pb, out, c.u16, false, c.b0, c.b1)
+			}()
+		}
+		bm.MulBatch(ok, out, u16, false, 0, bm.Blocks) // the exact minimum runs
 	}
 }
 
@@ -120,9 +286,9 @@ func TestBlockedRowBound(t *testing.T) {
 // TestBlockedWorstCaseAtRowBound runs each runnable layout at exactly
 // maxBlockedRows rows with every weight −128 and every code 255, the most
 // negative sum an int32 lane must hold: −32640 per row, −2 147 483 520 per
-// column (32896 pairs or 16448 quads, plus one tail row). B = 5 sends four
+// column (32897 pairs or 16449 quads, the last one zero-padded). B = 5 sends four
 // members through the four-member kernel and one through the one-member
-// kernel; the 17th column goes through the scalar column sweep.
+// kernel; the 17th column sits in a zero-padded second block.
 func TestBlockedWorstCaseAtRowBound(t *testing.T) {
 	const rows, cols, B = maxBlockedRows, 17, 5
 	const want = -128 * 255 * rows
@@ -147,7 +313,7 @@ func TestBlockedWorstCaseAtRowBound(t *testing.T) {
 	pb := PackInputs(ins)
 	for _, l := range runnableLayouts() {
 		out := make([]float64, B*cols)
-		buildBlocked(m, l).MulBatch(pb, out, make([]uint16, B*rows), false)
+		mulAll(buildBlocked(m, l), pb, out, false)
 		for i, v := range out {
 			if v != want {
 				t.Fatalf("%v member %d col %d: %v, want %d", l, i/cols, i%cols, v, want)
@@ -161,8 +327,8 @@ func TestBlockedWorstCaseAtRowBound(t *testing.T) {
 // did it, (ScaleFor(j)·f_k)·Σ_i q_i·u_k[i], by bits: per-tensor and
 // per-column weight scales, subnormal activation scales whose products
 // underflow to ±0, and ReLU on and off — with ReLU, v < 0 becomes +0 and
-// −0 stays −0. The shapes carry 1–3 tail rows past the last quad, a column
-// tail and a B mod 4 remainder.
+// −0 stays −0. The shapes carry 1–3 padded rows in the last quad, a padded
+// column block and a B mod 4 remainder.
 func TestBlockedEpilogue(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, sh := range []struct{ rows, cols, B int }{{27, 40, 6}, {66, 16, 5}, {7, 35, 9}, {4, 17, 4}} {
@@ -195,7 +361,7 @@ func TestBlockedEpilogue(t *testing.T) {
 			for _, relu := range []bool{false, true} {
 				for _, l := range runnableLayouts() {
 					out := make([]float64, sh.B*sh.cols)
-					buildBlocked(m, l).MulBatch(pb, out, make([]uint16, sh.B*sh.rows), relu)
+					mulAll(buildBlocked(m, l), pb, out, relu)
 					var negZero int
 					for k := 0; k < sh.B; k++ {
 						for j := 0; j < sh.cols; j++ {
@@ -249,14 +415,14 @@ func TestKernelsWrapLikeInt32(t *testing.T) {
 			}
 		}
 		w := buildBlocked(m, l).Data
-		u := make([]uint8, memberBlock*N)
+		u := make([]uint8, MemberBlock*N)
 		u16 := make([]uint16, len(u))
 		for i := range u {
 			u[i] = uint8(1 + rng.Intn(255))
 			u16[i] = uint16(u[i])
 		}
-		for _, members := range []int{1, memberBlock} {
-			var acc, want [memberBlock][blockedColWidth]int32
+		for _, members := range []int{1, MemberBlock} {
+			var acc, want [MemberBlock][blockedColWidth]int32
 			for k := 0; k < members; k++ {
 				for j := range acc[k] {
 					acc[k][j] = math.MaxInt32 - int32(rng.Intn(300))
@@ -280,11 +446,11 @@ func TestKernelsWrapLikeInt32(t *testing.T) {
 				}
 			}
 			switch {
-			case l == layoutQuad && members == memberBlock:
+			case l == layoutQuad && members == MemberBlock:
 				dpQuad4(&w[0], &u[0], &acc[0][0], groups, N)
 			case l == layoutQuad:
 				dpQuad(&w[0], &u[0], &acc[0][0], groups)
-			case members == memberBlock:
+			case members == MemberBlock:
 				maddBlock4(&w[0], &u16[0], &acc[0][0], groups, 2*N)
 			default:
 				maddBlock(&w[0], &u16[0], &acc[0][0], groups)
@@ -322,12 +488,13 @@ func BenchmarkBlockedMulBatchConv4(b *testing.B) {
 			}
 			pb := QuantizeBatchFlatInto(nil, xs, rows, B)
 			out := make([]float64, B*cols)
-			u16 := make([]uint16, B*rows)
+			u16 := make([]uint16, B*rows+U16Slack)
+			bw.WidenCodes(pb, u16, 0, B)
 			macs := int64(rows) * int64(cols) * int64(B)
 			b.Run(fmt.Sprintf("%v/B=%d", l, B), func(b *testing.B) {
 				b.SetBytes(macs)
 				for i := 0; i < b.N; i++ {
-					bw.MulBatch(pb, out, u16, false)
+					bw.MulBatch(pb, out, u16, false, 0, bw.Blocks)
 				}
 				b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
@@ -336,15 +503,15 @@ func BenchmarkBlockedMulBatchConv4(b *testing.B) {
 }
 
 // vgg16Shapes are the (rows, cols) weight shapes of VGG16's blocked layers
-// on a 32×32 input: 13 3×3 convolutions and the two wide FC layers (fc16's
-// 10 columns never block).
+// on a 32×32 input: 13 3×3 convolutions and the three FC layers (fc16's
+// 10 columns fill one zero-padded block).
 var vgg16Shapes = [][2]int{
 	{27, 64}, {576, 64},
 	{576, 128}, {1152, 128},
 	{1152, 256}, {2304, 256}, {2304, 256},
 	{2304, 512}, {4608, 512}, {4608, 512},
 	{4608, 512}, {4608, 512}, {4608, 512},
-	{512, 4096}, {4096, 4096},
+	{512, 4096}, {4096, 4096}, {4096, 10},
 }
 
 // BenchmarkBuildBlocked times buildBlocked in each layout over every

@@ -17,10 +17,12 @@ import (
 // full-height sweep; and
 // (4) the blocked kernel (BlockedMatrix.MulBatch, the fast path) produces
 // the identical signed integers, popcount sums − offset·Σu, in every
-// layout MulBatch runs (the quad layout everywhere, on VPDPBUSD or its Go
-// model, and the pair layout on AVX2). Column counts reach past two
-// 16-column blocks so full blocks, column tails and the 1–3 row tails past
-// the last pair or quad all occur.
+// kernel MulBatch runs (the quad layout on its Go model everywhere and on
+// VPDPBUSD where the CPU has it, and the pair layout on AVX2), run as two
+// block ranges cut at a point the split byte draws, [0, cut) and
+// [cut, Blocks). Column counts
+// reach past two 16-column blocks so full blocks, zero-padded column
+// blocks and the 1–3 padded rows of the last pair or quad all occur.
 func FuzzBatchedMVM(f *testing.F) {
 	f.Add(uint8(8), uint8(3), uint8(4), uint8(30), []byte{1, 255, 0, 127, 128, 5}, []byte{9, 0, 255})
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), []byte{0, 1, 2}, []byte{7})
@@ -85,14 +87,18 @@ func FuzzBatchedMVM(f *testing.F) {
 
 		out := make([]int64, B*cols)
 		pm.MulBatch(pb, out)
-		for _, l := range runnableLayouts() {
+		for _, bm := range runnableKernels(m) {
 			bout := make([]float64, B*cols)
-			buildBlocked(m, l).MulBatch(pb, bout, make([]uint16, B*rows), false)
+			u16 := make([]uint16, B*rows+U16Slack)
+			bm.WidenCodes(pb, u16, 0, B)
+			cut := int(splitRaw) % (bm.Blocks + 1)
+			bm.MulBatch(pb, bout, u16, false, 0, cut)
+			bm.MulBatch(pb, bout, u16, false, cut, bm.Blocks)
 			for k := 0; k < B; k++ {
 				corr := int64(off) * int64(pb.USums[k])
 				for j := 0; j < cols; j++ {
 					if got, want := int64(bout[k*cols+j]), out[k*cols+j]-corr; got != want {
-						t.Fatalf("%v member %d col %d: blocked %d, popcount − offset·Σu %d", l, k, j, got, want)
+						t.Fatalf("%v member %d col %d: blocked %d, popcount − offset·Σu %d", bm, k, j, got, want)
 					}
 				}
 			}

@@ -150,3 +150,27 @@ func FuzzWindowCodes(f *testing.F) {
 			1+int(chans%6), 1+int(rows%6), 1+int(width%12), int(sgr%4), int(sgc%4), int(dgr%4), int(dgc%4))
 	})
 }
+
+// BenchmarkWindowCodes times WindowCodes on one 3×3×64 channels-last conv
+// window, as the engine's fused input path quantizes it: 3 rows of 192
+// values read from a 16-pixel-wide map (row stride 1024) into a 576-code
+// member row, ~40% of the values zero as after a ReLU.
+func BenchmarkWindowCodes(b *testing.B) {
+	const C, K, W = 64, 3, 16
+	rng := rand.New(rand.NewSource(1))
+	src := make([]float64, K*W*C)
+	var maxV float64
+	for i := range src {
+		if rng.Float64() >= 0.4 {
+			src[i] = rng.Float64() * 6
+			maxV = max(maxV, src[i])
+		}
+	}
+	scale := ActivationScale(maxV)
+	dst := make([]uint8, K*K*C)
+	w := Window{Chans: 1, Rows: K, Width: K * C, SrcRow: W * C, DstRow: K * C}
+	b.SetBytes(int64(len(dst)))
+	for i := 0; i < b.N; i++ {
+		WindowCodes(dst, src, scale, w)
+	}
+}

@@ -119,26 +119,23 @@ func quantizeWindow(dst []uint8, in acts, i int, cmax []float64, K, y0, x0 int) 
 	return scale, sum
 }
 
-// quantizeConvBatch resets s.pb to bs members and quantizes the conv
-// windows lo, …, lo+bs-1 of the global (input, position) index space of
-// in into it, in the code order and with the digit slab le's mode takes.
-// cmax holds every input's channel-max map back to back.
-func quantizeConvBatch(s *batchScratch, le *layerExec, l *dnn.Layer, in acts, cmax []float64, lo, bs int) {
+// quantizeConvWindow quantizes conv window j of the global (input,
+// position) index space of in as member k of pb, in the code order and
+// with the digit slab le's mode takes, using s's scratch. cmax holds every
+// input's channel-max map back to back.
+func quantizeConvWindow(s *batchScratch, pb *quant.PackedBatch, k int, le *layerExec, l *dnn.Layer, in acts, cmax []float64, j int) {
 	positions := l.OutH * l.OutW
-	s.pb.Reset(in.c*l.K*l.K, bs, le.digits())
-	for k := 0; k < bs; k++ {
-		i, pos := (lo+k)/positions, (lo+k)%positions
-		oy, ox := pos/l.OutW, pos%l.OutW
-		scale, sum := quantizeWindow(s.memberCodes(le, k), in, i, cmax, l.K, oy*l.Stride-l.Pad, ox*l.Stride-l.Pad)
-		s.setMember(le, k, scale, sum)
-	}
+	i, pos := j/positions, j%positions
+	oy, ox := pos/l.OutW, pos%l.OutW
+	scale, sum := quantizeWindow(s.memberCodes(le, pb, k), in, i, cmax, l.K, oy*l.Stride-l.Pad, ox*l.Stride-l.Pad)
+	s.setMember(le, pb, k, scale, sum)
 }
 
 // quantizeVector quantizes x, one input's flattened activations, as
-// member k of s.pb in the code order le's mode takes: the scale from x's
+// member k of pb in the code order le's mode takes: the scale from x's
 // max (taken from 0 by v > m), the codes and code sum by quant.WindowCodes
 // over one row — as QuantizeMember would.
-func quantizeVector(s *batchScratch, le *layerExec, k int, x []float64) {
+func quantizeVector(s *batchScratch, pb *quant.PackedBatch, k int, le *layerExec, x []float64) {
 	var maxV float64
 	for _, v := range x {
 		if v > maxV {
@@ -146,6 +143,6 @@ func quantizeVector(s *batchScratch, le *layerExec, k int, x []float64) {
 		}
 	}
 	scale := quant.ActivationScale(maxV)
-	sum := quant.WindowCodes(s.memberCodes(le, k), x, scale, quant.Window{Chans: 1, Rows: 1, Width: len(x)})
-	s.setMember(le, k, scale, sum)
+	sum := quant.WindowCodes(s.memberCodes(le, pb, k), x, scale, quant.Window{Chans: 1, Rows: 1, Width: len(x)})
+	s.setMember(le, pb, k, scale, sum)
 }

@@ -21,6 +21,21 @@ func channelsLastActs(ts []*dnn.Tensor) acts {
 	return a
 }
 
+// quantizeConvBatch resets s.pb to bs members and quantizes conv windows
+// lo, …, lo+bs-1 of in into it, as a member-split chunk of the engine does.
+func quantizeConvBatch(s *batchScratch, le *layerExec, l *dnn.Layer, in acts, cmax []float64, lo, bs int) {
+	s.pb.Reset(in.c*l.K*l.K, bs, le.digits())
+	for k := 0; k < bs; k++ {
+		quantizeConvWindow(s, &s.pb, k, le, l, in, cmax, lo+k)
+	}
+}
+
+// prepareNew is Engine.prepareLayer into a fresh layerExec.
+func prepareNew(e *Engine, l *dnn.Layer, opts InferenceOptions) (*layerExec, error) {
+	le := new(layerExec)
+	return le, e.prepareLayer(le, l, opts)
+}
+
 // channelMaxMap returns every input's channel-max map, back to back.
 func channelMaxMap(a acts) []float64 {
 	m := make([]float64, a.n*a.h*a.w)
@@ -122,7 +137,7 @@ func samePackedBatch(t *testing.T, what string, got, want *quant.PackedBatch) {
 	}
 }
 
-// FuzzFusedPatchCodes: the fused conv input path (quantizeConvBatch from
+// FuzzFusedPatchCodes: the fused conv input path (quantizeConvWindow from
 // the channels-last activations and their channel-max maps) must build
 // exactly the batch that extracting the same windows with Tensor.PatchInto
 // and quantizing the slab builds — over shapes, strides, paddings

@@ -38,9 +38,13 @@ type Engine struct {
 	repaired map[repairKey]*RepairedLayer
 
 	// Batch scratch buffers are reused across chunks, layers and
-	// inferences, activation slabs across inferences.
+	// inferences, activation slabs across inferences, fan-out state across
+	// parallel runChunks calls. A column split's shared batch comes from
+	// its own list, so its buffers keep their role and size.
 	scratch freeList[batchScratch]
+	shared  freeList[batchScratch]
 	slabs   freeList[activations]
+	fans    freeList[fanOut]
 }
 
 type weightKey struct {
@@ -125,6 +129,22 @@ const minParallelMACs = 1 << 18
 // windows, but each is a 4608×512 MVM.
 func parallelWorth(mvms, rows, cols int) bool {
 	return int64(mvms)*int64(rows)*int64(cols) >= minParallelMACs
+}
+
+// columnSplit reports whether a parallel layer of n MVMs, cut into kernel
+// batches of ≤ kb members, should split its weight columns across the
+// workers instead of its members (runKernelBatches): it does when the
+// members cannot keep every worker on four-member kernel passes — fewer
+// than quant.MemberBlock members per worker, or fewer kernel batches than
+// workers. On two workers VGG16's batch-1 conv4 and conv5 layers (16 and
+// 4 windows) and its parallel FC layers up to batch 32 split by columns.
+func columnSplit(n, kb, workers int) bool {
+	return workers > 1 && (n < quant.MemberBlock*workers || (n+kb-1)/kb < workers)
+}
+
+// span returns part i of [0, n) cut into parts near-equal ranges.
+func span(i, parts, n int) (lo, hi int) {
+	return i * n / parts, (i + 1) * n / parts
 }
 
 // DefaultKernelBatch is the kernel batch size RunBatch uses: big enough that
@@ -285,38 +305,39 @@ type layerExec struct {
 }
 
 // prepareLayer resolves a layer's weights, planes, repair pass, and kernel
-// mode for one inference's options.
-func (e *Engine) prepareLayer(l *dnn.Layer, opts InferenceOptions) (*layerExec, error) {
+// mode for one inference's options into le (RunBatch reuses one layerExec
+// across its layers).
+func (e *Engine) prepareLayer(le *layerExec, l *dnn.Layer, opts InferenceOptions) error {
 	la := e.p.Layers[l.Index]
 	fast := !opts.BitExact && opts.Faults.Zero()
 	w, fw := e.weightsFor(l, opts, fast)
-	le := &layerExec{cfg: e.p.Cfg, la: la, w: w, fm: opts.Faults, key: int64(l.Index + 1),
+	*le = layerExec{cfg: e.p.Cfg, la: la, w: w, fm: opts.Faults, key: int64(l.Index + 1),
 		relu: l.Index < len(e.p.Layers)-1, order: e.orders[l.Index]}
 	le.fastADC = int64(la.Mapping.ActiveCols) * int64(w.PlaneCount()) * int64(e.p.Cfg.InputBits)
 	switch {
 	case opts.Repair != nil && opts.Faults.CellFaultRate() > 0:
 		rl, err := e.repairFor(la, w, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		le.pm = rl.Packed
 	case !opts.Faults.Zero():
 		if err := opts.Faults.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 		le.pm = e.faultedFor(la, w, opts.Faults)
 	case opts.BitExact:
 		le.mode, le.pm = modeBitExact, packedTimed(w)
-		return le, nil
+		return nil
 	default:
 		le.mode, le.fw, le.bw, le.order = modeFast, fw, blockedTimed(fw), nil
-		return le, nil
+		return nil
 	}
 	le.mode = modeAggregate
 	if opts.BitExact {
 		le.mode = modeBitExactNoisy
 	}
-	return le, nil
+	return nil
 }
 
 // packedTimed bills the matrix's pack step to the pack stage counter.
@@ -362,28 +383,28 @@ func (s *batchScratch) noiseFor(fm *fault.Model, key int64, b int) []func() floa
 	return noise
 }
 
-// memberCodes returns where member k's codes are written in channels-last
-// order: its own row of s.pb, or — when the layer reorders its codes — a
-// scratch row that setMember then gathers into C-major order.
-func (s *batchScratch) memberCodes(le *layerExec, k int) []uint8 {
+// memberCodes returns where member k of pb has its codes written in
+// channels-last order: its own row of pb, or — when the layer reorders its
+// codes — s's scratch row, which setMember then gathers into C-major order.
+func (s *batchScratch) memberCodes(le *layerExec, pb *quant.PackedBatch, k int) []uint8 {
 	if le.order == nil {
-		return s.pb.Member(k)
+		return pb.Member(k)
 	}
-	return grow(&s.codes, s.pb.N)
+	return grow(&s.codes, pb.N)
 }
 
-// setMember completes member k, whose codes memberCodes took: it gathers
-// them into C-major order when the layer reorders (row i of the member
-// takes code order[i]), then records the scale and code sum — a sum of
-// exact integers, the same in either order.
-func (s *batchScratch) setMember(le *layerExec, k int, scale, sum float64) {
+// setMember completes member k of pb, whose codes memberCodes took: it
+// gathers them into C-major order when the layer reorders (row i of the
+// member takes code order[i]), then records the scale and code sum — a sum
+// of exact integers, the same in either order.
+func (s *batchScratch) setMember(le *layerExec, pb *quant.PackedBatch, k int, scale, sum float64) {
 	if le.order != nil {
-		u := s.pb.Member(k)
+		u := pb.Member(k)
 		for i, o := range le.order {
 			u[i] = s.codes[o]
 		}
 	}
-	s.pb.SetMember(k, scale, sum)
+	pb.SetMember(k, scale, sum)
 }
 
 // digits reports whether the layer's kernel reads the bit-serial digit
@@ -407,14 +428,14 @@ func (le *layerExec) applyBatch(s *batchScratch, out []float64, stats *Inference
 	case modeFast:
 		if le.bw != nil {
 			// Signed product directly — no offset correction term.
-			le.bw.MulBatch(pb, out, grow(&s.u16, B*pb.N), le.relu)
+			u16 := grow(&s.u16, B*pb.N+quant.U16Slack)
+			le.bw.WidenCodes(pb, u16, 0, B)
+			le.bw.MulBatch(pb, out, u16, le.relu, 0, le.bw.Blocks)
 		} else {
 			integerMVMBatch(out, grow(&s.acc, cols), le.fw, pb, le.relu)
 		}
-		stats.ADCConversions += le.fastADC * int64(B)
 	case modeAggregate:
 		packedAggregateMVMBatch(le.cfg, le.pm, le.w, pb, le.fm, s.noiseFor(le.fm, le.key, B), grow(&s.acc, B), out)
-		stats.ADCConversions += le.fastADC * int64(B)
 	case modeBitExact:
 		var es ExecStats
 		execPackedGridBatch(le.cfg, le.la, le.pm, pb, grow(&s.acc, B), out, cols, &es)
@@ -431,10 +452,20 @@ func (le *layerExec) applyBatch(s *batchScratch, out []float64, stats *Inference
 			le.w.Epilogue(out[k*cols:(k+1)*cols], pb.Scales[k], le.relu)
 		}
 	}
-	stats.MVMs += int64(B)
-	stats.KernelBatches++
-	if B > stats.MaxKernelBatch {
-		stats.MaxKernelBatch = B
+	stats.kernelBatch(le, B)
+}
+
+// kernelBatch counts one kernel batch of B members of the layer: its MVMs
+// and, on the paths that price them analytically (fast and aggregate),
+// their ADC conversions.
+func (st *InferenceStats) kernelBatch(le *layerExec, B int) {
+	if le.mode == modeFast || le.mode == modeAggregate {
+		st.ADCConversions += le.fastADC * int64(B)
+	}
+	st.MVMs += int64(B)
+	st.KernelBatches++
+	if B > st.MaxKernelBatch {
+		st.MaxKernelBatch = B
 	}
 }
 
@@ -505,7 +536,8 @@ func (e *Engine) runBatch(inputs []*dnn.Tensor, opts InferenceOptions, kb int) (
 		if l.Kind == dnn.Pool {
 			e.poolBatch(l, cur, next.data, &stats)
 		} else {
-			le, err := e.prepareLayer(l, opts)
+			le := &act.le
+			err := e.prepareLayer(le, l, opts)
 			if err == nil && l.Kind == dnn.Conv {
 				err = e.streamPatchBatches(le, l, cur, grow(&act.cmax, cur.n*cur.h*cur.w), next.data, kb, &stats)
 			} else if err == nil {
@@ -544,11 +576,12 @@ func (a acts) input(i int) []float64 {
 }
 
 // activations is one RunBatch call's activation storage, reused across
-// calls: the two ping-pong slabs layers read and write, and the conv input
-// path's channel-max maps.
+// calls: the two ping-pong slabs layers read and write, the conv input
+// path's channel-max maps, and the layer being run.
 type activations struct {
 	slabs [2][]float64
 	cmax  []float64
+	le    layerExec
 }
 
 // transpose writes src, rows rows of len(src)/rows values, into dst
@@ -564,17 +597,13 @@ func transpose(dst, src []float64, rows int) {
 }
 
 // streamPatchBatches computes every sliding-window MVM of one conv layer
-// for every input of in, chunking the global (input, position) index space
-// into kernel batches of ≤ kb patches, and writes the batch's outputs
-// channels-last into out. A first pass builds every input's channel-max
-// map into cmax; each chunk then quantizes its windows straight from the
-// activations (quantizeConvBatch) and runs them through the batched
-// kernel, whose epilogue writes member i's outputs to out[(lo+i)·cols:],
-// which is exactly output pixel lo+i of the batch. Chunks fan out across a
-// bounded worker pool; chunk boundaries are deterministic and members
-// never mix, so results are schedule-independent. Both passes run on the
-// pool when the layer's MACs pass parallelWorth. kb shrinks toward
-// n/workers so small layers still occupy the pool.
+// for every input of in, over the global (input, position) index space,
+// and writes the outputs channels-last into out. A first pass builds every
+// input's channel-max map into cmax; runKernelBatches then quantizes the
+// windows straight from the activations (quantizeConvWindow) and runs them
+// through the batched kernel, whose epilogue writes member j's outputs to
+// out[j·cols:], which is exactly output pixel j of the batch. Both passes
+// run on the pool when the layer's MACs pass parallelWorth.
 func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, in acts, cmax, out []float64, kb int, stats *InferenceStats) error {
 	defer simStageStream.AddSince(time.Now())
 	positions := l.OutH * l.OutW
@@ -582,40 +611,93 @@ func (e *Engine) streamPatchBatches(le *layerExec, l *dnn.Layer, in acts, cmax, 
 	if patchLen != le.w.Rows {
 		return lengthErr(patchLen, le.w.Rows)
 	}
-	cols := le.w.Cols
 	n := in.n * positions
-	parallel := parallelWorth(n, le.w.Rows, cols)
+	parallel := parallelWorth(n, le.w.Rows, le.w.Cols)
 	row := in.w * in.c
 	e.runChunks(in.n*in.h, parallel, stats, func(_ *batchScratch, r int, _ *InferenceStats) {
 		start := time.Now()
 		channelMax(cmax[r*in.w:(r+1)*in.w], in.data[r*row:(r+1)*row], in.c)
 		simStageInputPack.AddSince(start)
 	})
-	if per := n / runtime.GOMAXPROCS(0); per < kb {
-		kb = max(per, 1)
-	}
-	e.runKernelBatches(le, n, kb, parallel, out, stats, func(s *batchScratch, lo, bs int) {
-		quantizeConvBatch(s, le, l, in, cmax, lo, bs)
+	e.runKernelBatches(le, n, kb, parallel, out, stats, func(s *batchScratch, pb *quant.PackedBatch, k, j int) {
+		quantizeConvWindow(s, pb, k, le, l, in, cmax, j)
 	})
 	return nil
 }
 
-// runKernelBatches runs n MVMs of the prepared layer in chunks of ≤ kb
-// members on the worker pool (see runChunks): quantize fills s.pb with
-// members lo, …, lo+bs-1, and the kernel's epilogue writes member i's
-// outputs to out[(lo+i)·Cols:].
-func (e *Engine) runKernelBatches(le *layerExec, n, kb int, parallel bool, out []float64, stats *InferenceStats, quantize func(s *batchScratch, lo, bs int)) {
-	cols := le.w.Cols
+// runKernelBatches runs n MVMs of the prepared layer on the worker pool
+// (see runChunks), writing member j's outputs to out[j·Cols:] through the
+// kernel's epilogue; quantize(s, pb, k, j) writes member j's codes into
+// row k of pb, with s the calling worker's scratch. A parallel layer splits
+// one of two ways, by the one rule columnSplit:
+//
+//   - by members: chunks of ≤ kb members — kb shrinks toward n/workers so
+//     the chunks occupy the pool — each quantized into a worker's own batch
+//     and run over every column block;
+//   - by columns (fast mode on the blocked kernel only): every member is
+//     quantized into one shared batch, by member ranges on the pool, with
+//     the pair layout's widened codes filled there too, once; then each
+//     worker runs every member, ≤ kb at a time, over its own range of
+//     16-column blocks. The workers' ranges of an output row meet at a
+//     block edge, a multiple of 128 bytes from the row's start.
+func (e *Engine) runKernelBatches(le *layerExec, n, kb int, parallel bool, out []float64, stats *InferenceStats, quantize func(s *batchScratch, pb *quant.PackedBatch, k, j int)) {
+	rows, cols := le.w.Rows, le.w.Cols
+	workers := runtime.GOMAXPROCS(0)
+	kb = min(kb, n)
+	if parallel && le.bw != nil && columnSplit(n, kb, workers) {
+		e.runColumnSplit(le, n, kb, workers, out, stats, quantize)
+		return
+	}
+	if per := n / workers; parallel && per < kb {
+		kb = max(per, 1)
+	}
 	e.runChunks((n+kb-1)/kb, parallel, stats, func(s *batchScratch, c int, st *InferenceStats) {
 		lo := c * kb
 		bs := min(lo+kb, n) - lo
 		start := time.Now()
-		quantize(s, lo, bs)
+		s.pb.Reset(rows, bs, le.digits())
+		for k := 0; k < bs; k++ {
+			quantize(s, &s.pb, k, lo+k)
+		}
 		simStageInputPack.AddSince(start)
 		start = time.Now()
 		le.applyBatch(s, out[lo*cols:(lo+bs)*cols], st)
 		simStageKernel.AddSince(start)
 	})
+}
+
+// runColumnSplit is runKernelBatches' column split (see there).
+func (e *Engine) runColumnSplit(le *layerExec, n, kb, workers int, out []float64, stats *InferenceStats, quantize func(s *batchScratch, pb *quant.PackedBatch, k, j int)) {
+	rows, cols, bw := le.w.Rows, le.w.Cols, le.bw
+	lead := e.shared.get()
+	defer e.shared.put(lead)
+	pb := &lead.pb
+	pb.Reset(rows, n, false)
+	u16 := grow(&lead.u16, n*rows+quant.U16Slack)
+	ranges := min(n, workers)
+	e.runChunks(ranges, true, stats, func(s *batchScratch, r int, _ *InferenceStats) {
+		start := time.Now()
+		k0, k1 := span(r, ranges, n)
+		for k := k0; k < k1; k++ {
+			quantize(s, pb, k, k)
+		}
+		bw.WidenCodes(pb, u16, k0, k1)
+		simStageInputPack.AddSince(start)
+	})
+	parts := min(bw.Blocks, workers)
+	e.runChunks(parts, true, stats, func(_ *batchScratch, r int, _ *InferenceStats) {
+		start := time.Now()
+		b0, b1 := span(r, parts, bw.Blocks)
+		for k0 := 0; k0 < n; k0 += kb {
+			k1 := min(k0+kb, n)
+			sub := pb.Sub(k0, k1)
+			bw.MulBatch(&sub, out[k0*cols:k1*cols], u16[k0*rows:], le.relu, b0, b1)
+		}
+		simStageKernel.AddSince(start)
+	})
+	for k0 := 0; k0 < n; k0 += kb {
+		stats.kernelBatch(le, min(k0+kb, n)-k0)
+	}
 }
 
 // minParallelPool is the input element count below which a pooling layer
@@ -670,25 +752,21 @@ func (e *Engine) runFCBatches(le *layerExec, in acts, out []float64, kb int, sta
 	if size := in.c * in.h * in.w; size != rows {
 		return lengthErr(size, rows)
 	}
-	e.runKernelBatches(le, in.n, min(kb, in.n), parallelWorth(in.n, rows, cols), out, stats, func(s *batchScratch, lo, bs int) {
-		s.pb.Reset(rows, bs, le.digits())
-		for i := 0; i < bs; i++ {
-			quantizeVector(s, le, i, in.input(lo+i))
-		}
+	e.runKernelBatches(le, in.n, kb, parallelWorth(in.n, rows, cols), out, stats, func(s *batchScratch, pb *quant.PackedBatch, k, j int) {
+		quantizeVector(s, pb, k, le, in.input(j))
 	})
 	return nil
 }
 
 // runChunks fans chunk indices [0, chunks) across a bounded worker pool
-// (sequentially unless parallel; see parallelWorth). Each worker draws
+// (sequentially unless parallel; see parallelWorth). The caller works as
+// worker 0 beside min(GOMAXPROCS, chunks)−1 goroutines. Each worker draws
 // pooled scratch from the engine and accumulates stats privately; the merge
 // after the barrier is order-independent, so aggregated stats are
-// schedule-independent too.
+// schedule-independent too. The fan-out state comes from the engine's free
+// list, so a warm call allocates nothing.
 func (e *Engine) runChunks(chunks int, parallel bool, stats *InferenceStats, runChunk func(s *batchScratch, c int, st *InferenceStats)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > chunks {
-		workers = chunks
-	}
+	workers := min(runtime.GOMAXPROCS(0), chunks)
 	if !parallel || workers <= 1 {
 		s := e.scratch.get()
 		defer e.scratch.put(s)
@@ -697,27 +775,53 @@ func (e *Engine) runChunks(chunks int, parallel bool, stats *InferenceStats, run
 		}
 		return
 	}
-	parts := make([]InferenceStats, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(st *InferenceStats) {
-			defer wg.Done()
-			s := e.scratch.get()
-			defer e.scratch.put(s)
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				runChunk(s, c, st)
-			}
-		}(&parts[w])
+	f := e.fans.get()
+	defer e.fans.put(f)
+	f.e, f.run, f.chunks = e, runChunk, int64(chunks)
+	f.next.Store(0)
+	clear(grow(&f.parts, workers))
+	for w := len(f.starts); w < workers; w++ {
+		f.starts = append(f.starts, func() {
+			defer f.wg.Done()
+			f.work(w)
+		})
 	}
-	wg.Wait()
-	for i := range parts {
-		stats.merge(parts[i])
+	f.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go f.starts[w]()
+	}
+	f.work(0)
+	f.wg.Wait()
+	f.run = nil
+	for i := range f.parts {
+		stats.merge(f.parts[i])
+	}
+}
+
+// fanOut is one parallel runChunks call's shared state: the chunk
+// function, the next unclaimed chunk, the barrier and each worker's
+// private stats. starts[w] runs worker w on a goroutine; it is built once
+// per fanOut, which the engine reuses across calls.
+type fanOut struct {
+	e      *Engine
+	run    func(s *batchScratch, c int, st *InferenceStats)
+	chunks int64
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	parts  []InferenceStats
+	starts []func()
+}
+
+// work claims chunks until none is left, as worker w.
+func (f *fanOut) work(w int) {
+	s := f.e.scratch.get()
+	defer f.e.scratch.put(s)
+	for {
+		c := f.next.Add(1) - 1
+		if c >= f.chunks {
+			return
+		}
+		f.run(s, int(c), &f.parts[w])
 	}
 }
 

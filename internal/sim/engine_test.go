@@ -241,11 +241,11 @@ func TestEngineMemoizesDerivations(t *testing.T) {
 		{Seed: 2, BitExact: true, Faults: &fault.Model{Seed: 3, StuckAtZero: 0.01}},
 		{Seed: 2, Faults: &fault.Model{Seed: 3, StuckAtZero: 0.01}, Repair: &repair.Policy{}},
 	} {
-		a, err := eng.prepareLayer(l, opts)
+		a, err := prepareNew(eng, l, opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		b, err := eng.prepareLayer(l, opts)
+		b, err := prepareNew(eng, l, opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -257,8 +257,8 @@ func TestEngineMemoizesDerivations(t *testing.T) {
 		}
 	}
 	// Different seeds must NOT share weights.
-	a, _ := eng.prepareLayer(l, InferenceOptions{Seed: 2, BitExact: true})
-	c, err := eng.prepareLayer(l, InferenceOptions{Seed: 9, BitExact: true})
+	a, _ := prepareNew(eng, l, InferenceOptions{Seed: 2, BitExact: true})
+	c, err := prepareNew(eng, l, InferenceOptions{Seed: 9, BitExact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestConvScatterReLUMatchesDNNReLU(t *testing.T) {
 	cmax := make([]float64, x.h*x.w)
 	for _, opts := range []InferenceOptions{{Seed: 1}, {Seed: 1, BitExact: true}} {
 		e := NewEngine(p)
-		le, err := e.prepareLayer(l, opts)
+		le, err := prepareNew(e, l, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -192,7 +192,7 @@ func runScalarRef(t *testing.T, e *Engine, input *dnn.Tensor, opts InferenceOpti
 	for _, l := range m.Layers {
 		switch l.Kind {
 		case dnn.Conv:
-			le, err := e.prepareLayer(l, opts)
+			le, err := prepareNew(e, l, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +216,7 @@ func runScalarRef(t *testing.T, e *Engine, input *dnn.Tensor, opts InferenceOpti
 			if flat == nil {
 				flat = cur.Flatten()
 			}
-			le, err := e.prepareLayer(l, opts)
+			le, err := prepareNew(e, l, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +325,7 @@ func TestApplyBatchZeroAllocsWarm(t *testing.T) {
 	cmax := channelMaxMap(in)
 	eng := NewEngine(p)
 	for _, opts := range []InferenceOptions{{Seed: 1}, {Seed: 1, BitExact: true}} {
-		le, err := eng.prepareLayer(l, opts)
+		le, err := prepareNew(eng, l, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,8 @@ import (
 // in both modes every batch output must equal that input's own Run. Both
 // modes share the channels-last activations, so the first input is also
 // run through runScalarRef, the C-major one-window-at-a-time oracle, which
-// catches a layout fault the two modes would share.
+// catches a layout fault the two modes would share. The fast mode must also
+// give the same bits at GOMAXPROCS 1, 2 and 4.
 func FuzzEngineLayouts(f *testing.F) {
 	// Raw bytes; each field maps to lo + raw mod span (C = 1 + cB%20, …).
 	// 3×8×8 → conv 3×3/1 pad 1 → 20×8×8 → pool 2/1 → conv 3×3 → 16×5×5
@@ -86,6 +87,17 @@ func FuzzEngineLayouts(f *testing.F) {
 		exactOut, _, err := eng.runBatch(inputs, exact, kb)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			atProcs(procs, func() {
+				again, _, err := eng.runBatch(inputs, fast, kb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range inputs {
+					sameOutputs(t, fmt.Sprintf("input %d: fast at GOMAXPROCS %d", i, procs), again[i], fastOut[i])
+				}
+			})
 		}
 		ref, _ := runScalarRef(t, eng, inputs[0], fast)
 		sameOutputs(t, "input 0: fast vs C-major scalar reference", fastOut[0], ref)
